@@ -22,6 +22,7 @@ import numpy as np
 
 from . import diffusion, discrete, scaling
 from . import simulate as sim
+from .failure_cycle import steady_failure_mass
 from .special import QuadratureError
 
 __all__ = ["main", "entrypoint", "read_table", "rebuild_argv"]
@@ -409,8 +410,6 @@ def cmd_steady(options: dict) -> int:
         root = math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * dp.nu)
         length = dp.sigma2 / (root - abs(dp.drift))
         xs = tuple(float(v) for v in np.linspace(-12.0 * length, 12.0 * length, 161))
-    from .failure_cycle import steady_failure_mass
-
     q = steady_failure_mass(dp.nu, dp.eta)
     rows = [[x, diffusion.steady_density(dp, x), q] for x in xs]
     params = _provenance(options, "steady", model=model, x_grid=list(xs))
@@ -445,7 +444,7 @@ def cmd_simulate(options: dict) -> int:
         horizon=max(t_grid),
         observation_times=t_grid,
     )
-    stats = [(s if isinstance(s, str) else s) for s in (options.get("stats") or DEFAULT_STATS)]
+    stats = list(options.get("stats") or DEFAULT_STATS)
     parsed_stats = [_parse_stat(s) for s in stats]
     if model == "discrete":
         p = _discrete_params(options)
@@ -460,7 +459,7 @@ def cmd_simulate(options: dict) -> int:
         sim.export_traces(traces, options["trace_out"], params, cfg)
     rows = []
     for t in t_grid:
-        for raw, (name, arg) in zip(stats, parsed_stats):
+        for name, arg in parsed_stats:
             est = sim.estimate(traces, t, name, arg)
             rows.append([t, name, arg, est.value, est.standard_error, est.replications])
     write_table(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import erfc, erfcx, wofz
 
 from .failure_cycle import (
     NoSteadyStateError,
@@ -43,7 +44,6 @@ __all__ = [
     "variance_x",
     "asymptotic_moments",
     "fpt_density_wiener",
-    "renewal_check",
 ]
 
 
@@ -98,67 +98,152 @@ def failure_probability(dp: DiffusionParams, t: float) -> float:
     return _cycle_failure_mass(dp.nu, dp.eta, t)
 
 
+def _gaussian(dp: DiffusionParams, offset, t: float):
+    # failure-free kernel at displacement ``offset`` from its mean; numpy
+    # arithmetic so that scalar and vector callers get identical bits
+    var = dp.sigma2 * t
+    return np.exp(-offset * offset / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+
+
 def wiener_density(dp: DiffusionParams, x: float, t: float, x0: float = 0.0) -> float:
     """Failure-free transition density: Gaussian with mean x0 + drift*t and
     variance sigma2*t."""
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    var = dp.sigma2 * t
-    offset = x - x0 - dp.drift * t
-    return math.exp(-offset * offset / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return float(_gaussian(dp, x - x0 - dp.drift * t, t))
 
 
-def _restart_integrand(dp: DiffusionParams, x: float, t: float):
-    def integrand(tau: float) -> float:
-        lag = t - tau
-        if lag <= 0.0 or tau < 0.0:
-            return 0.0
-        return (
-            _cycle_failure_mass(dp.nu, dp.eta, tau)
-            * math.exp(-dp.nu * lag)
-            * wiener_density(dp, x, lag)
-        )
-
-    return integrand
+#: |beta^2| below which the lag integral is summed as a series in beta^2
+_SERIES_RADIUS = 1e-2
+_SERIES_TERMS = 7
+#: erfcx derivatives: forward recurrence up to this alpha, continued fraction above
+_FORWARD_LIMIT = 3.0
+_FRACTION_DEPTH = 48
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
-def transient_density(
-    dp: DiffusionParams,
-    x: float,
-    t: float,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> Union[float, PointMass]:
+def _erfcx_derivatives(alpha: np.ndarray, count: int) -> list:
+    """erfcx and its first ``count`` derivatives at alpha >= 0.
+
+    They obey y_{n+1} = 2 alpha y_n + 2 n y_{n-1} with y_1 = 2 alpha y_0 -
+    2/sqrt(pi).  That recurrence is stable forward only for small alpha; for
+    large alpha the derivatives are its minimal solution, so their ratios
+    y_n / y_{n-1} = 2n / (y_{n+1} / y_n - 2 alpha) come from a continued
+    fraction run backward from zero.
+    """
+    ys = [erfcx(alpha)] + [np.empty_like(alpha) for _ in range(count)]
+    low = alpha <= _FORWARD_LIMIT
+    a, prev = alpha[low], ys[0][low]
+    cur = 2.0 * a * prev - _TWO_OVER_SQRT_PI
+    ys[1][low] = cur
+    for n in range(1, count):
+        prev, cur = cur, 2.0 * a * cur + 2.0 * n * prev
+        ys[n + 1][low] = cur
+    high = ~low
+    a = alpha[high]
+    ratio = np.zeros_like(a)
+    ratios = {}
+    for n in range(_FRACTION_DEPTH, 0, -1):
+        ratio = 2.0 * n / (ratio - 2.0 * a)
+        if n <= count:
+            ratios[n] = ratio
+    value = ys[0][high]
+    for n in range(1, count + 1):
+        value = value * ratios[n]
+        ys[n][high] = value
+    return ys
+
+
+def _lag_integral(
+    dp: DiffusionParams, x: np.ndarray, t: float, a: float, exponent: np.ndarray, fold: float
+) -> np.ndarray:
+    """e^{fold} K_a, with K_a in the erfcx form given in transient_density.
+
+    ``exponent`` is -(x - c t)^2 / (2 sigma2 t) - a t + fold, so that e^{fold}
+    never has to be formed on its own.  The bracket over 2 beta is an even
+    function of beta: for beta^2 < 0 it is -Im erfcx(alpha + i gamma) / gamma
+    with gamma = sqrt(-beta^2) (Faddeeva w), and near beta = 0 it is summed
+    from the Taylor series of erfcx about alpha, which avoids the cancellation
+    in the bracket.  Where alpha < beta, erfcx(alpha - beta) would overflow,
+    so that term keeps erfc and its own exponent.
+    """
+    c, s2 = dp.drift, dp.sigma2
+    scale = math.sqrt(2.0 * s2 * t)
+    alpha = np.abs(x) / scale
+    r2 = c * c + 2.0 * a * s2
+    beta2 = r2 * t / (2.0 * s2)
+    growth = np.exp(exponent)
+    if abs(beta2) < _SERIES_RADIUS:
+        # bracket / (2 beta) = -sum_k erfcx^{(2k+1)}(alpha) beta^{2k} / (2k+1)!
+        ys = _erfcx_derivatives(alpha, 2 * _SERIES_TERMS - 1)
+        total = np.zeros_like(alpha)
+        term = 1.0
+        for k in range(_SERIES_TERMS):
+            total -= term * ys[2 * k + 1]
+            term *= beta2 / ((2 * k + 2) * (2 * k + 3))
+        return growth * (t / scale) * total
+    if beta2 < 0.0:
+        rho = math.sqrt(-r2)
+        gamma = math.sqrt(-beta2)
+        return -growth * wofz(-gamma + 1j * alpha).imag / rho
+    r = math.sqrt(r2)
+    beta = math.sqrt(beta2)
+    out = np.empty_like(alpha)
+    far = alpha >= beta
+    out[far] = growth[far] * (erfcx(alpha[far] - beta) - erfcx(alpha[far] + beta))
+    near = ~far
+    if near.any():
+        # own exponent (c x - |x| r) / sigma2, written without cancellation
+        # when c x >= 0
+        xs = x[near]
+        spread = np.abs(xs)
+        own = np.where(c * xs >= 0.0, -2.0 * a * spread / (abs(c) + r),
+                       -spread * (abs(c) + r) / s2)
+        out[near] = (np.exp(own + fold) * erfc(alpha[near] - beta)
+                     - growth[near] * erfcx(alpha[near] + beta))
+    return out / (2.0 * r)
+
+
+def _density(dp: DiffusionParams, x: np.ndarray, t: float) -> np.ndarray:
+    # operating density at time t > 0 for an array of finite abscissas
+    offset = x - dp.drift * t
+    base = _gaussian(dp, offset, t) * math.exp(-dp.nu * t)
+    if dp.nu == 0.0:
+        return base
+    # e^{-nu t} times the Gaussian shape: the exponent of K_nu, and of
+    # e^{-(eta+nu) t} K_{-eta} once the repair factor is folded in
+    exponent = -offset * offset / (2.0 * dp.sigma2 * t) - dp.nu * t
+    weight = dp.eta * dp.nu / (dp.eta + dp.nu)
+    restarts = _lag_integral(dp, x, t, dp.nu, exponent, 0.0) - _lag_integral(
+        dp, x, t, -dp.eta, exponent, -(dp.eta + dp.nu) * t
+    )
+    return base + weight * restarts
+
+
+def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, PointMass]:
     """Density of the operating state at time t, started at 0.
 
     At t = 0 the law is a unit point mass at the origin, returned as the
-    tagged :data:`DIRAC_AT_ORIGIN` value instead of a number.
+    tagged :data:`DIRAC_AT_ORIGIN` value instead of a number.  Otherwise
 
-        f(x,t) = e^{-nu t} w(x,t) + eta int_0^t q(tau) e^{-nu (t-tau)} w(x,t-tau) dtau
+        f(x,t) = e^{-nu t} w(x,t) + eta nu/(eta+nu) [K_nu - e^{-(eta+nu) t} K_{-eta}],
+        K_a = int_0^t e^{-a s} w(x,s) ds
+            = exp(-(x - c t)^2 / (2 sigma2 t) - a t)
+              * [erfcx(alpha - beta) - erfcx(alpha + beta)] / (2 r),
 
-    with w the failure-free Gaussian kernel and q the failure mass.
+    with w the failure-free Gaussian kernel, c the drift,
+    r = sqrt(c^2 + 2 a sigma2), alpha = |x| / sqrt(2 sigma2 t) and
+    beta = r sqrt(t / (2 sigma2)).  Both lag integrals are evaluated in
+    closed form (scaled complementary error function, and the Faddeeva
+    function where r^2 < 0), with no quadrature.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         return DIRAC_AT_ORIGIN
-    base = math.exp(-dp.nu * t) * wiener_density(dp, x, t)
-    if dp.nu == 0.0:
-        return base
-    integrand = _restart_integrand(dp, x, t)
-    # the integrand peaks sharply near tau = t where the Gaussian collapses;
-    # split there, and flatten the 1/sqrt(t - tau) endpoint (felt at x = 0)
-    # with the substitution tau = t - s^2
-    split = t - min(0.5 * t, 10.0 * dp.sigma2 / (dp.drift**2 + dp.sigma2))
-    head, _ = integrate_adaptive(integrand, 0.0, split, quad)
-    s_max = math.sqrt(t - split)
-
-    def tail_integrand(s: float) -> float:
-        if s <= 0.0 or s * s * dp.sigma2 == 0.0:
-            return 0.0
-        return 2.0 * s * integrand(t - s * s)
-
-    tail, _ = integrate_adaptive(tail_integrand, 0.0, s_max, quad)
-    return base + dp.eta * (head + tail)
+    return float(_density(dp, np.array([float(x)]), t)[0])
 
 
 def _support_bounds(dp: DiffusionParams, t: float, widths: float = 12.0) -> tuple[float, float]:
@@ -177,15 +262,16 @@ def on_mass(
 ) -> float:
     """Total operating mass integral of the transient density at time t.
 
-    Integrates adaptively on each side of the derivative kink at the origin;
-    equals 1 minus the failure mass up to quadrature error.
+    Integrates the closed-form density adaptively (to ``quad``) on each side
+    of the derivative kink at the origin; equals 1 minus the failure mass up
+    to quadrature error.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     lo, hi = _support_bounds(dp, t)
 
     def f(x: float) -> float:
-        return transient_density(dp, x, t, quad)  # type: ignore[return-value]
+        return transient_density(dp, x, t)  # type: ignore[return-value]
 
     left, _ = integrate_adaptive(f, lo, 0.0, quad)
     right, _ = integrate_adaptive(f, 0.0, hi, quad)
@@ -230,13 +316,17 @@ def density_slice(
     span_sds: float = 8.0,
 ) -> DensitySlice:
     """Uniform grid over the failure-free mean +- span_sds standard deviations,
-    with analytic closure of the two exponential-type tails."""
+    with analytic closure of the two exponential-type tails.
+
+    The grid values come from the closed-form density in one vectorised
+    evaluation; ``quad`` governs only the restart integral of the tail mass.
+    """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     sd = math.sqrt(dp.sigma2 * t)
     center = dp.drift * t
     xs = np.linspace(center - span_sds * sd, center + span_sds * sd, n_points)
-    values = np.array([transient_density(dp, float(x), t, quad) for x in xs])
+    values = _density(dp, xs, t)
     lo, hi = float(xs[0]), float(xs[-1])
     tail = math.exp(-dp.nu * t) * _gaussian_outside(dp, t, lo, hi)
     if dp.nu > 0.0:
@@ -342,40 +432,3 @@ def fpt_density_wiener(
         raise ValueError(f"time must be positive, got {t}")
     return abs(x - x0) / t * wiener_density(dp, x, t, x0)
 
-
-def renewal_check(
-    dp: DiffusionParams,
-    x: float,
-    t: float,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Residual of the last-visit-to-the-origin identity
-
-        f(x,t) = int_0^t f(0,tau) e^{-nu (t-tau)} g(x, t-tau) dtau,  x != 0,
-
-    with g the failure-free first-passage density.  Both sides are computed
-    independently; the return value is their absolute difference.
-    """
-    if x == 0.0:
-        raise ValueError("the renewal identity needs x != 0")
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    direct = transient_density(dp, x, t, quad)
-
-    def integrand(tau: float) -> float:
-        lag = t - tau
-        if tau <= 0.0 or lag <= 0.0:
-            return 0.0
-        origin = transient_density(dp, 0.0, tau, quad)
-        return origin * math.exp(-dp.nu * lag) * fpt_density_wiener(dp, x, lag)
-
-    # f(0,tau) blows up like 1/sqrt(tau) at tau = 0; tau = s^2 flattens it
-    mid = 0.5 * t
-    head, _ = integrate_adaptive(
-        lambda s: 0.0 if s <= 0.0 else 2.0 * s * integrand(s * s),
-        0.0,
-        math.sqrt(mid),
-        quad,
-    )
-    tail, _ = integrate_adaptive(integrand, mid, t, quad)
-    return abs(direct - (head + tail))

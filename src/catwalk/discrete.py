@@ -42,7 +42,6 @@ __all__ = [
     "failure_probability",
     "skellam_probability",
     "transient_probability",
-    "transient_probability_renewal",
     "transient_distribution",
     "default_window_halfwidth",
     "steady_state",
@@ -170,46 +169,6 @@ def first_passage_density(p: DiscreteParams, n: int, t: float) -> float:
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     return abs(n) / t * skellam_probability(p, n, t)
-
-
-def transient_probability_renewal(
-    p: DiscreteParams,
-    n: int,
-    t: float,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Same law as :func:`transient_probability` for n != 0, computed through
-    the last visit to the origin:
-
-        P_n(t) = int_0^t P_0(u) e^{-nu (t-u)} g_n(t - u) du,
-
-    where g_n is the catastrophe-free first-passage density.  The integrand is
-    0/0 at u = t; the closing interval of width 1e-8 t is replaced by the
-    leading small-time behaviour of g_n instead of being sampled.
-    """
-    if n == 0:
-        raise ValueError("renewal representation requires n != 0")
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-
-    def integrand(u: float) -> float:
-        lag = t - u
-        if lag <= 0.0:
-            return 0.0
-        return (
-            transient_probability(p, 0, u, quad)
-            * math.exp(-p.nu * lag)
-            * first_passage_density(p, n, lag)
-        )
-
-    closing = 1e-8 * t
-    body, _ = integrate_adaptive(integrand, 0.0, t - closing, quad)
-    # g_n(s) ~ |n| (alpha/2)^{|n|} beta^n s^{|n|-1} / |n|! for s -> 0, so the
-    # closing interval contributes P_0(t) (alpha closing / 2)^{|n|} beta^n / |n|!
-    m = abs(n)
-    log_tip = m * math.log(p.alpha * closing / 2.0) + n * p.log_beta - math.lgamma(m + 1)
-    tip = math.exp(log_tip) * transient_probability(p, 0, t, quad)
-    return body + tip
 
 
 def default_window_halfwidth(p: DiscreteParams, t: float) -> int:

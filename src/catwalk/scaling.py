@@ -7,8 +7,7 @@ The lattice is rescaled to spacing epsilon with rates
 
 while the failure-cycle rates pass through unchanged.  As eps shrinks, lattice
 probabilities divided by eps approach the diffusion densities; the functions
-here quantify that agreement (stationary laws, Laplace transforms, moments)
-and check the internal consistency of the rescaling family.
+here quantify that agreement (stationary laws, Laplace transforms, moments).
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ __all__ = [
     "ComparisonRow",
     "scale_params",
     "steady_comparison",
-    "rate_invariance_check",
     "laplace_convergence",
-    "mean_correspondence_check",
     "asymptotic_variance_gap",
 ]
 
@@ -92,43 +89,6 @@ def steady_comparison(
     return rows
 
 
-def rate_invariance_check(
-    dp: DiffusionParams,
-    epsilon: float,
-    h: float,
-    n_grid: Sequence[int] = tuple(range(-10, 11)),
-) -> float:
-    """Residual of the rescaling family (eps, drift components, sigma) -> h
-    multiples.
-
-    Scaling eps, lam_hat, mu_hat and sigma (so sigma2 by h^2) leaves the
-    induced lattice rates unchanged and preserves the per-site stationary
-    mass, W_h(n eps_h) eps_h = W(n eps) eps.  Returns the largest violation:
-    relative for the rates, absolute for the mass products.
-    """
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    scaled = DiffusionParams(
-        lam_hat=dp.lam_hat * h,
-        mu_hat=dp.mu_hat * h,
-        sigma2=dp.sigma2 * h * h,
-        nu=dp.nu,
-        eta=dp.eta,
-    )
-    eps_h = epsilon * h
-    base_rates = scale_params(dp, epsilon)
-    moved_rates = scale_params(scaled, eps_h)
-    residual = max(
-        abs(moved_rates.lam - base_rates.lam) / base_rates.lam,
-        abs(moved_rates.mu - base_rates.mu) / base_rates.mu,
-    )
-    for n in n_grid:
-        base = diffusion.steady_density(dp, n * epsilon) * epsilon
-        moved = diffusion.steady_density(scaled, n * eps_h) * eps_h
-        residual = max(residual, abs(moved - base))
-    return residual
-
-
 def laplace_convergence(
     dp: DiffusionParams,
     z: float,
@@ -144,22 +104,6 @@ def laplace_convergence(
         n = round(x / epsilon)
         gaps.append((epsilon, abs(laplace_pn(p, n, z) / epsilon - target)))
     return gaps
-
-
-def mean_correspondence_check(
-    dp: DiffusionParams, epsilon: float, t_grid: Sequence[float]
-) -> float:
-    """Max over the grid of |lattice mean - diffusion mean / eps|.
-
-    The identity is exact algebra (the lattice drift is drift/eps), so the
-    residual is pure floating-point noise.
-    """
-    from .discrete import mean_transient
-
-    p = scale_params(dp, epsilon)
-    return max(
-        abs(mean_transient(p, t) - diffusion.mean_x(dp, t) / epsilon) for t in t_grid
-    )
 
 
 def asymptotic_variance_gap(dp: DiffusionParams, epsilon: float) -> tuple[float, float]:

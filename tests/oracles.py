@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: the Bessel
 oracle is a high-precision power series, integrals are brute-force midpoint
-sums or scipy.quad over analytically rewritten integrands, and the hitting
+sums or scipy.quad over analytically rewritten integrands, the diffusion
+density is its restart convolution integrated in mpmath, and the hitting
 probability comes from an absorbing-chain linear solve.
 """
 
@@ -60,6 +61,71 @@ def hitting_probability(lam: float, mu: float, n: int = 1, truncation: int = 200
     rhs[-1] = lam  # site 0 borders the absorbing target at +1
     solution = solve_banded((1, 1), bands, rhs)
     return float(solution[-1])
+
+
+def density_by_mpmath(
+    lam_hat: float,
+    mu_hat: float,
+    sigma2: float,
+    nu: float,
+    eta: float,
+    x: float,
+    t: float,
+    dps: int = 32,
+) -> float:
+    """Operating density of the jump-diffusion from its restart convolution
+
+        f(x,t) = e^{-nu t} w(x,t) + eta int_0^t q(t-s) e^{-nu s} w(x,s) ds,
+
+    integrated by tanh-sinh in u = sqrt(s), where 2 u w(x, u^2) has no
+    endpoint singularity.  In u the lag integrand is exp(-A/u^2 - B u^2) times
+    smooth factors: it peaks at the saddle u*^2 = |x| / sqrt(c^2 + 2 nu sigma2)
+    with width sigma / (2 sqrt(c^2 + 2 nu sigma2)), and the repair factor q
+    turns on within 1/(eta+nu) of the upper end.  Panels of one width next
+    to the saddle, widening geometrically away from it, and panels shrinking
+    eightfold towards the upper end (where the integrand peaks when the
+    saddle lies beyond t) resolve narrow kernels, far tails and fast repairs.
+    """
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(lam_hat) - mpmath.mpf(mu_hat)
+        s2, nu_, eta_ = mpmath.mpf(sigma2), mpmath.mpf(nu), mpmath.mpf(eta)
+        xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+        rate = eta_ + nu_
+
+        def kernel(s):
+            return mpmath.exp(-((xm - c * s) ** 2) / (2 * s2 * s)) / mpmath.sqrt(2 * mpmath.pi * s2 * s)
+
+        base = mpmath.exp(-nu_ * tm) * kernel(tm)
+        if nu_ == 0:
+            return float(base)
+
+        def integrand(u):
+            if u == 0:
+                return mpmath.mpf(0)
+            s = u * u
+            q = nu_ / rate * -mpmath.expm1(-rate * (tm - s))
+            return q * mpmath.exp(-nu_ * s) * 2 * u * kernel(s)
+
+        root = mpmath.sqrt(c * c + 2 * nu_ * s2)
+        top = mpmath.sqrt(tm)
+        saddle = mpmath.sqrt(abs(xm) / root)
+        width = mpmath.sqrt(s2) / (2 * root)
+        points = {mpmath.mpf(0), top}
+        for k in (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 512, 1024):
+            points.update((saddle - k * width, saddle + k * width))
+        for k in (1, 10, 100):
+            points.add(mpmath.sqrt(max(tm - k / rate, 0)))
+        for k in range(1, 40, 3):
+            points.add(mpmath.sqrt(tm - tm / mpmath.mpf(2) ** k))
+        grid = sorted(p for p in points if 0 <= p <= top)
+        # mpmath.quad stops on an absolute error estimate: integrate the
+        # integrand relative to its largest sampled value, so that far-tail
+        # densities of 1e-80 are resolved as finely as those of order one
+        peak = max(integrand(p) for p in grid)
+        if peak == 0:
+            return float(base)
+        integral = peak * mpmath.quad(lambda u: integrand(u) / peak, grid)
+        return float(base + eta_ * integral)
 
 
 def second_moment_by_quadrature(

@@ -11,7 +11,13 @@ from catwalk import diffusion as f
 from catwalk import discrete as d
 from catwalk import scaling as s
 from catwalk import simulate as sim
-from catwalk.special import QuadratureSpec, integrate_adaptive
+from catwalk.special import integrate_adaptive
+from identities import (
+    mean_correspondence_check,
+    rate_invariance_check,
+    renewal_check,
+    transient_probability_renewal,
+)
 
 TABLE_DP = f.DiffusionParams(lam_hat=1.0, mu_hat=2.0, sigma2=9.0, nu=1.0, eta=0.25)
 FIG4_DP = f.DiffusionParams(lam_hat=3.0, mu_hat=1.0, sigma2=1.0, nu=1.0, eta=1.0)
@@ -115,10 +121,10 @@ def test_criterion_5_renewal_identities():
     for n in (1, -1, 2, -2, 5, -5):
         for t in (0.5, 1.0, 2.0):
             direct = d.transient_probability(SYMMETRIC, n, t)
-            renewal = d.transient_probability_renewal(SYMMETRIC, n, t)
+            renewal = transient_probability_renewal(SYMMETRIC, n, t)
             worst_discrete = max(worst_discrete, abs(direct - renewal))
     worst_diffusion = max(
-        f.renewal_check(FIG4_DP, x, t) for x, t in ((1.0, 1.0), (-0.5, 1.0), (2.0, 2.0))
+        renewal_check(FIG4_DP, x, t) for x, t in ((1.0, 1.0), (-0.5, 1.0), (2.0, 2.0))
     )
     _report(
         "criterion-5 renewal identities",
@@ -159,8 +165,8 @@ def test_criterion_7_convergence_checks():
     for x in (0.0, 0.5):
         gaps = [gap for _, gap in s.laplace_convergence(TABLE_DP, 1.0, x, (0.1, 0.05, 0.01))]
         decreasing = decreasing and gaps[0] > gaps[1] > gaps[2]
-    mean_residual = s.mean_correspondence_check(TABLE_DP, 0.1, (0.5, 1.0, 5.0))
-    invariance = max(s.rate_invariance_check(TABLE_DP, 0.1, h) for h in (0.5, 2.0))
+    mean_residual = mean_correspondence_check(TABLE_DP, 0.1, (0.5, 1.0, 5.0))
+    invariance = max(rate_invariance_check(TABLE_DP, 0.1, h) for h in (0.5, 2.0))
     _report(
         "criterion-7 lattice-to-diffusion convergence",
         decreasing and mean_residual < 1e-10 and invariance < 1e-12,
@@ -210,12 +216,11 @@ def test_criterion_8_monte_carlo_agreement():
 
 
 def test_criterion_9_fokker_planck_residual():
-    spec = QuadratureSpec(1e-12, 1e-15, 2000)
     dp = FIG4_DP
     h = 1e-4
 
     def density(x, t):
-        return f.transient_density(dp, x, t, spec)
+        return f.transient_density(dp, x, t)
 
     worst = 0.0
     points = [(x, t) for x in (0.5, 1.0, 2.5, -0.7, 3.5) for t in (0.25, 0.7, 1.0, 2.0)]

@@ -132,6 +132,18 @@ class TestTransient:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "validation"
 
+    def test_diffusion_rejects_non_finite_abscissas(self, capsys):
+        argv = [
+            "transient", "--model", "diffusion", "--lambda-hat", "3", "--mu-hat", "1",
+            "--sigma2", "1", "--nu", "1", "--eta", "1", "--t", "1", "--x-grid", "nan,inf",
+        ]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"]["type"] == "validation"
+        assert "finite" in record["error"]["message"]
+
 
 class TestMoments:
     def test_mean_increases_to_its_limit(self, tmp_path):

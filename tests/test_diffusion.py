@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from catwalk import diffusion as f
 from catwalk.failure_cycle import truncated_second_moment
 from catwalk.special import QuadratureSpec, integrate_adaptive
-from oracles import second_moment_by_quadrature
+from identities import renewal_check
+from oracles import density_by_mpmath, second_moment_by_quadrature
 
 # parameters behind the reference density plots: drift 2, unit variance
 FIG4 = f.DiffusionParams(lam_hat=3.0, mu_hat=1.0, sigma2=1.0, nu=1.0, eta=1.0)
@@ -96,12 +97,68 @@ class TestTransientDensity:
         for x in np.linspace(-4.0, 6.0, 21):
             assert f.transient_density(FIG4, float(x), 0.7) >= 0.0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_abscissa(self, x):
+        with pytest.raises(ValueError):
+            f.transient_density(FIG4, x, 1.0)
+
+    def test_slice_values_are_the_pointwise_density(self):
+        slice_ = f.density_slice(TABLE, 2.0, n_points=41)
+        for x, value in zip(slice_.abscissas, slice_.values):
+            assert value == pytest.approx(f.transient_density(TABLE, float(x), 2.0), rel=1e-14)
+
     def test_long_run_pointwise_limit_is_the_steady_density(self):
         # t = 50 / min(nu, eta)
         for x in np.linspace(-3.0, 3.0, 13):
             assert abs(
                 f.transient_density(FIG4, float(x), 50.0) - f.steady_density(FIG4, float(x))
             ) < 1e-6
+
+
+# (lam_hat, mu_hat, sigma2, nu, eta), x, t in the regimes where a density
+# quadrature loses its way: narrow kernels, long horizons with far tails, fast
+# repairs, rare catastrophes, and both signs of c^2 - 2 eta sigma2 (the
+# parameters of the stationary table have it negative; 3, 1, 1, 1, 2 zero)
+HARD_POINTS = {
+    "narrow-origin": ((2.0, 1.0, 1e-6, 1.0, 1.0), 0.0, 10.0),
+    "narrow-near-origin": ((2.0, 1.0, 1e-6, 1.0, 1.0), 1e-3, 10.0),
+    "narrow-mid": ((2.0, 1.0, 1e-6, 1.0, 1.0), 5.0, 10.0),
+    "small-variance-origin": ((2.0, 1.0, 1e-4, 1.0, 1.0), 0.0, 3.0),
+    "small-variance-below-mean": ((2.0, 1.0, 1e-4, 1.0, 1.0), 2.9, 3.0),
+    "long-horizon-far-left": ((2.0, 1.0, 1.0, 0.05, 0.05), -50.0, 200.0),
+    "long-horizon-origin": ((2.0, 1.0, 1.0, 0.05, 0.05), 0.0, 200.0),
+    "long-horizon-far-right": ((2.0, 1.0, 1.0, 0.05, 0.05), 260.0, 200.0),
+    "fast-repair": ((3.0, 1.0, 1.0, 1.0, 1e3), 0.5, 1.0),
+    "rare-catastrophe": ((3.0, 1.0, 1.0, 1e-6, 1.0), 2.0, 1.0),
+    "complex-root": ((1.0, 2.0, 9.0, 1.0, 0.25), -0.06, 1.0),
+    "complex-root-tail": ((1.0, 2.0, 9.0, 1.0, 0.25), 3.0, 5.0),
+    "zero-root-origin": ((3.0, 1.0, 1.0, 1.0, 2.0), 0.0, 1.0),
+    "zero-root-tail": ((3.0, 1.0, 1.0, 1.0, 2.0), 4.0, 0.1),
+    "short-time": ((1.0, 1.0, 1.0, 1.0, 1.0), 0.05, 1e-3),
+    "short-time-tail": ((1.0, 1.0, 1.0, 1.0, 1.0), 0.2, 1e-3),
+}
+
+
+class TestHardRegimes:
+    @pytest.mark.parametrize("params,x,t", HARD_POINTS.values(), ids=HARD_POINTS.keys())
+    def test_matches_the_mpmath_restart_convolution(self, params, x, t):
+        expected = density_by_mpmath(*params, x, t)
+        assert f.transient_density(f.DiffusionParams(*params), x, t) == pytest.approx(
+            expected, rel=1e-10, abs=0.0
+        )
+
+    @given(
+        drift=st.floats(min_value=-4.0, max_value=4.0),
+        sigma2=st.floats(min_value=1e-6, max_value=1e2),
+        nu=st.floats(min_value=1e-3, max_value=1e3),
+        eta=st.floats(min_value=1e-3, max_value=1e3),
+        t=st.floats(min_value=1e-3, max_value=300.0),
+        x=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    def test_finite_and_nonnegative_over_a_wide_box(self, drift, sigma2, nu, eta, t, x):
+        dp = f.DiffusionParams(5.0 + drift, 5.0, sigma2, nu, eta)
+        value = f.transient_density(dp, x, t)
+        assert math.isfinite(value) and value >= 0.0
 
 
 class TestLaplaceDensity:
@@ -129,7 +186,7 @@ class TestLaplaceDensity:
         def integrand(t: float) -> float:
             if t <= 0.0:
                 return 0.0
-            return math.exp(-z * t) * f.transient_density(FIG4, x, t, spec)
+            return math.exp(-z * t) * f.transient_density(FIG4, x, t)
 
         if x == 0.0:
             # 1/sqrt(t) blow-up at the origin; flatten with t = s^2
@@ -250,11 +307,11 @@ class TestFirstPassage:
 
 class TestRenewalCheck:
     def test_residual_small_at_reference_point(self):
-        assert f.renewal_check(FIG4, 1.0, 1.0) < 1e-6
+        assert renewal_check(FIG4, 1.0, 1.0) < 1e-6
 
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
-            f.renewal_check(FIG4, 0.0, 1.0)
+            renewal_check(FIG4, 0.0, 1.0)
 
 
 class TestDensitySlice:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from catwalk import discrete as d
 from catwalk.special import integrate_adaptive
+from identities import transient_probability_renewal
 from oracles import (
     bessel_series_scaled,
     hitting_probability,
@@ -169,23 +170,23 @@ class TestRenewalRepresentation:
         for n in (1, -2, 5):
             for t in (0.5, 2.0):
                 direct = d.transient_probability(SYMMETRIC, n, t)
-                renewal = d.transient_probability_renewal(SYMMETRIC, n, t)
+                renewal = transient_probability_renewal(SYMMETRIC, n, t)
                 assert renewal == pytest.approx(direct, abs=1e-8)
 
     def test_collapses_to_skellam_without_catastrophes(self):
         p = d.DiscreteParams(1.0, 1.0, 0.0, 1.0)
-        value = d.transient_probability_renewal(p, 1, 1.0)
+        value = transient_probability_renewal(p, 1, 1.0)
         assert value == pytest.approx(E2_I1_2, abs=1e-9)
 
     def test_far_level_at_small_time_is_negligible(self):
-        value = d.transient_probability_renewal(SYMMETRIC, 5, 0.01)
+        value = transient_probability_renewal(SYMMETRIC, 5, 0.01)
         bound = d.skellam_probability(SYMMETRIC, 5, 0.01)
         assert value <= bound + 1e-15
         assert bound < 1e-10
 
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            d.transient_probability_renewal(SYMMETRIC, 0, 1.0)
+            transient_probability_renewal(SYMMETRIC, 0, 1.0)
 
 
 class TestTransientDistribution:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from catwalk import diffusion as f
 from catwalk import discrete as d
 from catwalk import scaling as s
+from identities import mean_correspondence_check, rate_invariance_check
 
 TABLE = f.DiffusionParams(lam_hat=1.0, mu_hat=2.0, sigma2=9.0, nu=1.0, eta=0.25)
 
@@ -69,15 +70,15 @@ class TestSteadyComparison:
 
 class TestRateInvariance:
     def test_identity_at_h_one(self):
-        assert s.rate_invariance_check(TABLE, 0.1, 1.0) < 1e-15
+        assert rate_invariance_check(TABLE, 0.1, 1.0) < 1e-15
 
     @pytest.mark.parametrize("h", [2.0, 0.5])
     def test_family_collapses(self, h):
-        assert s.rate_invariance_check(TABLE, 0.1, h) < 1e-12
+        assert rate_invariance_check(TABLE, 0.1, h) < 1e-12
 
     def test_rejects_nonpositive_h(self):
         with pytest.raises(ValueError):
-            s.rate_invariance_check(TABLE, 0.1, 0.0)
+            rate_invariance_check(TABLE, 0.1, 0.0)
 
 
 class TestLaplaceConvergence:
@@ -103,10 +104,10 @@ class TestLaplaceConvergence:
 class TestMeanCorrespondence:
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_exact_identity_up_to_roundoff(self, eps):
-        assert s.mean_correspondence_check(TABLE, eps, (0.5, 1.0, 5.0)) < 1e-10
+        assert mean_correspondence_check(TABLE, eps, (0.5, 1.0, 5.0)) < 1e-10
 
     def test_zero_time_is_exact(self):
-        assert s.mean_correspondence_check(TABLE, 0.1, (0.0,)) == 0.0
+        assert mean_correspondence_check(TABLE, 0.1, (0.0,)) == 0.0
 
     def test_asymptotic_means_match(self):
         p = s.scale_params(TABLE, 0.1)
