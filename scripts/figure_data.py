@@ -39,8 +39,8 @@ def transient_curves(out_dir: str) -> None:
         p = d.DiscreteParams(lam, 2.0, 0.1, 1.0)
         rows = []
         for t in grid:
-            row = [float(t)] + [d.transient_probability(p, n, float(t)) for n in (0, 1, 2)]
-            rows.append(row)
+            law = d.transient_distribution(p, float(t), window=(0, 2))
+            rows.append([float(t)] + list(law.probabilities.values()))
         write_rows(
             os.path.join(out_dir, f"transient_probabilities_{tag}.csv"),
             ["t", "P0", "P1", "P2"],

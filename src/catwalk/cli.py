@@ -363,9 +363,8 @@ def cmd_transient(options: dict) -> int:
             if t == 0.0:
                 rows.append([0.0, 0, 1.0, 0.0])
                 continue
-            q = discrete.failure_probability(p, t)
-            for n in range(n_min, n_max + 1):
-                rows.append([t, n, discrete.transient_probability(p, n, t), q])
+            law = discrete.transient_distribution(p, t, window=(n_min, n_max))
+            rows += [[t, n, value, law.failure_mass] for n, value in law.probabilities.items()]
         params = _provenance(
             options, "transient", model=model, t_grid=list(t_grid), n_min=n_min, n_max=n_max
         )
@@ -382,11 +381,14 @@ def cmd_transient(options: dict) -> int:
         lo = min(0.0, dp.drift * t_ref) - 8.0 * sd
         hi = max(0.0, dp.drift * t_ref) + 8.0 * sd
         xs = tuple(float(v) for v in np.linspace(lo, hi, 161))
+    bad = [x for x in xs if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"x must be finite, got {bad[0]!r}")
+    grid = np.array(xs)
     rows = []
     for t in t_grid:
         q = diffusion.failure_probability(dp, t)
-        for x in xs:
-            rows.append([t, x, diffusion.transient_density(dp, x, t), q])
+        rows += [[t, x, f, q] for x, f in zip(xs, diffusion._density(dp, grid, t).tolist())]
     params = _provenance(options, "transient", model=model, t_grid=list(t_grid), x_grid=list(xs))
     write_table(["t", "x", "density", "failure_mass"], rows, params, options)
     return 0

@@ -9,9 +9,24 @@ Starting at 0, the catastrophe-free transient law is the Skellam distribution
     alpha = 2 sqrt(lam mu),  beta = sqrt(lam / mu),
 
 and every transient quantity of the full model is a repair-cycle convolution
-of it.  All Bessel factors are evaluated through the scaled product
-e^{-x} I_n(x), which keeps the heavy-traffic regime (lam + mu ~ 1e5)
-overflow-free because lam + mu >= alpha always.
+of it.  All Bessel factors are evaluated in log space, through
+log(e^{-x} I_n(x)) (``special.log_bessel_i_scaled``), with the exponent
+n log(beta) - (lam + mu - alpha) u combined before one exponential.  That
+keeps the heavy-traffic regime (lam + mu ~ 1e5) overflow-free, because
+lam + mu >= alpha always, and keeps strongly drifting walks (lam >> mu, n in
+the thousands) from underflowing, because beta^n is applied to the logarithm
+of a Bessel factor far below the double range.
+
+The transient law is computed a whole window of states at a time, in one
+positive restart integral per state,
+
+    P_n(t) = e^{-nu t} P~_n(t) + eta int_0^t q(t - u) e^{-nu u} P~_n(u) du,
+
+with q the failure mass, on adaptive Gauss-Kronrod panels shared by every
+state of the window (``special.integrate_batch``); each state is held to the
+``QuadratureSpec`` tolerances on its own.  The default window is the
+smallest one whose Chernoff bound on the out-of-window mass is at most
+``WINDOW_TAIL_TARGET``.
 """
 
 from __future__ import annotations
@@ -19,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .failure_cycle import (
     NoSteadyStateError,
@@ -29,10 +46,15 @@ from .failure_cycle import (
 )
 from .special import (
     DEFAULT_QUADRATURE,
+    QuadratureError,
     QuadratureSpec,
-    bessel_i_scaled,
-    integrate_adaptive,
+    integrate_batch,
+    log_bessel_i_scaled,
 )
+
+# Not called here any more, but kept bound under these names: the traced
+# benchmark run (perfbench/spans.py) wraps them in this module by name.
+from .special import bessel_i_scaled, integrate_adaptive  # noqa: F401
 
 __all__ = [
     "DiscreteParams",
@@ -43,7 +65,7 @@ __all__ = [
     "skellam_probability",
     "transient_probability",
     "transient_distribution",
-    "default_window_halfwidth",
+    "default_window",
     "steady_state",
     "steady_failure",
     "mean_transient",
@@ -114,17 +136,58 @@ def failure_probability(p: DiscreteParams, t: float) -> float:
     return failure_mass(p.nu, p.eta, t)
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
+def _skellam_law(p: DiscreteParams, orders: np.ndarray, u: np.ndarray, decay: float = 0.0):
+    # e^{-decay u} P~_n(u) for orders n (rows) and times u > 0 (columns), with
+    # the whole exponent summed in log space before one exponential
+    log_value = (
+        orders[:, None] * p.log_beta
+        - (p.damping + decay) * u[None, :]
+        + log_bessel_i_scaled(orders[:, None], p.alpha * u[None, :])
+    )
+    return np.exp(log_value)
+
+
+def _transient_window(
+    p: DiscreteParams, t: float, n_min: int, n_max: int, quad: QuadratureSpec
+) -> np.ndarray:
+    # P_n(t) for n_min <= n <= n_max: the no-catastrophe path plus one
+    # positive restart integral per state, all states on shared panels
+    _check_time(t)
+    orders = np.arange(n_min, n_max + 1)
+    if t == 0.0:
+        return (orders == 0).astype(float)
+    survived = _skellam_law(p, orders, np.array([t]), decay=p.nu)[:, 0]
+    if p.nu == 0.0:
+        return survived
+    rate = p.nu + p.eta
+    share = p.nu / rate
+
+    def restart(u, rows):
+        failed = share * -np.expm1(-rate * (t - u))
+        return failed * _skellam_law(p, orders[rows], u, decay=p.nu)
+
+    try:
+        integral, _ = integrate_batch(restart, orders.size, 0.0, t, quad)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"restart convolution at t={t} over states [{n_min}, {n_max}]: {exc}",
+            best_estimate=survived + p.eta * exc.best_estimate,
+            error_bound=p.eta * exc.error_bound,
+        ) from exc
+    return survived + p.eta * integral
+
+
 def skellam_probability(p: DiscreteParams, n: int, t: float) -> float:
     """Catastrophe-free transient law: P(walk at n at time t | started at 0)."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
-    scaled = bessel_i_scaled(n, p.alpha * t)
-    if scaled == 0.0:
-        return 0.0
-    log_value = n * p.log_beta - p.damping * t + math.log(scaled)
-    return math.exp(log_value)
+    return float(_skellam_law(p, np.array([n]), np.array([t]))[0, 0])
 
 
 def transient_probability(
@@ -135,30 +198,17 @@ def transient_probability(
 ) -> float:
     """P(system at state n at time t | started operating at 0).
 
-    Sum of the no-catastrophe path and the restart convolution:
+    The no-catastrophe path plus the restart convolution over the time u
+    since the last restart:
 
-        P_n(t) = e^{-nu t} P~_n(t)
-               + w [ int_0^t e^{-nu u} P~_n(u) du
-                     - e^{-nu t} int_0^t e^{-eta s} P~_n(t - s) ds ],
+        P_n(t) = e^{-nu t} P~_n(t) + eta int_0^t q(t - u) e^{-nu u} P~_n(u) du,
 
-    with w = eta nu / (eta + nu).
+    with q(s) = nu / (eta + nu) (1 - e^{-(eta + nu) s}) the failure mass.
+    The integrand is nonnegative, so the integral carries no cancellation;
+    it is held to the tolerances of ``quad``.  A one-state window of
+    :func:`transient_distribution`.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    survived = math.exp(-p.nu * t) * skellam_probability(p, n, t)
-    if p.nu == 0.0:
-        return survived
-    weight = p.eta * p.nu / (p.eta + p.nu)
-    since_restart, _ = integrate_adaptive(
-        lambda u: math.exp(-p.nu * u) * skellam_probability(p, n, u), 0.0, t, quad
-    )
-    repair_lag, _ = integrate_adaptive(
-        lambda s: math.exp(-p.eta * s) * skellam_probability(p, n, t - s), 0.0, t, quad
-    )
-    value = survived + weight * (since_restart - math.exp(-p.nu * t) * repair_lag)
-    return max(value, 0.0)
+    return float(_transient_window(p, t, n, n, quad)[0])
 
 
 def first_passage_density(p: DiscreteParams, n: int, t: float) -> float:
@@ -169,12 +219,6 @@ def first_passage_density(p: DiscreteParams, n: int, t: float) -> float:
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     return abs(n) / t * skellam_probability(p, n, t)
-
-
-def default_window_halfwidth(p: DiscreteParams, t: float) -> int:
-    """Half-width that keeps the out-of-window mass far below 1e-10."""
-    spread = p.alpha * t
-    return math.ceil(spread + 12.0 * math.sqrt(spread) + 30.0)
 
 
 def _skellam_tail_chernoff(lam: float, mu: float, t: float, level: int) -> float:
@@ -189,6 +233,42 @@ def _skellam_tail_chernoff(lam: float, mu: float, t: float, level: int) -> float
     theta = math.log(root)
     growth = lam * (root - 1.0) + mu * (1.0 / root - 1.0)
     return math.exp(-theta * level + max(0.0, t * growth))
+
+
+#: out-of-window mass the default window leaves, at most, split evenly
+#: between the two tails
+WINDOW_TAIL_TARGET = 1e-12
+
+
+def _chernoff_level(lam: float, mu: float, t: float, target: float) -> int:
+    # smallest level >= 1 whose uniform Chernoff tail bound is <= target; the
+    # bound does not increase with the level, so double, then bisect
+    low, high = 0, max(1, math.ceil((lam - mu) * t + math.sqrt((lam + mu) * t)))
+    while _skellam_tail_chernoff(lam, mu, t, high) > target:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _skellam_tail_chernoff(lam, mu, t, mid) > target:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def default_window(p: DiscreteParams, t: float) -> tuple[int, int]:
+    """Smallest window (n_min, n_max) whose Chernoff bound on the mass outside
+    it is at most ``WINDOW_TAIL_TARGET``.
+
+    Each side is the inverse of the tail bound of :func:`transient_distribution`
+    at half the target, so the window follows the drift, |lam - mu| t, plus
+    O(sqrt((lam + mu) t)) on each side.
+    """
+    _check_time(t)
+    half = 0.5 * WINDOW_TAIL_TARGET
+    return (
+        1 - _chernoff_level(p.mu, p.lam, t, half),
+        _chernoff_level(p.lam, p.mu, t, half) - 1,
+    )
 
 
 @dataclass(frozen=True)
@@ -212,30 +292,30 @@ def transient_distribution(
     window: Optional[tuple[int, int]] = None,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> DistributionSlice:
-    """Batched transient law over a window, with an out-of-window tail bound.
+    """Transient law over a window, with an out-of-window tail bound.
+
+    The window defaults to :func:`default_window`.  Every state is computed
+    in one batch (see :func:`transient_probability` for the law and for what
+    ``quad`` governs); a :class:`QuadratureError` carries the window's best
+    estimates and error bounds as arrays over the states.
 
     The tail bound is a Chernoff bound on the catastrophe-free law, taken
     uniformly over the elapsed time; it dominates the full model because each
     restart contributes the same catastrophe-free tail with total weight at
     most one.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
     if window is None:
-        half = default_window_halfwidth(p, t)
-        window = (-half, half)
+        window = default_window(p, t)
     n_min, n_max = window
     if n_min > n_max:
         raise ValueError(f"window must be nonempty, got {window}")
-    probabilities = {
-        n: transient_probability(p, n, t, quad) for n in range(n_min, n_max + 1)
-    }
+    values = _transient_window(p, t, n_min, n_max, quad)
     right = _skellam_tail_chernoff(p.lam, p.mu, t, n_max + 1)
     left = _skellam_tail_chernoff(p.mu, p.lam, t, 1 - n_min)
     return DistributionSlice(
         time=t,
         window=window,
-        probabilities=probabilities,
+        probabilities=dict(zip(range(n_min, n_max + 1), values.tolist())),
         failure_mass=failure_probability(p, t),
         tail_bound=min(1.0, left + right),
     )

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: the Bessel
 oracle is a high-precision power series, integrals are brute-force midpoint
-sums or scipy.quad over analytically rewritten integrands, the diffusion
-density is its restart convolution integrated in mpmath, and the hitting
-probability comes from an absorbing-chain linear solve.
+sums or scipy.quad over analytically rewritten integrands, the lattice law
+is a restart convolution over Skellam laws convolved from Poisson masses,
+the diffusion density is its restart convolution integrated in mpmath, and
+the hitting probability comes from an absorbing-chain linear solve.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
+from scipy.special import gammaln
 
 
 def bessel_series_scaled(n: int, x: float, dps: int = 40) -> float:
@@ -34,11 +36,70 @@ def bessel_series_scaled(n: int, x: float, dps: int = 40) -> float:
         return float(total * mpmath.exp(-xm))
 
 
-def bessel_reference_scaled(n: int, x: float, dps: int = 40) -> float:
+def bessel_reference_scaled(n: int, x: float, dps: int = 40, log: bool = False) -> float:
     """mpmath's own Bessel implementation, scaled; an independent algorithm
-    usable at arguments where the plain series is too slow."""
+    usable at arguments where the plain series is too slow.  With ``log``,
+    returns log(e^{-x} I_n(x)), which stays finite far below the double
+    range."""
     with mpmath.workdps(dps):
-        return float(mpmath.besseli(abs(n), mpmath.mpf(x), maxterms=10**6) * mpmath.exp(-mpmath.mpf(x)))
+        xm = mpmath.mpf(x)
+        value = mpmath.besseli(abs(n), xm, maxterms=10**6)
+        if log:
+            return float(mpmath.log(value) - xm)
+        return float(value * mpmath.exp(-xm))
+
+
+def _poisson_masses(mean: float) -> np.ndarray:
+    # Poisson(mean) masses at 0, 1, ..., far enough that the rest is < 1e-40
+    count = int(mean + 20.0 * math.sqrt(mean) + 60.0)
+    k = np.arange(count, dtype=float)
+    return np.exp(k * math.log(mean) - mean - gammaln(k + 1.0))
+
+
+def skellam_by_poisson(lam: float, mu: float, u: float, n_min: int, n_max: int) -> np.ndarray:
+    """P(N1 - N2 = n) for n_min <= n <= n_max, N1 ~ Poisson(lam u) and
+    N2 ~ Poisson(mu u) independent: a direct (not FFT) convolution of the two
+    mass vectors, so every entry is a sum of positive terms and keeps its
+    relative accuracy however small it is."""
+    up, down = _poisson_masses(lam * u), _poisson_masses(mu * u)
+    # law[j] = P(N1 - N2 = j - (len(down) - 1))
+    law = np.convolve(up, down[::-1])
+    offset = len(down) - 1
+    out = np.zeros(n_max - n_min + 1)
+    for i, n in enumerate(range(n_min, n_max + 1)):
+        if 0 <= n + offset < len(law):
+            out[i] = law[n + offset]
+    return out
+
+
+def lattice_law_by_convolution(
+    lam: float, mu: float, nu: float, eta: float, t: float, n_min: int, n_max: int,
+    panels: int = 64,
+) -> np.ndarray:
+    """P_n(t) for n_min <= n <= n_max from the restart convolution in the
+    time s since the last restart,
+
+        P_n(t) = e^{-nu t} Sk_n(t) + eta int_0^t q(t - s) e^{-nu s} Sk_n(s) ds,
+
+    q the failure mass, Sk the Skellam law from ``skellam_by_poisson``, and
+    the integral a composite 20-point Gauss-Legendre rule on ``panels`` equal
+    panels, the first of them cut geometrically towards s = 0, where the
+    law at the origin falls off like (lam + mu) s^(-1/2) once s exceeds
+    1/(lam + mu).  The integrand is smooth, so doubling ``panels`` is a
+    convergence check.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    rate = nu + eta
+    total = math.exp(-nu * t) * skellam_by_poisson(lam, mu, t, n_min, n_max)
+    width = t / panels
+    edges = [0.0] + [width * 0.5**j for j in range(40, 0, -1)] + [width * k for k in range(1, panels + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for node, weight in zip(nodes, weights):
+            s = lo + 0.5 * (hi - lo) * (node + 1.0)
+            failed = nu / rate * -math.expm1(-rate * (t - s))
+            factor = eta * 0.5 * (hi - lo) * weight * failed * math.exp(-nu * s)
+            total += factor * skellam_by_poisson(lam, mu, s, n_min, n_max)
+    return total
 
 
 def midpoint_integral(f_vec, a: float, b: float, panels: int = 10**6) -> float:

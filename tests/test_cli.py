@@ -251,7 +251,7 @@ class TestErrors:
         def explode(*args, **kwargs):
             raise QuadratureError("did not converge", best_estimate=0.1, error_bound=1.0)
 
-        monkeypatch.setattr("catwalk.cli.discrete.transient_probability", explode)
+        monkeypatch.setattr("catwalk.cli.discrete.transient_distribution", explode)
         argv = [
             "transient", "--model", "discrete", "--lambda", "2", "--mu", "2",
             "--nu", "0.1", "--eta", "1", "--t", "1",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catwalk import discrete as d
-from catwalk.special import integrate_adaptive
+from catwalk.special import QuadratureError, QuadratureSpec, integrate_adaptive
 from identities import transient_probability_renewal
 from oracles import (
     bessel_series_scaled,
@@ -214,6 +214,68 @@ class TestTransientDistribution:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             d.transient_distribution(SYMMETRIC, 1.0, window=(3, -3))
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError):
+            d.transient_distribution(SYMMETRIC, t)
+        with pytest.raises(ValueError):
+            d.transient_distribution(SYMMETRIC, t, window=(-2, 2))
+        with pytest.raises(ValueError):
+            d.transient_probability(SYMMETRIC, 0, t)
+
+    def test_exhausted_budget_raises_with_the_window_estimate(self):
+        heavy = d.DiscreteParams(460.0, 470.0, 1.0, 0.25)
+        window = d.default_window(heavy, 1.0)
+        with pytest.raises(QuadratureError) as caught:
+            d.transient_distribution(heavy, 1.0, quad=QuadratureSpec(max_subdivisions=1))
+        err = caught.value
+        states = window[1] - window[0] + 1
+        assert err.best_estimate.shape == err.error_bound.shape == (states,)
+        assert np.all(np.isfinite(err.best_estimate))
+        assert np.all(err.error_bound >= 0.0)
+        assert err.error_bound.max() > QuadratureSpec().relative_tolerance * err.best_estimate.max()
+        # the estimate is already close: the full budget moves it by less than its bound
+        exact = d.transient_distribution(heavy, 1.0)
+        values = np.array(list(exact.probabilities.values()))
+        assert np.all(np.abs(err.best_estimate - values) <= err.error_bound + 1e-14)
+
+    def test_explicit_window_is_honoured(self):
+        slice_ = d.transient_distribution(DRIFTING, 2.0, window=(-3, 7))
+        assert slice_.window == (-3, 7)
+        assert sorted(slice_.probabilities) == list(range(-3, 8))
+
+
+class TestDefaultWindow:
+    def test_tail_bound_meets_the_target(self):
+        for p, t in ((SYMMETRIC, 5.0), (SYMMETRIC, 50.0), (DRIFTING, 3.0)):
+            slice_ = d.transient_distribution(p, t)
+            assert slice_.tail_bound <= d.WINDOW_TAIL_TARGET
+
+    def test_smallest_such_window(self):
+        p = d.DiscreteParams(200.0, 1.0, 0.1, 1.0)
+        n_min, n_max = d.default_window(p, 5.0)
+        half = 0.5 * d.WINDOW_TAIL_TARGET
+        assert d._skellam_tail_chernoff(p.lam, p.mu, 5.0, n_max + 1) <= half
+        assert d._skellam_tail_chernoff(p.lam, p.mu, 5.0, n_max) > half
+        assert d._skellam_tail_chernoff(p.mu, p.lam, 5.0, 1 - n_min) <= half
+        assert d._skellam_tail_chernoff(p.mu, p.lam, 5.0, -n_min) > half
+
+    def test_follows_the_drift(self):
+        # drift 199 per unit time: the window sits to the right of the origin
+        n_min, n_max = d.default_window(d.DiscreteParams(200.0, 1.0, 0.1, 1.0), 5.0)
+        assert 199.0 * 5.0 < n_max < 199.0 * 5.0 + 12.0 * math.sqrt(201.0 * 5.0)
+        assert -20 < n_min < 0
+        assert d.default_window(d.DiscreteParams(1.0, 200.0, 0.1, 1.0), 5.0) == (-n_max, -n_min)
+
+    def test_grows_like_the_spread(self):
+        # symmetric walk: width ~ sqrt((lam + mu) t), not the old lam + mu times t
+        widths = [d.default_window(d.DiscreteParams(5e4, 5e4, 1.0, 1.0), t)[1] for t in (1.0, 4.0)]
+        assert widths[1] == pytest.approx(2.0 * widths[0], rel=0.05)
+        assert widths[0] < 12.0 * math.sqrt(1e5)
+
+    def test_time_zero_is_the_origin(self):
+        assert d.default_window(DRIFTING, 0.0) == (0, 0)
 
 
 class TestSteadyState:
