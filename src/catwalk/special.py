@@ -234,16 +234,23 @@ _EPS = np.finfo(float).eps
 
 
 #: integrand values computed per call, at most; bounds the working memory
-_VALUES_PER_CALL = 1 << 14
+_VALUES_PER_CALL = 1 << 12
 
 
 def _gk21_panels(integrand, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
     # integral and QUADPACK error estimate on each panel for each row: two
-    # arrays of shape (panels, rows), computed a few panels at a time
-    step = max(1, _VALUES_PER_CALL // (rows.size * _GK_NODES.size))
-    parts = [_gk21_chunk(integrand, lo[i:i + step], hi[i:i + step], rows)
-             for i in range(0, lo.size, step)]
-    return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts])
+    # arrays of shape (panels, rows), filled in blocks of at most
+    # _VALUES_PER_CALL integrand values
+    value, error = np.empty((lo.size, rows.size)), np.empty((lo.size, rows.size))
+    row_step = min(rows.size, max(1, _VALUES_PER_CALL // _GK_NODES.size))
+    panel_step = max(1, _VALUES_PER_CALL // (row_step * _GK_NODES.size))
+    for i in range(0, lo.size, panel_step):
+        for j in range(0, rows.size, row_step):
+            block = np.s_[i:i + panel_step, j:j + row_step]
+            value[block], error[block] = _gk21_chunk(
+                integrand, lo[i:i + panel_step], hi[i:i + panel_step], rows[j:j + row_step]
+            )
+    return value, error
 
 
 def _gk21_chunk(integrand, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
