@@ -205,7 +205,10 @@ def _lag_integral(
 
 
 def _density(dp: DiffusionParams, x: np.ndarray, t: float) -> np.ndarray:
-    # operating density at time t > 0 for an array of finite abscissas
+    # operating density at time t > 0 for an array of abscissas
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"x must be finite, got {float(x[~finite][0])!r}")
     offset = x - dp.drift * t
     base = _gaussian(dp, offset, t) * math.exp(-dp.nu * t)
     if dp.nu == 0.0:
@@ -237,8 +240,6 @@ def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, P
     closed form (scaled complementary error function, and the Faddeeva
     function where r^2 < 0), with no quadrature.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:

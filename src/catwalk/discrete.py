@@ -23,8 +23,10 @@ positive restart integral per state,
     P_n(t) = e^{-nu t} P~_n(t) + eta int_0^t q(t - u) e^{-nu u} P~_n(u) du,
 
 with q the failure mass, on adaptive Gauss-Kronrod panels shared by every
-state of the window (``special.integrate_batch``); each state is held to the
-``QuadratureSpec`` tolerances on its own.  The default window is the
+state of the window (``special.integrate_batch``) and graded towards u = t,
+where q(t - u) rises on the scale 1/(eta + nu).  Each state's restart term,
+the second one above, is held to the ``QuadratureSpec`` tolerances on its
+own.  The default window is the
 smallest one whose Chernoff bound on the out-of-window mass is at most
 ``WINDOW_TAIL_TARGET``.
 """
@@ -165,21 +167,29 @@ def _transient_window(
     if p.nu == 0.0:
         return survived
     rate = p.nu + p.eta
-    share = p.nu / rate
+    weight = p.eta * p.nu / rate
 
     def restart(u, rows):
-        failed = share * -np.expm1(-rate * (t - u))
+        # eta q(t - u), so the tolerances bound the restart term of P_n itself
+        failed = weight * -np.expm1(-rate * (t - u))
         return failed * _skellam_law(p, orders[rows], u, decay=p.nu)
 
+    # q(t - u) rises from 0 on the scale 1/rate, which can be far below the
+    # node spacing of a panel reaching u = t: grade the first panels towards
+    # t geometrically so the rule sees that rise
+    edges, lag = [t], 1.0 / rate
+    while lag <= 0.5 * t:
+        edges.insert(0, t - lag)
+        lag *= 2.0
     try:
-        integral, _ = integrate_batch(restart, orders.size, 0.0, t, quad)
+        integral, _ = integrate_batch(restart, orders.size, [0.0, *edges], quad)
     except QuadratureError as exc:
         raise QuadratureError(
             f"restart convolution at t={t} over states [{n_min}, {n_max}]: {exc}",
-            best_estimate=survived + p.eta * exc.best_estimate,
-            error_bound=p.eta * exc.error_bound,
+            best_estimate=survived + exc.best_estimate,
+            error_bound=exc.error_bound,
         ) from exc
-    return survived + p.eta * integral
+    return survived + integral
 
 
 def skellam_probability(p: DiscreteParams, n: int, t: float) -> float:

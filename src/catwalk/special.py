@@ -40,16 +40,10 @@ def bessel_i_scaled(n: int, x: float) -> float:
 
     The scaled product lies in [0, 1] and stays finite for arguments up to
     at least 1e7, where the raw Bessel function would overflow long before.
-    Negative orders use the symmetry I_{-n} = I_n.
+    Negative orders use the symmetry I_{-n} = I_n.  The exponential of
+    :func:`log_bessel_i_scaled`.
     """
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"bessel_i_scaled requires finite x >= 0, got {x!r}")
-    n = abs(int(n))
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    # AMOS ive is exponentially scaled already; clamp stray -0.0.
-    value = float(ive(n, x))
-    return value if value > 0.0 else 0.0
+    return float(np.exp(log_bessel_i_scaled(int(n), x)))
 
 
 #: AMOS ive is used down to this value; below it the expansions take over,
@@ -233,24 +227,17 @@ _GK_GAUSS = np.concatenate([_GK_HALF_GAUSS, [0.0], _GK_HALF_GAUSS[::-1]])
 _EPS = np.finfo(float).eps
 
 
-#: integrand values computed per call, at most; bounds the working memory
+#: integrand values computed per call, at most (or one row's worth, when
+#: that is more); bounds the working memory whatever the number of rows
 _VALUES_PER_CALL = 1 << 12
 
 
 def _gk21_panels(integrand, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
     # integral and QUADPACK error estimate on each panel for each row: two
-    # arrays of shape (panels, rows), filled in blocks of at most
-    # _VALUES_PER_CALL integrand values
-    value, error = np.empty((lo.size, rows.size)), np.empty((lo.size, rows.size))
-    row_step = min(rows.size, max(1, _VALUES_PER_CALL // _GK_NODES.size))
-    panel_step = max(1, _VALUES_PER_CALL // (row_step * _GK_NODES.size))
-    for i in range(0, lo.size, panel_step):
-        for j in range(0, rows.size, row_step):
-            block = np.s_[i:i + panel_step, j:j + row_step]
-            value[block], error[block] = _gk21_chunk(
-                integrand, lo[i:i + panel_step], hi[i:i + panel_step], rows[j:j + row_step]
-            )
-    return value, error
+    # arrays of shape (panels, rows), computed a block of rows at a time
+    step = max(1, _VALUES_PER_CALL // (lo.size * _GK_NODES.size))
+    blocks = [_gk21_chunk(integrand, lo, hi, rows[j:j + step]) for j in range(0, rows.size, step)]
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
 
 
 def _gk21_chunk(integrand, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
@@ -276,15 +263,17 @@ def _gk21_chunk(integrand, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
 def integrate_batch(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     count: int,
-    a: float,
-    b: float,
+    edges,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``count`` integrands over [a, b] on shared panels.
 
     ``integrand(u, rows)`` returns an array of shape ``(len(rows), len(u))``:
-    integrands number ``rows`` (an index array) at the nodes ``u``.  Panels
-    carry a 21-point Gauss-Kronrod rule with QUADPACK's error estimate.
+    integrands number ``rows`` (an index array) at the nodes ``u``.  The
+    first panels are cut at ``edges``, ascending from a to b; a caller that
+    knows where an integrand changes faster than the node spacing can see
+    puts edges there, as for QUADPACK's break points.  Panels carry a
+    21-point Gauss-Kronrod rule with QUADPACK's error estimate.
     Each integrand is tested on its own, error_i <= max(atol, rtol |I_i|)
     with the tolerances of ``spec``, and drops out once it passes; while
     any is left, every panel whose share of some remaining integrand's error
@@ -293,13 +282,15 @@ def integrate_batch(
     :class:`QuadratureError`, carrying both as arrays, when the panels would
     exceed ``spec.max_subdivisions``.
     """
-    if not a <= b:
-        raise ValueError(f"integration bounds must satisfy a <= b, got ({a}, {b})")
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[0], edges[-1]
+    if not np.all(edges[1:] >= edges[:-1]):
+        raise ValueError(f"panel edges must be ascending, got {edges}")
     value, error = np.zeros(count), np.zeros(count)
     if a == b or count == 0:
         return value, error
     rows = np.arange(count)
-    lo, hi = np.array([a]), np.array([b])
+    lo, hi = edges[:-1][edges[1:] > edges[:-1]], edges[1:][edges[1:] > edges[:-1]]
     panel_value, panel_error = _gk21_panels(integrand, lo, hi, rows)
     while True:
         # sums over the panel axis run panel by panel, the same for every row

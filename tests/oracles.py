@@ -83,16 +83,21 @@ def lattice_law_by_convolution(
 
     q the failure mass, Sk the Skellam law from ``skellam_by_poisson``, and
     the integral a composite 20-point Gauss-Legendre rule on ``panels`` equal
-    panels, the first of them cut geometrically towards s = 0, where the
+    panels.  The first of them is cut geometrically towards s = 0, where the
     law at the origin falls off like (lam + mu) s^(-1/2) once s exceeds
-    1/(lam + mu).  The integrand is smooth, so doubling ``panels`` is a
-    convergence check.
+    1/(lam + mu), and the last towards s = t, where q(t - s) rises from 0 on
+    the scale 1/(eta + nu).  The integrand is smooth, so doubling ``panels``
+    is a convergence check.
     """
     nodes, weights = np.polynomial.legendre.leggauss(20)
     rate = nu + eta
     total = math.exp(-nu * t) * skellam_by_poisson(lam, mu, t, n_min, n_max)
     width = t / panels
-    edges = [0.0] + [width * 0.5**j for j in range(40, 0, -1)] + [width * k for k in range(1, panels + 1)]
+    graded = [width * 0.5**j for j in range(40, 0, -1)]
+    edges = (
+        [0.0] + graded + [width * k for k in range(1, panels)]
+        + [t - g for g in reversed(graded)] + [t]
+    )
     for lo, hi in zip(edges[:-1], edges[1:]):
         for node, weight in zip(nodes, weights):
             s = lo + 0.5 * (hi - lo) * (node + 1.0)
