@@ -37,6 +37,14 @@ REGIMES = {
     "strong-drift": ((200.0, 1.0, 0.1, 1.0), 5.0),
 }
 
+# fast repairs and rare catastrophes: the failure mass q(t - u) rises on the
+# scale 1/eta = 1e-3, far below the node spacing of a panel reaching u = t
+WINDOWS = {
+    **REGIMES,
+    "fast-repair": ((2.0, 2.0, 1e-3, 1e3), 5.0),
+    "fast-repair-strong-drift": ((200.0, 1.0, 1e-3, 1e3), 5.0),
+}
+
 STRONG_X = 2.0 * math.sqrt(200.0) * 5.0  # Bessel argument of the strong-drift walk at t = 5
 
 
@@ -123,9 +131,9 @@ class TestSkellamAgainstScipy:
 
 
 class TestWindowsAgainstConvolution:
-    @pytest.mark.parametrize("label", sorted(REGIMES))
+    @pytest.mark.parametrize("label", sorted(WINDOWS))
     def test_every_state_of_the_default_window(self, label):
-        rates, t = REGIMES[label]
+        rates, t = WINDOWS[label]
         p = d.DiscreteParams(*rates)
         law = d.transient_distribution(p, t)
         n_min, n_max = law.window
@@ -134,19 +142,6 @@ class TestWindowsAgainstConvolution:
         assert np.all(np.abs(values - reference) <= 1e-10 * reference + 1e-14)
         assert np.all(values[reference >= 1e-300] > 0.0)
         assert law.tail_bound <= d.WINDOW_TAIL_TARGET
-        assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("rates", [(2.0, 2.0, 1e-3, 1e3), (200.0, 1.0, 1e-3, 1e3)])
-    def test_fast_repairs_and_rare_catastrophes(self, rates):
-        # eta >> nu: the failure mass q(t - u) rises on the scale 1/eta = 1e-3,
-        # far below the node spacing of a panel reaching u = t, and the
-        # tolerances must hold on P_n itself, not on P_n / eta
-        p, t = d.DiscreteParams(*rates), 5.0
-        law = d.transient_distribution(p, t)
-        n_min, n_max = law.window
-        values = np.array([law.probabilities[n] for n in range(n_min, n_max + 1)])
-        reference = lattice_law_by_convolution(*rates, t, n_min, n_max, panels=32)
-        assert np.all(np.abs(values - reference) <= 1e-10 * reference + 1e-14)
         assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("label", ["heavy-traffic", "strong-drift"])
