@@ -29,6 +29,7 @@ __all__ = ["main", "entrypoint", "read_table", "rebuild_argv"]
 
 TABLE1_EPSILONS = (0.1, 0.05, 0.01)
 TABLE1_RANGE = range(-6, 7)
+DEFAULT_STATS = ("failure-probability", "truncated-mean", "truncated-variance")
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,11 @@ def _parse_grid(spec) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+def _parse_time(text: str) -> tuple[float]:
+    """The one-point time grid that ``--t`` stands for."""
+    return (float(text),)
+
+
 def _parse_stat(text: str) -> tuple[str, Optional[float]]:
     name, _, arg = text.partition(":")
     name = name.strip()
@@ -62,27 +68,89 @@ def _parse_stat(text: str) -> tuple[str, Optional[float]]:
         return name, None
     value = float(arg)
     if name == "state-probability":
+        if not value.is_integer():
+            raise ValueError(f"state-probability takes an integer state, got {arg!r}")
         value = int(value)
     return name, value
 
 
-def _add_output_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--out", default=None, help="output path, '-' for stdout")
-    sp.add_argument("--full-precision", action="store_true", default=None)
-    sp.add_argument("--config", default=None, help="JSON file with option defaults; flags win")
+class _Repeated(argparse.Action):
+    """A repeatable option: the values given, in order, replace its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = getattr(namespace, self.dest)
+        # defaults are tuples; values from the command line collect in a list
+        setattr(namespace, self.dest, (given if isinstance(given, list) else []) + [values])
 
 
-def _add_model_args(sp: argparse.ArgumentParser, with_model: bool = True) -> None:
-    if with_model:
-        sp.add_argument("--model", choices=("discrete", "diffusion"), default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--nu", type=float, default=None)
-    sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--lambda-hat", dest="lam_hat", type=float, default=None)
-    sp.add_argument("--mu-hat", dest="mu_hat", type=float, default=None)
-    sp.add_argument("--sigma2", type=float, default=None)
+#: every option, declared once: its flag and its add_argument keywords
+_OPTIONS = {
+    "--model": dict(choices=("discrete", "diffusion"), default="discrete"),
+    "--lambda": dict(dest="lam", type=float),
+    "--mu": dict(type=float),
+    "--nu": dict(type=float),
+    "--eta": dict(type=float),
+    "--lambda-hat": dict(dest="lam_hat", type=float),
+    "--mu-hat": dict(dest="mu_hat", type=float),
+    "--sigma2": dict(type=float),
+    # --t is the one-point form of --t-grid; rebuild_argv replays --t-grid
+    "--t": dict(dest="t_grid", type=_parse_time, metavar="T"),
+    "--t-grid": dict(type=_parse_grid),
+    "--n-min": dict(type=int),
+    "--n-max": dict(type=int),
+    "--x-grid": dict(type=_parse_grid),
+    "--seed": dict(type=int),
+    "--reps": dict(type=int),
+    "--stat": dict(
+        dest="stats",
+        action=_Repeated,
+        default=DEFAULT_STATS,
+        help="statistic, e.g. failure-probability, truncated-mean, "
+        "state-probability:2, cdf:1.5 (repeatable)",
+    ),
+    "--trace-out": dict(),
+    "--epsilon": dict(action=_Repeated, type=_parse_grid, default=(TABLE1_EPSILONS,)),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(default="-", help="output path, '-' for stdout"),
+    "--full-precision": dict(action="store_true"),
+    "--config": dict(help="JSON file with option defaults; flags win"),
+}
+_RATES = ("--lambda", "--mu", "--nu", "--eta", "--lambda-hat", "--mu-hat", "--sigma2")
+_OUTPUT = ("--format", "--out", "--full-precision", "--config")
+
+#: subcommand: its help, its options and the defaults it sets for them
+_SUBCOMMANDS = {
+    "transient": (
+        "state probabilities or density over a grid",
+        ("--model", *_RATES, "--t", "--t-grid", "--n-min", "--n-max", "--x-grid"),
+        dict(n_min=-5, n_max=5),
+    ),
+    "steady": (
+        "stationary law",
+        ("--model", *_RATES, "--n-min", "--n-max", "--x-grid"),
+        dict(n_min=-6, n_max=6),
+    ),
+    "moments": (
+        "truncated mean and variance over a time grid",
+        ("--model", *_RATES, "--t-grid"),
+        {},
+    ),
+    "simulate": (
+        "Monte Carlo estimates with standard errors",
+        ("--model", *_RATES, "--t", "--t-grid", "--seed", "--reps", "--stat", "--trace-out"),
+        {},
+    ),
+    "compare": (
+        "stationary lattice law against the diffusion density",
+        (*_RATES, "--epsilon", "--n-min", "--n-max"),
+        dict(n_min=-6, n_max=6),
+    ),
+    "table1": (
+        "13x9 stationary comparison grid at the reference parameters",
+        _RATES,
+        dict(lam_hat=1.0, mu_hat=2.0, sigma2=9.0, nu=1.0, eta=0.25),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,89 +160,66 @@ def build_parser() -> argparse.ArgumentParser:
         "catastrophes and repairs, and of its jump-diffusion limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("transient", help="state probabilities or density over a grid")
-    _add_model_args(sp)
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--t-grid", dest="t_grid", default=None)
-    sp.add_argument("--n-min", dest="n_min", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--x-grid", dest="x_grid", default=None)
-    _add_output_args(sp)
-
-    sp = sub.add_parser("steady", help="stationary law")
-    _add_model_args(sp)
-    sp.add_argument("--n-min", dest="n_min", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--x-grid", dest="x_grid", default=None)
-    _add_output_args(sp)
-
-    sp = sub.add_parser("moments", help="truncated mean and variance over a time grid")
-    _add_model_args(sp)
-    sp.add_argument("--t-grid", dest="t_grid", default=None)
-    _add_output_args(sp)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo estimates with standard errors")
-    _add_model_args(sp)
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--t-grid", dest="t_grid", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--reps", type=int, default=None)
-    sp.add_argument(
-        "--stat",
-        dest="stats",
-        action="append",
-        default=None,
-        help="statistic, e.g. failure-probability, truncated-mean, "
-        "state-probability:2, cdf:1.5 (repeatable)",
-    )
-    sp.add_argument("--trace-out", dest="trace_out", default=None)
-    _add_output_args(sp)
-
-    sp = sub.add_parser("compare", help="stationary lattice law against the diffusion density")
-    _add_model_args(sp, with_model=False)
-    sp.add_argument("--epsilon", dest="epsilon", action="append", default=None)
-    sp.add_argument("--n-min", dest="n_min", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    _add_output_args(sp)
-
-    sp = sub.add_parser("table1", help="13x9 stationary comparison grid at the reference parameters")
-    _add_model_args(sp, with_model=False)
-    _add_output_args(sp)
-
+    for name, (text, flags, defaults) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flag in flags + _OUTPUT:
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.set_defaults(**defaults)
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Layer option sources: built-in defaults < config file < flags."""
-    options = {k: v for k, v in vars(args).items() if k != "config"}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object of options")
-        for key, value in config.items():
-            slot = key.replace("-", "_")
-            if slot == "lambda":
-                slot = "lam"
-            elif slot == "lambda_hat":
-                slot = "lam_hat"
-            if slot not in options:
-                raise ValueError(f"unknown config key {key!r}")
-            if options[slot] is None:
-                options[slot] = value
-    if options.get("format") is None:
-        options["format"] = "csv"
-    if options.get("full_precision") is None:
-        options["full_precision"] = False
-    return options
+def _subcommand(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    (subparsers,) = parser._subparsers._group_actions
+    return subparsers.choices[command]
+
+
+def _actions(sub: argparse.ArgumentParser) -> dict:
+    """A subcommand's options by flag, --help aside."""
+    return {a.option_strings[0]: a for a in sub._actions if a.dest != argparse.SUPPRESS}
+
+
+def _text(value) -> str:
+    """A value as its flag's argument: a sequence as a comma list."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(_text(v) for v in value)
+    return str(value)
+
+
+def _load_config(sub: argparse.ArgumentParser, path: str) -> None:
+    """Make a config file's values the subcommand's defaults, so that flags
+    still win.  Keys are the long flag names; each value is converted and
+    checked by argparse as its flag's argument would be."""
+    with open(path, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object of options")
+    actions = _actions(sub)
+    for key, value in config.items():
+        action = actions.get("--" + key)
+        if action is None or action.dest == "config":
+            raise ValueError(f"unknown config key {key!r}")
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
+        else:
+            repeated = isinstance(action, _Repeated)
+            items = value if repeated and isinstance(value, list) else [value]
+            try:
+                items = [sub._get_value(action, _text(item)) for item in items]
+                for item in items:
+                    sub._check_value(action, item)
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+            value = tuple(items) if repeated else items[0]
+        sub.set_defaults(**{action.dest: value})
 
 
 def _require(options: dict, *names: str) -> None:
     missing = [n for n in names if options.get(n) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-").replace("lam", "lambda", 1) for n in missing)
-        raise ValueError(f"missing required options: {flags}")
+        actions = _actions(_subcommand(build_parser(), options["command"])).items()
+        flags = [" or ".join(flag for flag, a in actions if a.dest == n) for n in missing]
+        raise ValueError(f"missing required options: {', '.join(flags)}")
 
 
 def _discrete_params(options: dict) -> discrete.DiscreteParams:
@@ -187,14 +232,6 @@ def _diffusion_params(options: dict) -> diffusion.DiffusionParams:
     return diffusion.DiffusionParams(
         options["lam_hat"], options["mu_hat"], options["sigma2"], options["nu"], options["eta"]
     )
-
-
-def _time_grid(options: dict) -> tuple[float, ...]:
-    if options.get("t_grid") is not None:
-        return _parse_grid(options["t_grid"])
-    if options.get("t") is not None:
-        return (float(options["t"]),)
-    raise ValueError("missing required options: --t or --t-grid")
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +257,9 @@ def write_table(
     options: dict,
     decimals: Optional[int] = None,
 ) -> None:
-    out = options.get("out") or "-"
-    fmt = options.get("format", "csv")
-    full = bool(options.get("full_precision"))
+    out = options["out"]
+    fmt = options["format"]
+    full = options["full_precision"]
     if fmt == "json":
         if decimals is not None:
             rows = [
@@ -280,71 +317,39 @@ def read_table(path: str) -> dict:
     return {"params": params, "schema": schema, "rows": rows}
 
 
-_FLAG_NAMES = {
-    "lam": "--lambda",
-    "lam_hat": "--lambda-hat",
-    "mu_hat": "--mu-hat",
-    "t_grid": "--t-grid",
-    "n_min": "--n-min",
-    "n_max": "--n-max",
-    "x_grid": "--x-grid",
-    "trace_out": "--trace-out",
-    "full_precision": "--full-precision",
-}
-
-
 def rebuild_argv(params: dict) -> list[str]:
-    """Reconstruct an argv equivalent to the run that produced ``params``."""
-    argv = [params["command"]]
+    """Reconstruct an argv equivalent to the run that produced ``params``.
+
+    Each key goes back through the flag that sets it, as ``--flag=value`` so
+    that negative values stay arguments; keys the subcommand has no flag for
+    are skipped.
+    """
+    command = params["command"]
+    # later flags win: t_grid is replayed by --t-grid, not --t
+    by_dest = {a.dest: a for a in _actions(_subcommand(build_parser(), command)).values()}
+    argv = [command]
     for key, value in params.items():
-        if key == "command" or value is None:
+        action = by_dest.get(key)
+        if action is None:
             continue
-        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
-        if key == "full_precision":
-            if value:
-                argv.append(flag)
-            continue
-        if key == "stats":
-            for stat in value:
-                argv.extend(["--stat", str(stat)])
-            continue
-        if key == "epsilon":
-            for eps in value:
-                argv.extend(["--epsilon", repr(float(eps))])
-            continue
-        if isinstance(value, (list, tuple)):
-            argv.extend([flag, ",".join(repr(float(v)) for v in value)])
-            continue
-        if isinstance(value, float):
-            argv.extend([flag, repr(value)])
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv += [flag] if value else []
+        elif isinstance(action, _Repeated):
+            argv += [f"{flag}={_text(v)}" for v in value]
         else:
-            argv.extend([flag, str(value)])
+            argv.append(f"{flag}={_text(value)}")
     return argv
 
 
-def _provenance(options: dict, command: str, **extra) -> dict:
-    keep = (
-        "model",
-        "lam",
-        "mu",
-        "nu",
-        "eta",
-        "lam_hat",
-        "mu_hat",
-        "sigma2",
-        "n_min",
-        "n_max",
-        "seed",
-        "reps",
-        "format",
-        "full_precision",
-    )
-    params = {"command": command}
-    for key in keep:
-        if options.get(key) is not None:
-            params[key] = options[key]
-    params.update({k: v for k, v in extra.items() if v is not None})
-    return params
+#: where a table goes and where its options came from, not what it holds
+_UNRECORDED = ("config", "out", "trace_out")
+
+
+def _provenance(options: dict, **resolved) -> dict:
+    """The run's options at their resolved values, which rebuild_argv replays."""
+    merged = {**options, **resolved}
+    return {k: v for k, v in merged.items() if v is not None and k not in _UNRECORDED}
 
 
 # ---------------------------------------------------------------------------
@@ -352,30 +357,24 @@ def _provenance(options: dict, command: str, **extra) -> dict:
 
 
 def cmd_transient(options: dict) -> int:
-    model = options.get("model") or "discrete"
-    t_grid = _time_grid(options)
-    if model == "discrete":
+    _require(options, "t_grid")
+    t_grid = options["t_grid"]
+    if options["model"] == "discrete":
         p = _discrete_params(options)
-        n_min = options["n_min"] if options.get("n_min") is not None else -5
-        n_max = options["n_max"] if options.get("n_max") is not None else 5
         rows = []
         for t in t_grid:
             if t == 0.0:
                 rows.append([0.0, 0, 1.0, 0.0])
                 continue
-            law = discrete.transient_distribution(p, t, window=(n_min, n_max))
+            law = discrete.transient_distribution(p, t, window=(options["n_min"], options["n_max"]))
             rows += [[t, n, value, law.failure_mass] for n, value in law.probabilities.items()]
-        params = _provenance(
-            options, "transient", model=model, t_grid=list(t_grid), n_min=n_min, n_max=n_max
-        )
-        write_table(["t", "n", "probability", "failure_mass"], rows, params, options)
+        write_table(["t", "n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
     if any(t <= 0.0 for t in t_grid):
         raise ValueError("the diffusion density needs t > 0 (t = 0 is a point mass at 0)")
-    if options.get("x_grid") is not None:
-        xs = _parse_grid(options["x_grid"])
-    else:
+    xs = options["x_grid"]
+    if xs is None:
         t_ref = max(t_grid)
         sd = math.sqrt(dp.sigma2 * t_ref)
         lo = min(0.0, dp.drift * t_ref) - 8.0 * sd
@@ -386,75 +385,60 @@ def cmd_transient(options: dict) -> int:
     for t in t_grid:
         q = diffusion.failure_probability(dp, t)
         rows += [[t, x, f, q] for x, f in zip(xs, diffusion._density(dp, grid, t).tolist())]
-    params = _provenance(options, "transient", model=model, t_grid=list(t_grid), x_grid=list(xs))
-    write_table(["t", "x", "density", "failure_mass"], rows, params, options)
+    write_table(["t", "x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)
     return 0
 
 
 def cmd_steady(options: dict) -> int:
-    model = options.get("model") or "discrete"
-    if model == "discrete":
+    if options["model"] == "discrete":
         p = _discrete_params(options)
-        n_min = options["n_min"] if options.get("n_min") is not None else -6
-        n_max = options["n_max"] if options.get("n_max") is not None else 6
         q = discrete.steady_failure(p)
-        rows = [[n, discrete.steady_state(p, n), q] for n in range(n_min, n_max + 1)]
-        params = _provenance(options, "steady", model=model, n_min=n_min, n_max=n_max)
-        write_table(["n", "probability", "failure_mass"], rows, params, options)
+        states = range(options["n_min"], options["n_max"] + 1)
+        rows = [[n, discrete.steady_state(p, n), q] for n in states]
+        write_table(["n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
-    if options.get("x_grid") is not None:
-        xs = _parse_grid(options["x_grid"])
-    else:
-        root = math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * dp.nu)
-        length = dp.sigma2 / (root - abs(dp.drift))
-        xs = tuple(float(v) for v in np.linspace(-12.0 * length, 12.0 * length, 161))
     q = steady_failure_mass(dp.nu, dp.eta)
+    xs = options["x_grid"]
+    if xs is None:
+        length = dp.sigma2 / (diffusion._decay_root(dp, dp.nu) - abs(dp.drift))
+        xs = tuple(float(v) for v in np.linspace(-12.0 * length, 12.0 * length, 161))
     rows = [[x, diffusion.steady_density(dp, x), q] for x in xs]
-    params = _provenance(options, "steady", model=model, x_grid=list(xs))
-    write_table(["x", "density", "failure_mass"], rows, params, options)
+    write_table(["x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)
     return 0
 
 
 def cmd_moments(options: dict) -> int:
-    model = options.get("model") or "discrete"
-    t_grid = _time_grid(options)
-    if model == "discrete":
+    _require(options, "t_grid")
+    t_grid = options["t_grid"]
+    if options["model"] == "discrete":
         p = _discrete_params(options)
         rows = [[t, discrete.mean_transient(p, t), discrete.variance_transient(p, t)] for t in t_grid]
     else:
         dp = _diffusion_params(options)
         rows = [[t, diffusion.mean_x(dp, t), diffusion.variance_x(dp, t)] for t in t_grid]
-    params = _provenance(options, "moments", model=model, t_grid=list(t_grid))
-    write_table(["t", "mean", "variance"], rows, params, options)
+    write_table(["t", "mean", "variance"], rows, _provenance(options), options)
     return 0
 
 
-DEFAULT_STATS = ("failure-probability", "truncated-mean", "truncated-variance")
-
-
 def cmd_simulate(options: dict) -> int:
-    model = options.get("model") or "discrete"
-    _require(options, "seed", "reps")
-    t_grid = tuple(sorted(_time_grid(options)))
+    _require(options, "seed", "reps", "t_grid")
+    t_grid = tuple(sorted(options["t_grid"]))
     cfg = sim.SimConfig(
         seed=options["seed"],
         replications=options["reps"],
         horizon=max(t_grid),
         observation_times=t_grid,
     )
-    stats = list(options.get("stats") or DEFAULT_STATS)
-    parsed_stats = [_parse_stat(s) for s in stats]
-    if model == "discrete":
+    parsed_stats = [_parse_stat(s) for s in options["stats"]]
+    if options["model"] == "discrete":
         p = _discrete_params(options)
         traces = list(sim.simulate_discrete(p, cfg))
     else:
         dp = _diffusion_params(options)
         traces = list(sim.simulate_diffusion(dp, cfg))
-    params = _provenance(
-        options, "simulate", model=model, t_grid=list(t_grid), stats=list(stats)
-    )
-    if options.get("trace_out"):
+    params = _provenance(options, t_grid=t_grid)
+    if options["trace_out"]:
         sim.export_traces(traces, options["trace_out"], params, cfg)
     rows = []
     for t in t_grid:
@@ -472,31 +456,19 @@ def cmd_simulate(options: dict) -> int:
 
 def cmd_compare(options: dict) -> int:
     dp = _diffusion_params(options)
-    raw = options.get("epsilon") or list(TABLE1_EPSILONS)
-    eps_list: list[float] = []
-    for item in raw if isinstance(raw, (list, tuple)) else [raw]:
-        eps_list.extend(_parse_grid(item))
-    n_min = options["n_min"] if options.get("n_min") is not None else -6
-    n_max = options["n_max"] if options.get("n_max") is not None else 6
+    eps_list = [eps for grid in options["epsilon"] for eps in grid]
+    states = range(options["n_min"], options["n_max"] + 1)
     rows = []
     for eps in eps_list:
-        for row in scaling.steady_comparison(dp, eps, range(n_min, n_max + 1)):
+        for row in scaling.steady_comparison(dp, eps, states):
             rows.append([eps, row.n, row.scaled_pi, row.w_value, row.delta])
-    params = _provenance(
-        options, "compare", epsilon=list(eps_list), n_min=n_min, n_max=n_max
-    )
+    params = _provenance(options, epsilon=eps_list)
     write_table(["epsilon", "n", "pi_over_eps", "w_value", "delta"], rows, params, options)
     return 0
 
 
 def cmd_table1(options: dict) -> int:
-    dp = diffusion.DiffusionParams(
-        lam_hat=options.get("lam_hat") if options.get("lam_hat") is not None else 1.0,
-        mu_hat=options.get("mu_hat") if options.get("mu_hat") is not None else 2.0,
-        sigma2=options.get("sigma2") if options.get("sigma2") is not None else 9.0,
-        nu=options.get("nu") if options.get("nu") is not None else 1.0,
-        eta=options.get("eta") if options.get("eta") is not None else 0.25,
-    )
+    dp = _diffusion_params(options)
     columns = ["n"]
     per_eps = {}
     for eps in TABLE1_EPSILONS:
@@ -509,17 +481,7 @@ def cmd_table1(options: dict) -> int:
             cell = per_eps[eps][n]
             row += [cell.scaled_pi, cell.w_value, cell.delta]
         rows.append(row)
-    params = _provenance(
-        options,
-        "table1",
-        lam_hat=dp.lam_hat,
-        mu_hat=dp.mu_hat,
-        sigma2=dp.sigma2,
-        nu=dp.nu,
-        eta=dp.eta,
-        epsilon=list(TABLE1_EPSILONS),
-    )
-    write_table(columns, rows, params, options, decimals=5)
+    write_table(columns, rows, _provenance(options), options, decimals=5)
     return 0
 
 
@@ -542,8 +504,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        options = _resolve(args)
-        return DISPATCH[args.command](options)
+        if args.config:
+            _load_config(_subcommand(parser, args.command), args.config)
+            args = parser.parse_args(argv)
+        return DISPATCH[args.command](vars(args))
     except QuadratureError as exc:
         _emit_error("convergence", exc)
         return 3

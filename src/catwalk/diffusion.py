@@ -25,6 +25,7 @@ from .special import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     integrate_adaptive,
+    integrate_batch,
 )
 
 __all__ = [
@@ -263,20 +264,16 @@ def on_mass(
 ) -> float:
     """Total operating mass integral of the transient density at time t.
 
-    Integrates the closed-form density adaptively (to ``quad``) on each side
-    of the derivative kink at the origin; equals 1 minus the failure mass up
+    Integrates the closed-form density adaptively (to ``quad``), with a
+    panel edge at the derivative kink at the origin and each pass over the
+    panels' nodes in one vectorised call; equals 1 minus the failure mass up
     to quadrature error.
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     lo, hi = _support_bounds(dp, t)
-
-    def f(x: float) -> float:
-        return transient_density(dp, x, t)  # type: ignore[return-value]
-
-    left, _ = integrate_adaptive(f, lo, 0.0, quad)
-    right, _ = integrate_adaptive(f, 0.0, hi, quad)
-    return left + right
+    value, _ = integrate_batch(lambda x, rows: _density(dp, x, t)[None, :], 1, [lo, 0.0, hi], quad)
+    return float(value[0])
 
 
 def _gaussian_outside(dp: DiffusionParams, s: float, lo: float, hi: float) -> float:
@@ -352,12 +349,18 @@ def density_slice(
     )
 
 
+def _decay_root(dp: DiffusionParams, rate: float) -> float:
+    # r = sqrt(drift^2 + 2 sigma2 rate): at catastrophe rate plus transform
+    # variable ``rate``, densities fall off as exp((drift x - r |x|) / sigma2)
+    return math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * rate)
+
+
 def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
     """Roots w1 > 0 > w2 of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0, the decay
     exponents of the transform density on each side of the origin."""
     if z <= 0.0:
         raise ValueError(f"transform variable must be positive, got {z}")
-    root = math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * (z + dp.nu))
+    root = _decay_root(dp, z + dp.nu)
     return (dp.drift + root) / dp.sigma2, (dp.drift - root) / dp.sigma2
 
 
@@ -365,7 +368,7 @@ def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
     """Laplace transform in time of the transient density, in closed form."""
     if z <= 0.0:
         raise ValueError(f"transform variable must be positive, got {z}")
-    root = math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * (z + dp.nu))
+    root = _decay_root(dp, z + dp.nu)
     amplitude = (z + dp.nu) * (z + dp.eta) / (z * (z + dp.eta + dp.nu) * root)
     return amplitude * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
 
@@ -376,7 +379,7 @@ def steady_density(dp: DiffusionParams, x: float) -> float:
         raise NoSteadyStateError(
             "the diffusion has no stationary law without catastrophes (nu > 0 required)"
         )
-    root = math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * dp.nu)
+    root = _decay_root(dp, dp.nu)
     weight = dp.eta * dp.nu / (dp.eta + dp.nu)
     return weight / root * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
 

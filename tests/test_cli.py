@@ -6,6 +6,24 @@ from catwalk import cli
 from catwalk.special import QuadratureError
 
 TABLE1_ROW0 = (0.04516, 0.04588, 0.01593, 0.04552, 0.04588, 0.00793, 0.04581, 0.04588, 0.00158)
+LATTICE = ["--lambda", "2", "--mu", "1", "--nu", "1", "--eta", "1"]
+DIFFUSION = ["--lambda-hat", "3", "--mu-hat", "1", "--sigma2", "1", "--nu", "1", "--eta", "1"]
+
+#: every subcommand with its default grids; the diffusion x-grids run negative
+DEFAULT_RUNS = {
+    "transient-discrete": ["transient", "--model", "discrete", *LATTICE, "--t", "1"],
+    "transient-diffusion": ["transient", "--model", "diffusion", *DIFFUSION, "--t", "1"],
+    "steady-discrete": ["steady", "--model", "discrete", *LATTICE],
+    "steady-diffusion": ["steady", "--model", "diffusion", *DIFFUSION],
+    "moments-discrete": ["moments", "--model", "discrete", *LATTICE, "--t-grid", "0:2:0.5"],
+    "moments-diffusion": ["moments", "--model", "diffusion", *DIFFUSION, "--t-grid", "0:2:0.5"],
+    "simulate": ["simulate", "--model", "diffusion", *DIFFUSION, "--seed", "3", "--reps", "200",
+                 "--t-grid", "1,0.5"],
+    "simulate-stats": ["simulate", *LATTICE, "--seed", "3", "--reps", "200", "--t", "1",
+                       "--stat", "state-probability:-1", "--stat", "cdf:-0.5"],
+    "compare": ["compare", *DIFFUSION],
+    "table1": ["table1"],
+}
 
 
 def run(argv):
@@ -64,6 +82,20 @@ class TestRoundTrip:
         second = tmp_path / "m2.json"
         assert run(cli.rebuild_argv(table["params"]) + ["--out", str(second)]) == 0
         assert cli.read_table(str(second))["rows"] == table["rows"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("run_name", sorted(DEFAULT_RUNS))
+    def test_every_subcommand_replays_its_default_run(self, tmp_path, run_name, fmt):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(DEFAULT_RUNS[run_name] + ["--format", fmt, "--out", str(first)]) == 0
+        table = cli.read_table(str(first))
+        assert run(cli.rebuild_argv(table["params"]) + ["--out", str(second)]) == 0
+        assert second.read_text() == first.read_text()
+
+    def test_replay_skips_keys_the_subcommand_has_no_flag_for(self):
+        # table1 headers written before it lost its epsilon key
+        params = {"command": "table1", "epsilon": [0.1, 0.05, 0.01], "nu": 1.0, "format": "csv"}
+        assert cli.rebuild_argv(params) == ["table1", "--nu=1.0", "--format=csv"]
 
     def test_simulate_reproduces_with_the_same_seed(self, tmp_path):
         argv = [
@@ -170,6 +202,17 @@ class TestSimulate:
         assert record["error"]["type"] == "validation"
         assert "replications" in record["error"]["message"]
 
+    def test_non_integral_state_is_a_validation_error(self, capsys):
+        with pytest.raises(ValueError):
+            cli._parse_stat("state-probability:2.7")
+        assert cli._parse_stat("state-probability:-2.0") == ("state-probability", -2)
+        argv = ["simulate", *LATTICE, "--seed", "7", "--reps", "10", "--t", "1",
+                "--stat", "state-probability:2.7"]
+        assert run(argv) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "validation"
+        assert "integer" in record["error"]["message"]
+
     def test_rows_and_trace_export(self, tmp_path):
         out = tmp_path / "sim.json"
         log = tmp_path / "traces.log"
@@ -233,6 +276,52 @@ class TestConfigFile:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"lamda": 1.0}))
         assert run(["steady", "--config", str(config)]) == 2
+
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"lambda": "two"},
+            {"n-min": 1.5},
+            {"n-min": "-1.0"},
+            {"model": "lattice"},
+            {"full-precision": "yes"},
+            {"lam": 2.0},  # keys are flag names, not option names
+            {"t_grid": [1.0]},
+        ],
+    )
+    def test_bad_values_and_keys_are_validation_errors(self, tmp_path, capsys, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run(["transient", "--config", str(path), *LATTICE, "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "validation"
+
+    def test_values_convert_like_their_flags(self, tmp_path, capsys):
+        flags = ["steady", "--model", "discrete", "--lambda", "2", "--mu", "1", "--nu", "1",
+                 "--eta", "0.5", "--n-min", "-2", "--n-max", "2", "--full-precision"]
+        assert run(flags) == 0
+        by_flags = capsys.readouterr().out
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "discrete", "lambda": "2", "mu": 1, "nu": 1.0,
+                                      "eta": "0.5", "n-min": "-2", "n-max": 2,
+                                      "full-precision": True}))
+        assert run(["steady", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == by_flags
+        assert "# params " in by_flags
+
+    def test_repeated_flag_keys(self, tmp_path, capsys):
+        argv = ["simulate", *LATTICE, "--seed", "5", "--reps", "50", "--t", "1", "--format", "json"]
+        assert run(argv + ["--stat", "failure-probability", "--stat", "state-probability:0"]) == 0
+        by_flags = json.loads(capsys.readouterr().out)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"stat": ["failure-probability", "state-probability:0"]}))
+        assert run(argv + ["--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out) == by_flags
+        # the flag's values replace the file's, as for any other option
+        assert run(argv + ["--config", str(config), "--stat", "truncated-mean"]) == 0
+        assert [row[1] for row in json.loads(capsys.readouterr().out)["rows"]] == ["truncated-mean"]
 
 
 class TestErrors:
