@@ -36,13 +36,9 @@ DEFAULT_STATS = ("failure-probability", "truncated-mean", "truncated-variance")
 # option parsing
 
 
-def _parse_grid(spec) -> tuple[float, ...]:
-    """Accept 'a,b,c' lists, 'start:stop:step' ranges, bare numbers, or an
-    already-built list."""
-    if isinstance(spec, (list, tuple)):
-        return tuple(float(v) for v in spec)
-    if isinstance(spec, (int, float)):
-        return (float(spec),)
+def _parse_grid(spec: str) -> tuple[float, ...]:
+    """Accept 'a,b,c' lists (one value alone is a one-point list) or
+    'start:stop:step' ranges."""
     text = spec.strip()
     if ":" in text:
         parts = text.split(":")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc, erfcx, wofz
 
 from .failure_cycle import (
     NoSteadyStateError,
@@ -132,6 +131,8 @@ def _erfcx_derivatives(alpha: np.ndarray, count: int) -> list:
     y_n / y_{n-1} = 2n / (y_{n+1} / y_n - 2 alpha) come from a continued
     fraction run backward from zero.
     """
+    from scipy.special import erfcx
+
     ys = [erfcx(alpha)] + [np.empty_like(alpha) for _ in range(count)]
     low = alpha <= _FORWARD_LIMIT
     a, prev = alpha[low], ys[0][low]
@@ -168,6 +169,8 @@ def _lag_integral(
     in the bracket.  Where alpha < beta, erfcx(alpha - beta) would overflow,
     so that term keeps erfc and its own exponent.
     """
+    from scipy.special import erfc, erfcx, wofz
+
     c, s2 = dp.drift, dp.sigma2
     scale = math.sqrt(2.0 * s2 * t)
     alpha = np.abs(x) / scale

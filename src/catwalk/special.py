@@ -8,6 +8,8 @@ integrand, ``integrate_batch`` for many integrands on shared panels).
 Keeping these primitives in one place pins down the numerical contracts the
 model modules rely on: 1e-12 relative accuracy for the Bessel kernel, and
 user-controlled tolerances with an honest error estimate for the integrals.
+SciPy is imported inside the functions that call it, not at module level, so
+that the closed-form laws and the command line start without loading it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, ive
 
 __all__ = [
     "QuadratureSpec",
@@ -78,6 +78,8 @@ def log_bessel_i_scaled(n, x) -> np.ndarray:
 
 
 def _log_bessel_positive(order: np.ndarray, x: np.ndarray) -> np.ndarray:
+    from scipy.special import ive
+
     radius = np.hypot(order, x)
     with np.errstate(over="ignore"):  # n / x = inf at subnormal x: the exponent is -inf
         leading = order * order / (radius + x) - order * np.arcsinh(order / x)
@@ -104,6 +106,8 @@ def _log_bessel_positive(order: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _log_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     # log of e^{-x} (x/2)^n / n! * 0F1(; n+1; x^2/4), three series terms
+    from scipy.special import gammaln
+
     r = 0.25 * x * x
     tail = r / (n + 1.0) * (1.0 + r / (2.0 * (n + 2.0)) * (1.0 + r / (3.0 * (n + 3.0))))
     return n * np.log(0.5 * x) - gammaln(n + 1.0) - x + np.log1p(tail)
@@ -177,6 +181,8 @@ def integrate_adaptive(
         raise ValueError(f"integration bounds must satisfy a <= b, got ({a}, {b})")
     if a == b:
         return QuadResult(0.0, 0.0)
+    from scipy.integrate import quad
+
     value, abserr, info, *message = quad(
         integrand,
         a,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catwalk
 from catwalk import cli
 from catwalk.special import QuadratureError
 
@@ -353,11 +358,48 @@ class TestGridParsing:
     def test_range_and_list_forms(self):
         assert cli._parse_grid("0:2:0.5") == (0.0, 0.5, 1.0, 1.5, 2.0)
         assert cli._parse_grid("1,2.5") == (1.0, 2.5)
-        assert cli._parse_grid(3) == (3.0,)
-        assert cli._parse_grid([1, 2]) == (1.0, 2.0)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
             cli._parse_grid("0:1")
         with pytest.raises(ValueError):
             cli._parse_grid("0:1:-0.5")
+
+
+#: run in a fresh interpreter: import the CLI, optionally run one command with
+#: its table sent to the null device, and print the SciPy modules then loaded
+_COLD_START = """
+import json, os, sys
+import catwalk, catwalk.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    assert catwalk.cli.main(argv + ["--out", os.devnull]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def _scipy_modules_after(argv) -> set:
+    src = str(Path(catwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+class TestColdStart:
+    """The closed-form commands and the simulator never load SciPy; the
+    transient kernels load scipy.special, and only quadrature scipy.integrate."""
+
+    @pytest.mark.parametrize(
+        "name", ["import-only", *(n for n in DEFAULT_RUNS if not n.startswith("transient"))]
+    )
+    def test_no_scipy(self, name):
+        assert _scipy_modules_after(DEFAULT_RUNS.get(name, [])) == set()
+
+    @pytest.mark.parametrize("name", ["transient-discrete", "transient-diffusion"])
+    def test_transient_loads_special_only(self, name):
+        loaded = _scipy_modules_after(DEFAULT_RUNS[name])
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
