@@ -1,15 +1,13 @@
 """Scaled modified Bessel evaluation and adaptive quadrature.
 
-Every analytic formula in this package is expressed in terms of the
-overflow-safe product e^{-x} I_n(x) (``bessel_i_scaled``, and its logarithm
-``log_bessel_i_scaled`` for whole arrays of orders and arguments) and of
-adaptive integrals over finite intervals (``integrate_adaptive`` for one
-integrand, ``integrate_batch`` for many integrands on shared panels).
-Keeping these primitives in one place pins down the numerical contracts the
-model modules rely on: 1e-12 relative accuracy for the Bessel kernel, and
-user-controlled tolerances with an honest error estimate for the integrals.
-SciPy is imported inside the functions that call it, not at module level, so
-that the closed-form laws and the command line start without loading it.
+Two primitives with their numerical contracts: the overflow-safe product
+e^{-x} I_n(x) (``bessel_i_scaled``, 1e-12 relative), kept validated though
+the lattice laws are now inverted from their generating function, and
+adaptive integrals over finite intervals with user-controlled tolerances
+and an honest error estimate (``integrate_adaptive`` for one integrand,
+``integrate_batch`` for many on shared panels), which the diffusion model
+uses.  SciPy is imported inside the functions that call it, so that the
+closed-form laws and the command line start without loading it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ __all__ = [
     "QuadratureError",
     "QuadResult",
     "bessel_i_scaled",
-    "log_bessel_i_scaled",
     "integrate_adaptive",
     "integrate_batch",
 ]
@@ -40,91 +37,18 @@ def bessel_i_scaled(n: int, x: float) -> float:
 
     The scaled product lies in [0, 1] and stays finite for arguments up to
     at least 1e7, where the raw Bessel function would overflow long before.
-    Negative orders use the symmetry I_{-n} = I_n.  The exponential of
-    :func:`log_bessel_i_scaled`.
+    Negative orders use the symmetry I_{-n} = I_n.
     """
-    return float(np.exp(log_bessel_i_scaled(int(n), x)))
-
-
-#: AMOS ive is used down to this value; below it the expansions take over,
-#: well above the subnormal range where ive loses digits and then underflows
-IVE_FLOOR = 1e-280
-_LOG_IVE_FLOOR = math.log(IVE_FLOOR)
-#: the power series is used where x^2/4 <= this times (n + 1); its fourth
-#: term is then below 4e-14 relative
-_SERIES_REACH = 1e-3
-
-
-def log_bessel_i_scaled(n, x) -> np.ndarray:
-    """Return log(e^{-x} I_n(x)) for integer orders n and arguments x >= 0,
-    broadcast against each other (-inf where the value is 0: n != 0, x = 0).
-
-    Where e^{-x} I_n(x) is at least ``IVE_FLOOR`` it is AMOS ``ive``.  Below
-    that, ``ive`` underflows long before the logarithm does, and the value
-    comes from Olver's uniform expansion (DLMF 10.41.3, four correction
-    terms) or, for arguments tiny against the order, from the power series.
-    Which entries ``ive`` would underflow on is read off the leading Olver
-    exponent first, so ``ive`` is not called on them.
-    """
-    order, x = np.broadcast_arrays(np.abs(np.asarray(n, dtype=float)), np.asarray(x, dtype=float))
-    shape = order.shape
-    order, x = order.ravel(), x.ravel()
-    if not np.all(np.isfinite(x) & (x >= 0.0)):
-        raise ValueError("log_bessel_i_scaled requires finite x >= 0")
-    out = np.where(order == 0.0, 0.0, -np.inf)  # the values at x = 0
-    positive = x > 0.0
-    out[positive] = _log_bessel_positive(order[positive], x[positive])
-    return out.reshape(shape)
-
-
-def _log_bessel_positive(order: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"bessel_i_scaled requires finite x >= 0, got {x!r}")
+    n = abs(int(n))
+    if x == 0.0:
+        return 1.0 if n == 0 else 0.0
     from scipy.special import ive
 
-    radius = np.hypot(order, x)
-    with np.errstate(over="ignore"):  # n / x = inf at subnormal x: the exponent is -inf
-        leading = order * order / (radius + x) - order * np.arcsinh(order / x)
-    leading -= 0.5 * np.log(2.0 * math.pi * radius)
-    out = np.empty(order.shape)
-    # the correction terms of the expansion change the exponent by < 0.1
-    low = leading < _LOG_IVE_FLOOR - 1.0
-    direct = np.flatnonzero(~low)
-    if direct.size:
-        value = ive(order[direct], x[direct])
-        ok = value >= IVE_FLOOR
-        out[direct[ok]] = np.log(value[ok])
-        low[direct[~ok]] = True
-    below = np.flatnonzero(low)
-    if below.size:
-        nb, xb = order[below], x[below]
-        out[below] = np.where(
-            xb * xb <= 4.0 * _SERIES_REACH * (nb + 1.0),
-            _log_series(nb, xb),
-            leading[below] + _olver_correction(nb, nb / radius[below]),
-        )
-    return out
-
-
-def _log_series(n: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # log of e^{-x} (x/2)^n / n! * 0F1(; n+1; x^2/4), three series terms
-    from scipy.special import gammaln
-
-    r = 0.25 * x * x
-    tail = r / (n + 1.0) * (1.0 + r / (2.0 * (n + 2.0)) * (1.0 + r / (3.0 * (n + 3.0))))
-    return n * np.log(0.5 * x) - gammaln(n + 1.0) - x + np.log1p(tail)
-
-
-def _olver_correction(n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # log(sum_k U_k(p) / n^k), k <= 4, DLMF 10.41.10
-    p2 = p * p
-    u1 = p * (3.0 - 5.0 * p2) / 24.0
-    u2 = p2 * (81.0 + p2 * (-462.0 + p2 * 385.0)) / 1152.0
-    u3 = p * p2 * (30375.0 + p2 * (-369603.0 + p2 * (765765.0 - p2 * 425425.0))) / 414720.0
-    u4 = p2 * p2 * (
-        4465125.0
-        + p2 * (-94121676.0 + p2 * (349922430.0 + p2 * (-446185740.0 + p2 * 185910725.0)))
-    ) / 39813120.0
-    inv = 1.0 / n
-    return np.log1p(inv * (u1 + inv * (u2 + inv * (u3 + inv * u4))))
+    # AMOS ive is exponentially scaled already; clamp stray -0.0.
+    value = float(ive(n, x))
+    return value if value > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -152,11 +76,13 @@ class QuadResult(NamedTuple):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive subdivision budget exhausted without meeting the tolerance.
+    """A numerical result missed its declared tolerance: an adaptive
+    subdivision budget ran out, or a lattice window failed its mass check.
 
     Carries the best available estimate and its error bound so a caller can
     decide whether the partial answer is still usable: floats for one
-    integral, arrays with one entry per integral for a batch.
+    integral, arrays with one entry per integral for a batch, and for a
+    window its values (one per state) with the mass defect.
     """
 
     def __init__(self, message: str, best_estimate, error_bound):

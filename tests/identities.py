@@ -41,7 +41,7 @@ def transient_probability_renewal(
         if lag <= 0.0:
             return 0.0
         return (
-            discrete.transient_probability(p, 0, u, quad)
+            discrete.transient_probability(p, 0, u)
             * math.exp(-p.nu * lag)
             * discrete.first_passage_density(p, n, lag)
         )
@@ -52,7 +52,7 @@ def transient_probability_renewal(
     # closing interval contributes P_0(t) (alpha closing / 2)^{|n|} beta^n / |n|!
     m = abs(n)
     log_tip = m * math.log(p.alpha * closing / 2.0) + n * p.log_beta - math.lgamma(m + 1)
-    tip = math.exp(log_tip) * discrete.transient_probability(p, 0, t, quad)
+    tip = math.exp(log_tip) * discrete.transient_probability(p, 0, t)
     return body + tip
 
 

@@ -389,16 +389,17 @@ def _scipy_modules_after(argv) -> set:
 
 
 class TestColdStart:
-    """The closed-form commands and the simulator never load SciPy; the
-    transient kernels load scipy.special, and only quadrature scipy.integrate."""
+    """The closed-form commands, the simulator and the lattice transient law
+    never load SciPy; the diffusion transient kernels load scipy.special, and
+    only quadrature scipy.integrate."""
 
     @pytest.mark.parametrize(
-        "name", ["import-only", *(n for n in DEFAULT_RUNS if not n.startswith("transient"))]
+        "name", ["import-only", *(n for n in DEFAULT_RUNS if n != "transient-diffusion")]
     )
     def test_no_scipy(self, name):
         assert _scipy_modules_after(DEFAULT_RUNS.get(name, [])) == set()
 
-    @pytest.mark.parametrize("name", ["transient-discrete", "transient-diffusion"])
+    @pytest.mark.parametrize("name", ["transient-diffusion"])
     def test_transient_loads_special_only(self, name):
         loaded = _scipy_modules_after(DEFAULT_RUNS[name])
         assert "scipy.special" in loaded

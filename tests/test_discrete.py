@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catwalk import discrete as d
-from catwalk.special import QuadratureError, QuadratureSpec, integrate_adaptive
+from catwalk.special import QuadratureError, integrate_adaptive
 from identities import transient_probability_renewal
 from oracles import (
     bessel_series_scaled,
@@ -224,21 +224,24 @@ class TestTransientDistribution:
         with pytest.raises(ValueError):
             d.transient_probability(SYMMETRIC, 0, t)
 
-    def test_exhausted_budget_raises_with_the_window_estimate(self):
-        heavy = d.DiscreteParams(460.0, 470.0, 1.0, 0.25)
-        window = d.default_window(heavy, 1.0)
+    def test_lost_state_fails_the_mass_check(self, monkeypatch):
+        inversion = d._transient_window
+        mode = d.transient_probability(SYMMETRIC, 0, 1.0)
+
+        def drop_the_mode(p, t, n_min, n_max):
+            values = inversion(p, t, n_min, n_max)
+            values[np.argmax(values)] = 0.0
+            return values
+
+        monkeypatch.setattr(d, "_transient_window", drop_the_mode)
+        window = d.default_window(SYMMETRIC, 1.0)
         with pytest.raises(QuadratureError) as caught:
-            d.transient_distribution(heavy, 1.0, quad=QuadratureSpec(max_subdivisions=1))
+            d.transient_distribution(SYMMETRIC, 1.0)
         err = caught.value
-        states = window[1] - window[0] + 1
-        assert err.best_estimate.shape == err.error_bound.shape == (states,)
-        assert np.all(np.isfinite(err.best_estimate))
-        assert np.all(err.error_bound >= 0.0)
-        assert err.error_bound.max() > QuadratureSpec().relative_tolerance * err.best_estimate.max()
-        # the estimate is already close: the full budget moves it by less than its bound
-        exact = d.transient_distribution(heavy, 1.0)
-        values = np.array(list(exact.probabilities.values()))
-        assert np.all(np.abs(err.best_estimate - values) <= err.error_bound + 1e-14)
+        assert err.best_estimate.shape == (window[1] - window[0] + 1,)
+        assert np.min(err.best_estimate) == 0.0
+        # the defect is the dropped state's mass
+        assert err.error_bound == pytest.approx(mode, rel=1e-9)
 
     def test_explicit_window_is_honoured(self):
         slice_ = d.transient_distribution(DRIFTING, 2.0, window=(-3, 7))
