@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -32,6 +34,91 @@ class TestSimConfig:
     def test_rejects_empty_observations(self):
         with pytest.raises(ValueError):
             _config(times=())
+
+    def test_rejects_fractional_seed(self):
+        # a float seed would silently run the streams of its integer part
+        with pytest.raises(ValueError):
+            _config(seed=1.5)
+
+    def test_rejects_boolean_replications(self):
+        with pytest.raises(ValueError):
+            _config(reps=True)
+
+    def test_rejects_fractional_replications(self):
+        with pytest.raises(ValueError):
+            _config(reps=2.5)
+
+    def test_normalises_integral_numpy_values(self):
+        cfg = _config(seed=np.uint64(7), reps=np.int64(3))
+        assert type(cfg.seed) is int and type(cfg.replications) is int
+        assert len(list(sim.simulate_discrete(SYMMETRIC, cfg))) == 3
+
+
+class TestGenerator:
+    @pytest.mark.parametrize(
+        "counter, key, expected",
+        [
+            ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+            ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+            (
+                (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+                (0xA4093822, 0x299F31D0),
+                (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+            ),
+        ],
+    )
+    def test_philox_known_answers(self, counter, key, expected):
+        # Random123 known-answer vectors of Philox4x32-10
+        assert tuple(int(word) for word in sim._philox(counter, key)) == expected
+
+    @pytest.mark.parametrize(
+        "params",
+        [d.DiscreteParams(3.0, 2.0, 1.0, 2.0), f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 2.0)],
+        ids=["lattice", "diffusion"],
+    )
+    def test_paths_do_not_depend_on_the_chunking(self, params):
+        cfg = _config(reps=30, horizon=3.0, times=(0.5, 1.5, 3.0))
+        indices = np.arange(cfg.replications, dtype=np.uint64)
+        whole = sim._paths(params, cfg, indices)
+        assert sum(len(trace.events) for trace in whole) > 30
+        for size in (1, 7):
+            chunked = [trace for first in range(0, cfg.replications, size)
+                       for trace in sim._paths(params, cfg, indices[first:first + size])]
+            assert chunked == whole
+        simulate = sim.simulate_discrete if isinstance(params, d.DiscreteParams) else sim.simulate_diffusion
+        assert list(simulate(params, cfg)) == whole
+
+
+class TestObservationTypes:
+    def test_states_are_python_values(self):
+        p = d.DiscreteParams(2.0, 1.0, 1.0, 1.0)
+        cfg = _config(reps=200, horizon=2.0, times=(1.0, 2.0))
+        for model, traces in (("lattice", sim.simulate_discrete(p, cfg)),
+                              ("diffusion", sim.simulate_diffusion(FIG4, cfg))):
+            allowed = int if model == "lattice" else float
+            kinds = set()
+            for trace in traces:
+                assert all(type(when) is float and type(kind) is str for when, kind in trace.events)
+                for when, state in trace.observations:
+                    assert type(when) is float
+                    assert state == sim.FAILED or type(state) is allowed
+                    kinds.add(type(state))
+            assert kinds == {allowed, str}
+
+    def test_exported_observations_parse_back(self, tmp_path):
+        cfg = _config(reps=50, horizon=2.0, times=(1.0, 2.0))
+        for model, traces in (("lattice", list(sim.simulate_discrete(SYMMETRIC, cfg))),
+                              ("diffusion", list(sim.simulate_diffusion(FIG4, cfg)))):
+            target = tmp_path / f"{model}.log"
+            sim.export_traces(traces, str(target), {"model": model}, cfg)
+            parsed = {}
+            for line in target.read_text().splitlines():
+                if line.startswith("#"):
+                    continue
+                index, record, when, value = line.split("\t")
+                if record == "obs":
+                    parsed.setdefault(int(index), []).append((float(when), ast.literal_eval(value)))
+            assert parsed == {i: list(trace.observations) for i, trace in enumerate(traces)}
 
 
 class TestTraceLegality:
@@ -170,6 +257,29 @@ class TestDiffusionAgainstAnalytic:
             lambda x: f.transient_density(FIG4, x, 1.0), -12.0, 0.0
         )
         assert abs(est.value - expected) <= 3.0 * est.standard_error
+
+
+class TestDiffusionJointLaw:
+    def test_wiener_covariance_across_observation_times(self):
+        # an observation drawn independently of the previous one would give 0
+        dp = f.DiffusionParams(3.0, 1.0, 1.5, 0.0, 1.0)
+        traces = sim.simulate_diffusion(dp, _config(seed=808, reps=20_000, times=(0.5, 1.0)))
+        x = np.array([[state for _, state in trace.observations] for trace in traces])
+        products = (x[:, 0] - x[:, 0].mean()) * (x[:, 1] - x[:, 1].mean())
+        se = products.std(ddof=1) / np.sqrt(len(products))
+        assert abs(products.mean() - dp.sigma2 * 0.5) <= 3.0 * se
+
+    def test_increment_without_events_is_gaussian(self):
+        traces = sim.simulate_diffusion(FIG4, _config(seed=909, reps=20_000, times=(0.5, 1.0)))
+        increments = []
+        for trace in traces:
+            (_, first), (_, second) = trace.observations
+            quiet = not any(0.5 < when <= 1.0 for when, _ in trace.events)
+            if first != sim.FAILED and quiet:
+                increments.append(second - first)
+        assert len(increments) > 5_000
+        spread = np.sqrt(FIG4.sigma2 * 0.5)
+        assert stats.kstest(increments, "norm", args=(FIG4.drift * 0.5, spread)).pvalue > 0.001
 
 
 class TestEstimate:
