@@ -60,14 +60,7 @@ def _parse_time(text: str) -> tuple[float]:
 def _parse_stat(text: str) -> tuple[str, Optional[float]]:
     name, _, arg = text.partition(":")
     name = name.strip()
-    if not arg:
-        return name, None
-    value = float(arg)
-    if name == "state-probability":
-        if not value.is_integer():
-            raise ValueError(f"state-probability takes an integer state, got {arg!r}")
-        value = int(value)
-    return name, value
+    return name, sim._statistic(name, float(arg) if arg else None)
 
 
 class _Repeated(argparse.Action):

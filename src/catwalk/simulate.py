@@ -14,6 +14,12 @@ and its counter is (draw index, stream, replication low word, replication high
 word), so draw k of a stream of replication i depends only on (seed, i,
 stream, k): a path is the same whatever the batch size, the chunking or the
 order of execution, and a single (seed, index) pair always reproduces it.
+
+Paths are kept as arrays as well.  The event times and codes, the observed
+values and the failure flags of a block of replications are columns of one
+record, and each :class:`PathTrace` is a read-only view of one row of it whose
+tuples are built only when read.  :func:`estimate` and :func:`export_traces`
+read the columns without building them.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain, cycle, groupby, repeat
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -86,12 +93,86 @@ class SimConfig:
         object.__setattr__(self, "observation_times", times)
 
 
-@dataclass(frozen=True)
-class PathTrace:
-    """One simulated path: event log plus state snapshots at observation times."""
+@dataclass(eq=False, slots=True)
+class _Block:
+    """The paths of a block of replications, held as arrays; a block is
+    drawn in one or more chunks.
 
-    events: tuple[tuple[float, str], ...]
-    observations: tuple[tuple[float, State], ...]
+    Row r is replication ``replications[r]``.  Its events before the horizon
+    are ``times[bounds[r]:bounds[r + 1]]`` with their ``codes``, and its state
+    at ``grid[c]`` is ``values[c, r]``, or the failure state where
+    ``failed[c, r]``.  Lattice states are integers held as float64.
+    """
+
+    times: np.ndarray
+    codes: np.ndarray
+    bounds: np.ndarray
+    replications: np.ndarray
+    grid: tuple[float, ...]
+    values: np.ndarray
+    failed: np.ndarray
+    lattice: bool
+
+    def column(self, t: float) -> int:
+        """The index of observation time t in the grid, to rounding."""
+        for column, when in enumerate(self.grid):
+            if when == t or abs(when - t) <= 1e-12 * max(1.0, t):
+                return column
+        raise ValueError(f"time {t} is not among the observation times of the trace")
+
+
+class PathTrace:
+    """One simulated path: event log plus state snapshots at observation times.
+
+    A read-only view of one row of the arrays its block of replications was
+    drawn into; only the simulators make one.  ``events`` and
+    ``observations`` are built when read, and two traces are equal, and hash
+    alike, when both of them are.
+    """
+
+    __slots__ = ("_block", "_row")
+
+    def __init__(self, block: _Block, row: int) -> None:
+        self._block = block
+        self._row = row
+
+    @property
+    def replication(self) -> int:
+        """The replication index: the path's place in its batch."""
+        return int(self._block.replications[self._row])
+
+    @property
+    def events(self) -> tuple[tuple[float, str], ...]:
+        """(time, kind) of each event before the horizon, in time order."""
+        block = self._block
+        start, end = block.bounds[self._row], block.bounds[self._row + 1]
+        kinds = map(_KINDS.__getitem__, block.codes[start:end].tolist())
+        return tuple(zip(block.times[start:end].tolist(), kinds))
+
+    @property
+    def observations(self) -> tuple[tuple[float, State], ...]:
+        """(time, state) at each observation time: an ``int`` lattice state,
+        a ``float`` diffusion level, or :data:`FAILED`."""
+        block = self._block
+        values = block.values[:, self._row].tolist()
+        if block.lattice:
+            values = map(int, values)
+        failed = block.failed[:, self._row].tolist()
+        return tuple(zip(block.grid, [FAILED if down else v for v, down in zip(values, failed)]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PathTrace):
+            return NotImplemented
+        if self._block is other._block and self._row == other._row:
+            return True
+        return self.events == other.events and self.observations == other.observations
+
+    def __hash__(self) -> int:
+        return hash((self.events, self.observations))
+
+    def __repr__(self) -> str:
+        return (f"PathTrace(replication={self.replication}, events={self.events}, "
+                f"observations={self.observations})")
 
 
 @dataclass(frozen=True)
@@ -114,12 +195,18 @@ _SKELETON, _MOVES, _NORMALS = 0, 1, 2
 
 # event codes, in the order a catastrophe and its repair sort
 _UP, _DOWN, _CATASTROPHE, _REPAIR = 0, 1, 2, 3
-_KINDS = np.array(["up", "down", "catastrophe", "repair_done"], dtype=object)
+_KINDS = ("up", "down", "catastrophe", "repair_done")
+_KIND_LINE_ENDS = np.array([f"\t{kind}\n" for kind in _KINDS], dtype=object)
 _STEPS = np.array([1, -1, 0, 0])
 
-# uniform draws per chunk of replications: this bounds the sampler's memory,
-# and small temporaries keep the heap from growing between long-lived traces
+# uniform draws per chunk of replications, which bounds the sampler's
+# temporaries: a 4000-path lattice batch peaks at about 2 MB of arrays at 8k
+# draws and 7 MB at 32k.  At 16k the benchmark's batches drew a few per cent
+# faster for half a megabyte more peak memory, too little to move from 8k.
 _CHUNK_DRAWS = 1 << 13
+# chunks per block, the unit in which paths are kept: reading paths costs a
+# few NumPy calls per block, so a block spans many chunks of long paths
+_BLOCK_CHUNKS = 32
 
 
 def _philox(counter, key):
@@ -185,7 +272,8 @@ def _skeleton(seed: int, replications: np.ndarray, nu: float, eta: float, horizo
 
 def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray):
     """Events and observed states of a chunk of lattice paths: (times, codes)
-    sorted per row in real time, and the observations as an object array."""
+    sorted per row in real time, then (values, failed) with one row per
+    observation time and one column per path."""
     horizon, rows = cfg.horizon, len(replications)
     clock, downtime, fail, back = _skeleton(cfg.seed, replications, p.nu, p.eta, horizon)
     # operating time elapsed by the horizon, with a margin against rounding
@@ -225,14 +313,14 @@ def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray):
     restart = np.where(history == _REPAIR, np.arange(history.shape[1]), 0)
     state = level - np.take_along_axis(level, np.maximum.accumulate(restart, axis=1), axis=1)
 
-    observed = np.empty((rows, len(cfg.observation_times)), dtype=object)
+    values = np.empty((len(cfg.observation_times), rows))
+    failed = np.empty(values.shape, dtype=bool)
     for column, when in enumerate(cfg.observation_times):
         # events strictly before an observation time form a prefix of each row
         seen = (times < when).sum(axis=1)[:, None]
-        observed[:, column] = np.take_along_axis(state, seen, axis=1)[:, 0].tolist()
-        failed = np.take_along_axis(history, seen, axis=1)[:, 0] == _CATASTROPHE
-        observed[failed, column] = FAILED
-    return times, codes, observed
+        values[column] = np.take_along_axis(state, seen, axis=1)[:, 0]
+        failed[column] = np.take_along_axis(history, seen, axis=1)[:, 0] == _CATASTROPHE
+    return times, codes, values, failed
 
 
 def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray):
@@ -246,7 +334,8 @@ def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray):
     u, v = _uniforms(cfg.seed, replications, _NORMALS, len(cfg.observation_times))
     normals = np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * math.pi * v)
     sigma = math.sqrt(dp.sigma2)
-    observed = np.empty((rows, len(cfg.observation_times)), dtype=object)
+    values = np.empty((len(cfg.observation_times), rows))
+    failed = np.empty(values.shape, dtype=bool)
     x = np.zeros(rows)
     previous = 0.0
     for column, when in enumerate(cfg.observation_times):
@@ -255,28 +344,36 @@ def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray):
         chained = restart < previous
         gap = when - np.where(chained, previous, restart)
         x = np.where(chained, x, 0.0) + dp.drift * gap + sigma * np.sqrt(gap) * normals[:, column]
-        observed[:, column] = x.tolist()
-        observed[((fail < when) & (back >= when)).any(axis=1), column] = FAILED
+        values[column] = x
+        failed[column] = ((fail < when) & (back >= when)).any(axis=1)
         previous = when
-    return times, codes, observed
+    return times, codes, values, failed
+
+
+def _draw(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
+          replications: np.ndarray):
+    """One chunk: the times and codes of the events before the horizon, the
+    number of them per path, and the observed values and failure flags."""
+    sample = _lattice if isinstance(params, DiscreteParams) else _diffusion
+    times, codes, values, failed = sample(params, cfg, replications)
+    kept = times < cfg.horizon
+    return times[kept], codes[kept].astype(np.int8), kept.sum(axis=1), values, failed
 
 
 def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
-           replications: np.ndarray) -> list[PathTrace]:
-    """The paths of the given replication indices, in that order."""
-    sample = _lattice if isinstance(params, DiscreteParams) else _diffusion
-    times, codes, observed = sample(params, cfg, replications)
-    kept = times < cfg.horizon
-    when = times[kept].tolist()
-    kinds = _KINDS[codes[kept]].tolist()
-    ends = np.cumsum(kept.sum(axis=1)).tolist()
-    grid = cfg.observation_times
-    traces = []
-    start = 0
-    for end, row in zip(ends, observed.tolist()):
-        traces.append(PathTrace(tuple(zip(when[start:end], kinds[start:end])), tuple(zip(grid, row))))
-        start = end
-    return traces
+           replications: np.ndarray, chunk: Optional[int] = None) -> list[PathTrace]:
+    """The paths of the given replication indices, in that order, drawn in
+    chunks of ``chunk`` replications (all at once by default) and kept as one
+    block."""
+    chunk = chunk or len(replications)
+    parts = [_draw(params, cfg, replications[first:first + chunk])
+             for first in range(0, len(replications), chunk)]
+    times, codes, counts, values, failed = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    bounds = np.zeros(len(replications) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    block = _Block(times, codes, bounds, replications, cfg.observation_times, values, failed,
+                   isinstance(params, DiscreteParams))
+    return list(map(PathTrace, repeat(block), range(len(replications))))
 
 
 def _simulate(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig) -> Iterator[PathTrace]:
@@ -285,9 +382,10 @@ def _simulate(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig) ->
     if isinstance(params, DiscreteParams):
         per_path += (params.lam + params.mu) * cfg.horizon
     chunk = max(1, int(_CHUNK_DRAWS // per_path))
-    for first in range(0, cfg.replications, chunk):
-        replications = np.arange(first, min(first + chunk, cfg.replications), dtype=np.uint64)
-        yield from _paths(params, cfg, replications)
+    size = chunk * _BLOCK_CHUNKS
+    blocks = (np.arange(first, min(first + size, cfg.replications), dtype=np.uint64)
+              for first in range(0, cfg.replications, size))
+    return chain.from_iterable(_paths(params, cfg, replications, chunk) for replications in blocks)
 
 
 def _discrete_path(p: DiscreteParams, cfg: SimConfig, replication: int) -> PathTrace:
@@ -314,15 +412,58 @@ _STATISTICS = (
 )
 
 
+def _statistic(statistic: str, arg: Optional[float]) -> Optional[float]:
+    """The argument of a statistic, checked: ``state-probability`` takes an
+    integral state, returned as ``int``, and ``cdf`` a threshold that is not
+    NaN; the other statistics take none."""
+    if statistic not in _STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}, expected one of {_STATISTICS}")
+    if statistic in ("state-probability", "cdf") and arg is None:
+        raise ValueError(f"statistic {statistic!r} requires an argument")
+    if statistic == "state-probability":
+        if not float(arg).is_integer():
+            raise ValueError(f"state-probability takes an integer state, got {arg!r}")
+        return int(arg)
+    if statistic == "cdf" and math.isnan(arg):
+        raise ValueError("the cdf threshold must be a number, got nan")
+    return arg
+
+
 def _initial_value(statistic: str, arg: Optional[float]) -> float:
     # at t = 0 the state is 0 and operating by construction
     if statistic == "state-probability":
         return 1.0 if arg == 0 else 0.0
-    if statistic == "failure-probability":
-        return 0.0
-    if statistic in ("truncated-mean", "truncated-variance"):
-        return 0.0
-    return 1.0 if arg is not None and arg >= 0.0 else 0.0
+    if statistic == "cdf":
+        return 1.0 if arg >= 0.0 else 0.0
+    return 0.0
+
+
+def _gather(traces: list[PathTrace]) -> tuple[list[_Block], Union[slice, np.ndarray]]:
+    """The distinct blocks of the traces, and where each trace's row lies
+    when the rows of those blocks are laid end to end: a slice when the
+    traces are consecutive rows of one block, else an index array.
+
+    Neighbouring traces that share a block are taken as one run, so beyond
+    one pass over the traces the work grows with the number of runs.
+    """
+    rows = [trace._row for trace in traces]
+    start: dict = {}  # of each distinct block's rows
+    offsets, lengths = [], []
+    size = 0
+    for block, run in groupby([trace._block for trace in traces]):
+        if block not in start:
+            start[block] = size
+            size += len(block.replications)
+        offsets.append(start[block])
+        lengths.append(len(list(run)))
+    if len(offsets) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
+        return list(start), slice(rows[0], rows[0] + len(rows))
+    return list(start), np.repeat(offsets, lengths) + np.array(rows, dtype=np.intp)
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays laid end to end, without a copy when there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def estimate(
@@ -335,53 +476,68 @@ def estimate(
 
     ``arg`` is the state n for ``state-probability`` and the threshold x for
     ``cdf``; truncated statistics zero the state while under repair.  t = 0
-    refers to the known initial condition and needs no observation.
+    refers to the known initial condition and needs no observation.  No
+    traces, a non-integral state or a NaN threshold raise ``ValueError``.
     """
-    if statistic not in _STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}, expected one of {_STATISTICS}")
-    if statistic in ("state-probability", "cdf") and arg is None:
-        raise ValueError(f"statistic {statistic!r} requires an argument")
+    arg = _statistic(statistic, arg)
     traces = list(traces)
     count = len(traces)
+    if count == 0:
+        raise ValueError("no traces to estimate from")
     if t == 0.0:
         return EmpiricalEstimate(_initial_value(statistic, arg), 0.0 if count > 1 else None, count)
 
-    def state_at(trace: PathTrace) -> State:
-        for when, state in trace.observations:
-            if when == t or abs(when - t) <= 1e-12 * max(1.0, t):
-                return state
-        raise ValueError(f"time {t} is not among the observation times of the trace")
-
-    states = [state_at(trace) for trace in traces]
+    blocks, at = _gather(traces)
+    columns = [block.column(t) for block in blocks]
+    states = _stacked([b.values[column] for b, column in zip(blocks, columns)])[at]
+    failed = _stacked([b.failed[column] for b, column in zip(blocks, columns)])[at]
     if statistic == "state-probability":
-        if any(isinstance(s, float) and s != FAILED for s in states):
+        if not all(block.lattice for block in blocks):
             raise ValueError(
                 "state-probability is undefined for continuous-state traces; use cdf"
             )
-        values = np.array([1.0 if s == arg else 0.0 for s in states])
+        values = (~failed & (states == arg)).astype(np.float64)
     elif statistic == "failure-probability":
-        values = np.array([1.0 if s == FAILED else 0.0 for s in states])
+        values = failed.astype(np.float64)
     elif statistic == "cdf":
-        values = np.array(
-            [1.0 if (s != FAILED and s <= arg) else 0.0 for s in states]
-        )
+        values = (~failed & (states <= arg)).astype(np.float64)
     else:
-        values = np.array([0.0 if s == FAILED else float(s) for s in states])
+        values = np.where(failed, 0.0, states)
 
+    if count == 1:
+        return EmpiricalEstimate(0.0 if statistic == "truncated-variance" else float(values[0]),
+                                 None, count)
     if statistic == "truncated-variance":
-        point = float(np.var(values, ddof=1)) if count > 1 else 0.0
-        if count > 1:
-            centered = values - values.mean()
-            fourth = float(np.mean(centered**4))
-            spread = max(fourth - point * point, 0.0)
-            se = math.sqrt(spread / count)
-        else:
-            se = None
-        return EmpiricalEstimate(point, se, count)
+        point = float(np.var(values, ddof=1))
+        centered = values - values.mean()
+        fourth = float(np.mean(centered**4))
+        return EmpiricalEstimate(point, math.sqrt(max(fourth - point * point, 0.0) / count), count)
+    # values.mean() and values.std(ddof=1) bit for bit, from the same two sums
+    # without the Python layers of those methods, which cost more than the
+    # sums on a batch of a few hundred paths
+    point = float(np.add.reduce(values) / count)
+    centered = values - point
+    spread = math.sqrt(float(np.add.reduce(centered * centered)) / (count - 1))
+    return EmpiricalEstimate(point, spread / math.sqrt(count), count)
 
-    point = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else None
-    return EmpiricalEstimate(point, se, count)
+
+def _observation_text(block: _Block) -> np.ndarray:
+    """The text "<time>\t<state>\n" of each observation, path by path."""
+    states = (block.values.astype(np.int64) if block.lattice else block.values).T.astype(object)
+    states[block.failed.T] = FAILED
+    grid = cycle([f"{when!r}\t" for when in block.grid])
+    return np.array([f"{when}{state!r}\n" for when, state in zip(grid, states.ravel().tolist())],
+                    dtype=object)
+
+
+def _ragged(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for each i in turn."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
+
+
+#: records formatted per write of an export
+_EXPORT_RECORDS = 1 << 16
 
 
 def export_traces(
@@ -393,19 +549,54 @@ def export_traces(
     """Write one line-delimited file for the run.
 
     Header lines start with '#': a format tag, the model parameters as JSON,
-    and the replication plan.  Then one record per line, tab separated:
+    and the replication plan.  Then one record per line, tab separated, each
+    trace's events before its observations:
 
         <replication> event <time> <kind>
         <replication> obs   <time> <state>
     """
+    traces = list(traces)
     with open(path, "w", encoding="utf-8") as sink:
         sink.write("# catwalk-traces v1\n")
         sink.write(f"# params {json.dumps(params, sort_keys=True)}\n")
         sink.write(
             f"# seed {cfg.seed} replications {cfg.replications} horizon {cfg.horizon!r}\n"
         )
-        for index, trace in enumerate(traces):
-            for when, kind in trace.events:
-                sink.write(f"{index}\tevent\t{when!r}\t{kind}\n")
-            for when, state in trace.observations:
-                sink.write(f"{index}\tobs\t{when!r}\t{state!r}\n")
+        if not traces:
+            return
+        blocks, at = _gather(traces)
+        # the blocks laid end to end: each trace's name, the first and the
+        # number of its events, and the same of its observations
+        names = np.array(list(map(str, _stacked([b.replications for b in blocks])[at].tolist())),
+                         dtype=object)
+        event_at = accumulate([len(b.times) for b in blocks], initial=0)
+        event_first = _stacked([b.bounds[:-1] + s for b, s in zip(blocks, event_at)])[at]
+        event_count = _stacked([np.diff(b.bounds) for b in blocks])[at]
+        obs_at = accumulate([b.values.size for b in blocks], initial=0)
+        obs_first = _stacked(
+            [np.arange(s, s + b.values.size, len(b.grid)) for b, s in zip(blocks, obs_at)]
+        )[at]
+        obs_count = _stacked([np.full(len(b.replications), len(b.grid)) for b in blocks])[at]
+        times = _stacked([b.times for b in blocks])
+        kinds = _KIND_LINE_ENDS[_stacked([b.codes for b in blocks])]
+        observed = _stacked([_observation_text(b) for b in blocks])
+        event_prefix, obs_prefix = names + "\tevent\t", names + "\tobs\t"
+
+        # one write per run of traces holding about _EXPORT_RECORDS lines,
+        # each line in three pieces
+        part = (np.cumsum(event_count + obs_count) - 1) // _EXPORT_RECORDS
+        edges = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(traces)]
+        for lo, hi in zip(edges, edges[1:]):
+            ev_count, ob_count = event_count[lo:hi], obs_count[lo:hi]
+            events = _ragged(event_first[lo:hi], ev_count)
+            pieces = np.empty((len(events) + ob_count.sum(), 3), dtype=object)
+            # a trace's events follow the observations of the traces before it
+            line = np.arange(len(events)) + np.repeat(np.cumsum(ob_count) - ob_count, ev_count)
+            pieces[line, 0] = np.repeat(event_prefix[lo:hi], ev_count)
+            pieces[line, 1] = list(map(repr, times[events].tolist()))
+            pieces[line, 2] = kinds[events]
+            line = np.arange(len(pieces) - len(events)) + np.repeat(np.cumsum(ev_count), ob_count)
+            pieces[line, 0] = np.repeat(obs_prefix[lo:hi], ob_count)
+            pieces[line, 1] = observed[_ragged(obs_first[lo:hi], ob_count)]
+            pieces[line, 2] = ""
+            sink.write("".join(pieces.ravel().tolist()))

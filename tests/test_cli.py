@@ -218,6 +218,19 @@ class TestSimulate:
         assert record["error"]["type"] == "validation"
         assert "integer" in record["error"]["message"]
 
+    def test_nan_threshold_is_a_validation_error(self, tmp_path, capsys):
+        # a NaN threshold compares false with every state: the estimate would read 0
+        log = tmp_path / "traces.log"
+        argv = ["simulate", *LATTICE, "--seed", "7", "--reps", "10", "--t", "1",
+                "--stat", "cdf:nan", "--trace-out", str(log)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"]["type"] == "validation"
+        assert "nan" in record["error"]["message"]
+        assert not log.exists()
+
     def test_rows_and_trace_export(self, tmp_path):
         out = tmp_path / "sim.json"
         log = tmp_path / "traces.log"

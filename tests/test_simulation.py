@@ -1,4 +1,6 @@
 import ast
+import math
+import random
 
 import numpy as np
 import pytest
@@ -10,10 +12,52 @@ from catwalk import simulate as sim
 
 SYMMETRIC = d.DiscreteParams(2.0, 2.0, 0.1, 1.0)
 FIG4 = f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 1.0)
+#: about 930 events per path: 200 paths are drawn in 25 chunks of 8
+HEAVY = d.DiscreteParams(460.0, 470.0, 1.0, 0.25)
 
 
 def _config(seed=1234, reps=20_000, horizon=1.0, times=(1.0,)):
     return sim.SimConfig(seed=seed, replications=reps, horizon=horizon, observation_times=times)
+
+
+def _reference_estimate(traces, t, statistic, arg=None):
+    """(value, standard error) from each trace's observation tuple, one path at a time."""
+    states = []
+    for trace in traces:
+        found = [state for when, state in trace.observations if abs(when - t) <= 1e-12 * max(1.0, t)]
+        if not found:
+            raise ValueError(f"time {t} is not observed")
+        states.append(found[0])
+    if statistic == "failure-probability":
+        values = [1.0 if s == sim.FAILED else 0.0 for s in states]
+    elif statistic == "state-probability":
+        values = [1.0 if s == arg else 0.0 for s in states]
+    elif statistic == "cdf":
+        values = [1.0 if s != sim.FAILED and s <= arg else 0.0 for s in states]
+    else:
+        values = [0.0 if s == sim.FAILED else float(s) for s in states]
+    n = len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    if statistic == "truncated-variance":
+        fourth = math.fsum((v - mean) ** 4 for v in values) / n
+        return var, math.sqrt(max(fourth - var * var, 0.0) / n)
+    return mean, math.sqrt(var / n)
+
+
+def _reference_export(traces):
+    """The record lines of an export, written one path at a time."""
+    lines = []
+    for trace in traces:
+        lines += [f"{trace.replication}\tevent\t{when!r}\t{kind}" for when, kind in trace.events]
+        lines += [f"{trace.replication}\tobs\t{when!r}\t{state!r}" for when, state in trace.observations]
+    return lines
+
+
+def _exported_records(traces, tmp_path, cfg):
+    target = tmp_path / "traces.log"
+    sim.export_traces(traces, str(target), {"model": "test"}, cfg)
+    return [line for line in target.read_text().splitlines() if not line.startswith("#")]
 
 
 class TestSimConfig:
@@ -190,6 +234,117 @@ class TestDeterminism:
         assert first == second
 
 
+class TestPathTraceView:
+    def test_two_runs_give_equal_traces_with_equal_hashes(self):
+        cfg = _config(reps=40, horizon=2.0, times=(0.5, 2.0))
+        for simulate, params in ((sim.simulate_discrete, SYMMETRIC), (sim.simulate_diffusion, FIG4)):
+            first, second = list(simulate(params, cfg)), list(simulate(params, cfg))
+            for a, b in zip(first, second):
+                assert a is not b and a == b and hash(a) == hash(b)
+            assert len(set(first) | set(second)) == len(set(first))
+
+    def test_different_replications_are_unequal(self):
+        cfg = _config(reps=40, horizon=2.0, times=(0.5, 2.0))
+        for traces in (list(sim.simulate_discrete(SYMMETRIC, cfg)),
+                       list(sim.simulate_diffusion(FIG4, cfg))):
+            assert [trace.replication for trace in traces] == list(range(40))
+            assert len(set(traces)) == 40
+            assert all(a != b for a, b in zip(traces, traces[1:]))
+
+    def test_repeated_reads_give_equal_tuples(self):
+        for trace in sim.simulate_discrete(SYMMETRIC, _config(reps=30, horizon=3.0, times=(1.0, 3.0))):
+            events, observations = trace.events, trace.observations
+            assert type(events) is tuple and type(observations) is tuple
+            assert trace.events == events and trace.observations == observations
+
+    def test_views_are_read_only(self):
+        trace = sim._discrete_path(SYMMETRIC, _config(reps=10), 3)
+        for name in ("events", "observations", "replication"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, ())
+        with pytest.raises(AttributeError):
+            trace.label = "x"
+
+    def test_one_path_diffusion_call_equals_the_batch_path(self):
+        cfg = _config(reps=12, horizon=3.0, times=(0.5, 1.5, 3.0))
+        batch = list(sim.simulate_diffusion(FIG4, cfg))
+        alone = sim._paths(FIG4, cfg, np.array([9], dtype=np.uint64))[0]
+        assert alone == batch[9] and hash(alone) == hash(batch[9])
+        assert alone.events == batch[9].events and alone.observations == batch[9].observations
+        assert alone.replication == 9
+
+
+class TestArraysAgainstScalarReference:
+    """estimate and export_traces read arrays; here they meet a path-by-path reference."""
+
+    STATISTICS = [("failure-probability", None), ("truncated-mean", None),
+                  ("truncated-variance", None), ("state-probability", 1), ("cdf", 0.5)]
+
+    @pytest.fixture(params=[1, sim._BLOCK_CHUNKS], ids=["block-per-chunk", "default-blocks"])
+    def batches(self, request, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_CHUNKS", request.param)
+        wide = _config(seed=31, reps=600, horizon=2.0, times=(0.5, 1.0, 2.0))
+        short = _config(seed=32, reps=150, horizon=1.0, times=(1.0,))
+        heavy = _config(seed=33, reps=200)
+        return {
+            "wide": (list(sim.simulate_discrete(SYMMETRIC, wide)), wide),
+            "short": (list(sim.simulate_discrete(SYMMETRIC, short)), short),
+            "heavy": (list(sim.simulate_discrete(HEAVY, heavy)), heavy),
+        }
+
+    @staticmethod
+    def _orders(traces):
+        shuffled = list(traces)
+        random.Random(5).shuffle(shuffled)
+        return {"forward": traces, "reversed": traces[::-1], "shuffled": shuffled,
+                "strided": traces[1::3], "generator": (trace for trace in traces)}
+
+    def _check_estimates(self, traces, t):
+        for statistic, arg in self.STATISTICS:
+            reference = _reference_estimate(traces, t, statistic, arg)
+            est = sim.estimate(traces, t, statistic, arg)
+            assert (est.value, est.standard_error) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+            assert est.replications == len(traces)
+
+    def test_estimates_in_any_order(self, batches):
+        for name in ("wide", "heavy"):
+            traces, cfg = batches[name]
+            for order, given in self._orders(traces).items():
+                listed = list(given)
+                for t in cfg.observation_times:
+                    self._check_estimates(listed, t)
+                if order == "generator":
+                    est = sim.estimate((trace for trace in traces), 1.0, "truncated-mean")
+                    assert est == sim.estimate(traces, 1.0, "truncated-mean")
+
+    def test_batches_with_different_grids(self, batches):
+        wide, short = batches["wide"][0], batches["short"][0]
+        joined = wide[::2] + short + wide[1::2]
+        self._check_estimates(joined, 1.0)
+        for missing in (0.5, 2.0):
+            with pytest.raises(ValueError, match="not among the observation times"):
+                sim.estimate(joined, missing, "truncated-mean")
+        with pytest.raises(ValueError):
+            _reference_estimate(joined, 0.5, "truncated-mean")
+
+    def test_exports_in_any_order(self, batches, tmp_path):
+        for name, (traces, cfg) in batches.items():
+            for order, given in self._orders(traces).items():
+                if name == "heavy" and order not in ("forward", "shuffled"):
+                    continue  # 186k events per export: two orders cover both index paths
+                listed = list(given)
+                records = _exported_records(iter(listed) if order == "generator" else listed, tmp_path, cfg)
+                assert records == _reference_export(listed), (name, order)
+        wide, cfg = batches["wide"]
+        joined = wide[::2] + batches["short"][0] + wide[1::2]
+        assert _exported_records(joined, tmp_path, cfg) == _reference_export(joined)
+
+    def test_export_spans_several_writes(self, batches, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "_EXPORT_RECORDS", 1000)
+        traces, cfg = batches["heavy"]
+        assert _exported_records(traces[::-1], tmp_path, cfg) == _reference_export(traces[::-1])
+
+
 class TestDiscreteAgainstAnalytic:
     def test_failure_probability(self):
         p = d.DiscreteParams(1.0, 1.0, 1.0, 1.0)
@@ -310,6 +465,30 @@ class TestEstimate:
         with pytest.raises(ValueError):
             sim.estimate(traces, 0.25, "failure-probability")
 
+    def test_no_traces_rejected(self):
+        # this used to return nan after a RuntimeWarning
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="no traces"):
+                sim.estimate([], t, "failure-probability")
+            with pytest.raises(ValueError, match="no traces"):
+                sim.estimate(iter(()), t, "truncated-mean")
+
+    def test_non_integral_state_rejected(self):
+        # this used to return 0.0: no lattice state equals 0.5
+        traces = list(sim.simulate_discrete(SYMMETRIC, _config(reps=50)))
+        for arg in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="integer state"):
+                sim.estimate(traces, 1.0, "state-probability", arg)
+        assert (sim.estimate(traces, 1.0, "state-probability", 1.0)
+                == sim.estimate(traces, 1.0, "state-probability", 1))
+
+    def test_nan_threshold_rejected(self):
+        # this used to return 0.0: every comparison with nan is false
+        traces = list(sim.simulate_diffusion(FIG4, _config(reps=50)))
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="nan"):
+                sim.estimate(traces, t, "cdf", float("nan"))
+
     def test_cdf_on_discrete_traces(self):
         traces = list(sim.simulate_discrete(SYMMETRIC, _config(seed=707, reps=5_000)))
         est = sim.estimate(traces, 1.0, "cdf", 0.0)
@@ -332,3 +511,14 @@ class TestExport:
         observations = sum(1 for r in records if r[1] == "obs")
         assert events == sum(len(t.events) for t in traces)
         assert observations == sum(len(t.observations) for t in traces)
+
+    def test_records_carry_the_replication_index(self, tmp_path):
+        cfg = _config(reps=30, horizon=2.0, times=(1.0, 2.0))
+        traces = list(sim.simulate_discrete(SYMMETRIC, cfg))
+        records = _exported_records(traces[::3], tmp_path, cfg)
+        assert records == _reference_export(traces[::3])
+        assert {int(line.split("\t")[0]) for line in records} == set(range(0, 30, 3))
+        alone = sim._discrete_path(SYMMETRIC, cfg, 7)
+        records = _exported_records([alone], tmp_path, cfg)
+        assert records == _reference_export([traces[7]])
+        assert {line.split("\t")[0] for line in records} == {"7"}
