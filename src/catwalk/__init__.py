@@ -12,7 +12,7 @@ from .discrete import (
 from .diffusion import DensitySlice, DiffusionParams, PointMass, DIRAC_AT_ORIGIN
 from .scaling import ComparisonRow, ScalingMap, scale_params
 from .simulate import EmpiricalEstimate, PathTrace, SimConfig
-from .special import QuadratureError, QuadratureSpec
+from .special import QuadratureError
 
 __all__ = [
     "DiscreteParams",
@@ -29,7 +29,6 @@ __all__ = [
     "SimConfig",
     "PathTrace",
     "EmpiricalEstimate",
-    "QuadratureSpec",
     "QuadratureError",
 ]
 

@@ -20,12 +20,10 @@ from .failure_cycle import (
     failure_mass as _cycle_failure_mass,
     relaxation_profile,
 )
-from .special import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_batch,
-)
+
+# Not called here any more, but kept bound under this name: the traced
+# benchmark run (perfbench/spans.py) wraps it in this module by name.
+from .special import integrate_adaptive  # noqa: F401
 
 __all__ = [
     "DiffusionParams",
@@ -156,18 +154,26 @@ def _erfcx_derivatives(alpha: np.ndarray, count: int) -> list:
     return ys
 
 
-def _lag_integral(
+def _lag_integrals(
     dp: DiffusionParams, x: np.ndarray, t: float, a: float, exponent: np.ndarray, fold: float
-) -> np.ndarray:
-    """e^{fold} K_a, with K_a in the erfcx form given in transient_density.
+) -> tuple[np.ndarray, np.ndarray]:
+    """e^{fold} K_a and e^{fold} L_a, the lag integrals of the kernel and of
+    its first-passage density |x|/s w(x,s) to level x:
 
-    ``exponent`` is -(x - c t)^2 / (2 sigma2 t) - a t + fold, so that e^{fold}
-    never has to be formed on its own.  The bracket over 2 beta is an even
-    function of beta: for beta^2 < 0 it is -Im erfcx(alpha + i gamma) / gamma
-    with gamma = sqrt(-beta^2) (Faddeeva w), and near beta = 0 it is summed
-    from the Taylor series of erfcx about alpha, which avoids the cancellation
-    in the bracket.  Where alpha < beta, erfcx(alpha - beta) would overflow,
-    so that term keeps erfc and its own exponent.
+        K_a = e^{E} [erfcx(alpha - beta) - erfcx(alpha + beta)] / (2 r),
+        L_a = int_0^t e^{-a s} |x|/s w(x,s) ds
+            = e^{E} [erfcx(alpha - beta) + erfcx(alpha + beta)] / 2,
+
+    with E = -(x - c t)^2 / (2 sigma2 t) - a t and the rest as in
+    transient_density.  ``exponent`` is E + fold, so that e^{fold} never has
+    to be formed on its own.  Both brackets are even functions of beta.  Near
+    beta = 0 they are summed from the Taylor series of erfcx about alpha,
+    which avoids the cancellation in the difference; for real beta the series
+    also takes each lane where beta / alpha is small.  For beta^2 < 0, with
+    w = erfcx(alpha + i gamma) (Faddeeva w), gamma = sqrt(-beta^2) and
+    rho = sqrt(-r^2), the difference over 2 r is -Im w / rho and the sum is
+    2 Re w.  Where alpha < beta, erfcx(alpha - beta) would overflow, so that
+    term keeps erfc and its own exponent.
     """
     from scipy.special import erfc, erfcx, wofz
 
@@ -177,25 +183,40 @@ def _lag_integral(
     r2 = c * c + 2.0 * a * s2
     beta2 = r2 * t / (2.0 * s2)
     growth = np.exp(exponent)
-    if abs(beta2) < _SERIES_RADIUS:
-        # bracket / (2 beta) = -sum_k erfcx^{(2k+1)}(alpha) beta^{2k} / (2k+1)!
-        ys = _erfcx_derivatives(alpha, 2 * _SERIES_TERMS - 1)
-        total = np.zeros_like(alpha)
-        term = 1.0
-        for k in range(_SERIES_TERMS):
-            total -= term * ys[2 * k + 1]
-            term *= beta2 / ((2 * k + 2) * (2 * k + 3))
-        return growth * (t / scale) * total
-    if beta2 < 0.0:
+    cutoff = math.sqrt(abs(beta2) / _SERIES_RADIUS)
+    if beta2 < 0.0 and cutoff >= 1.0:
         rho = math.sqrt(-r2)
         gamma = math.sqrt(-beta2)
-        return -growth * wofz(-gamma + 1j * alpha).imag / rho
+        w = wofz(-gamma + 1j * alpha)
+        return -growth * w.imag / rho, growth * w.real
+    kernel, passage = np.empty_like(alpha), np.empty_like(alpha)
+    # the series converges like (beta / alpha)^{2k} for large alpha: it takes
+    # the lanes where beta^2 is small against max(1, alpha^2)
+    series = alpha > cutoff if cutoff >= 1.0 else np.ones(alpha.shape, dtype=bool)
+    if series.any():
+        # difference / (2 beta) = -sum_k erfcx^{(2k+1)}(alpha) beta^{2k} / (2k+1)!
+        # sum / 2 = sum_k erfcx^{(2k)}(alpha) beta^{2k} / (2k)!
+        ys = _erfcx_derivatives(alpha[series], 2 * _SERIES_TERMS - 1)
+        odd, even = 0.0, 0.0
+        odd_term = even_term = 1.0
+        for k in range(_SERIES_TERMS):
+            odd -= odd_term * ys[2 * k + 1]
+            odd_term *= beta2 / ((2 * k + 2) * (2 * k + 3))
+            even += even_term * ys[2 * k]
+            even_term *= beta2 / ((2 * k + 1) * (2 * k + 2))
+        kernel[series] = growth[series] * (t / scale) * odd
+        passage[series] = growth[series] * even
+        if cutoff < 1.0:
+            return kernel, passage
     r = math.sqrt(r2)
     beta = math.sqrt(beta2)
-    out = np.empty_like(alpha)
-    far = alpha >= beta
-    out[far] = growth[far] * (erfcx(alpha[far] - beta) - erfcx(alpha[far] + beta))
-    near = ~far
+    # lanes by alpha: near below beta, far up to the cutoff (10 beta), series above
+    far = (alpha >= beta) & ~series
+    if far.any():
+        lower, upper, scaled = erfcx(alpha[far] - beta), erfcx(alpha[far] + beta), growth[far]
+        kernel[far] = scaled * (lower - upper) / (2.0 * r)
+        passage[far] = 0.5 * scaled * (lower + upper)
+    near = alpha < beta
     if near.any():
         # own exponent (c x - |x| r) / sigma2, written without cancellation
         # when c x >= 0
@@ -203,28 +224,36 @@ def _lag_integral(
         spread = np.abs(xs)
         own = np.where(c * xs >= 0.0, -2.0 * a * spread / (abs(c) + r),
                        -spread * (abs(c) + r) / s2)
-        out[near] = (np.exp(own + fold) * erfc(alpha[near] - beta)
-                     - growth[near] * erfcx(alpha[near] + beta))
-    return out / (2.0 * r)
+        lower = np.exp(own + fold) * erfc(alpha[near] - beta)
+        upper = growth[near] * erfcx(alpha[near] + beta)
+        kernel[near] = (lower - upper) / (2.0 * r)
+        passage[near] = 0.5 * (lower + upper)
+    return kernel, passage
 
 
-def _density(dp: DiffusionParams, x: np.ndarray, t: float) -> np.ndarray:
-    # operating density at time t > 0 for an array of abscissas
+def _restart_lags(dp: DiffusionParams, x: np.ndarray, t: float) -> tuple:
+    """The lag integrals (K, L) of _lag_integrals at x for a = nu, and for
+    a = -eta times the repair factor e^{-(eta+nu) t}."""
+    # e^{-nu t} times the Gaussian shape: the exponent of K_nu, and of
+    # e^{-(eta+nu) t} K_{-eta} once the repair factor is folded in
+    offset = x - dp.drift * t
+    exponent = -offset * offset / (2.0 * dp.sigma2 * t) - dp.nu * t
+    return (_lag_integrals(dp, x, t, dp.nu, exponent, 0.0),
+            _lag_integrals(dp, x, t, -dp.eta, exponent, -(dp.eta + dp.nu) * t))
+
+
+def _density(dp: DiffusionParams, x: np.ndarray, t: float, lags=None) -> np.ndarray:
+    # operating density at time t > 0 for an array of abscissas, given their
+    # _restart_lags or computing them
     finite = np.isfinite(x)
     if not finite.all():
         raise ValueError(f"x must be finite, got {float(x[~finite][0])!r}")
-    offset = x - dp.drift * t
-    base = _gaussian(dp, offset, t) * math.exp(-dp.nu * t)
+    base = _gaussian(dp, x - dp.drift * t, t) * math.exp(-dp.nu * t)
     if dp.nu == 0.0:
         return base
-    # e^{-nu t} times the Gaussian shape: the exponent of K_nu, and of
-    # e^{-(eta+nu) t} K_{-eta} once the repair factor is folded in
-    exponent = -offset * offset / (2.0 * dp.sigma2 * t) - dp.nu * t
+    (catastrophe, _), (repair, _) = _restart_lags(dp, x, t) if lags is None else lags
     weight = dp.eta * dp.nu / (dp.eta + dp.nu)
-    restarts = _lag_integral(dp, x, t, dp.nu, exponent, 0.0) - _lag_integral(
-        dp, x, t, -dp.eta, exponent, -(dp.eta + dp.nu) * t
-    )
-    return base + weight * restarts
+    return base + weight * (catastrophe - repair)
 
 
 def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, PointMass]:
@@ -251,41 +280,43 @@ def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, P
     return float(_density(dp, np.array([float(x)]), t)[0])
 
 
-def _support_bounds(dp: DiffusionParams, t: float, widths: float = 12.0) -> tuple[float, float]:
-    # restart components have means between 0 and drift*t and spread at most
-    # sqrt(sigma2 t); beyond `widths` standard deviations the mass is dust
-    sd = math.sqrt(dp.sigma2 * t)
-    lo = min(0.0, dp.drift * t) - widths * sd
-    hi = max(0.0, dp.drift * t) + widths * sd
-    return lo, hi
-
-
-def on_mass(
-    dp: DiffusionParams,
-    t: float,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Total operating mass integral of the transient density at time t.
-
-    Integrates the closed-form density adaptively (to ``quad``), with a
-    panel edge at the derivative kink at the origin and each pass over the
-    panels' nodes in one vectorised call; equals 1 minus the failure mass up
-    to quadrature error.
-    """
+def on_mass(dp: DiffusionParams, t: float) -> float:
+    """Total operating mass at time t: the integral of the transient density
+    over the reals, which is exactly 1 minus the failure mass."""
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    lo, hi = _support_bounds(dp, t)
-    value, _ = integrate_batch(lambda x, rows: _density(dp, x, t)[None, :], 1, [lo, 0.0, hi], quad)
-    return float(value[0])
+    return 1.0 - failure_probability(dp, t)
 
 
-def _gaussian_outside(dp: DiffusionParams, s: float, lo: float, hi: float) -> float:
-    # failure-free mass outside [lo, hi] after elapsed time s
-    sd = math.sqrt(dp.sigma2 * s)
-    mean = dp.drift * s
-    upper = 0.5 * math.erfc((hi - mean) / (sd * math.sqrt(2.0)))
-    lower = 0.5 * math.erfc((mean - lo) / (sd * math.sqrt(2.0)))
-    return upper + lower
+def _tail_mass(dp: DiffusionParams, xs: np.ndarray, t: float, lags) -> float:
+    """Operating mass outside [xs[0], xs[-1]] at time t > 0, in closed form
+    from the _restart_lags ``lags`` at xs.
+
+    With U(s) = P(W_s > h) for the failure-free motion, the mass above h is
+
+        e^{-nu t} U(t) + eta nu/(eta+nu) [M_nu - e^{-(eta+nu) t} M_{-eta}],
+        M_a = int_0^t e^{-a s} U(s) ds
+            = [U(0+) - e^{-a t} U(t) + int_0^t e^{-a s} U'(s) ds] / a,
+
+    and U'(s) = (sgn(h) |h|/s + c) w(h,s) / 2, so that the last integral is
+    (sgn(h) L_a + c K_a) / 2 with the lag integrals at x = h.  The 1/a
+    cancels against the weights and the U(t) terms cancel between the three
+    parts, leaving no division by nu.  The mass below lo is the same for the
+    mirrored motion (c -> -c, h = -lo); K_a and L_a depend on c and x only
+    through |x|, c x and (x - c t)^2, so both tails take the lags at
+    x = (hi, lo), with the drift's sign carried alongside.
+    """
+    c, nu, eta = dp.drift, dp.nu, dp.eta
+    ends = [-1, 0]
+    side = np.sign(xs[ends]) * [1.0, -1.0]
+    drift = np.array([c, -c])
+    # e^{fold} int_0^t e^{-a s} U'(s) ds for each side, at a = nu and a = -eta
+    catastrophe, repair = (0.5 * (side * passage[ends] + drift * kernel[ends])
+                           for kernel, passage in lags)
+    decay = math.exp(-(eta + nu) * t)
+    start = 0.5 * (1.0 - side)  # U(0+)
+    mass = ((eta + nu * decay) * start + eta * catastrophe + nu * repair) / (eta + nu)
+    return float(mass.sum())
 
 
 @dataclass(frozen=True)
@@ -312,7 +343,6 @@ class DensitySlice:
 def density_slice(
     dp: DiffusionParams,
     t: float,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
     n_points: int = 801,
     span_sds: float = 8.0,
 ) -> DensitySlice:
@@ -320,34 +350,21 @@ def density_slice(
     with analytic closure of the two exponential-type tails.
 
     The grid values come from the closed-form density in one vectorised
-    evaluation; ``quad`` governs only the restart integral of the tail mass.
+    evaluation, and the mass outside the grid in closed form from the same
+    lag integrals at its two ends (``_tail_mass``).
     """
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     sd = math.sqrt(dp.sigma2 * t)
     center = dp.drift * t
     xs = np.linspace(center - span_sds * sd, center + span_sds * sd, n_points)
-    values = _density(dp, xs, t)
-    lo, hi = float(xs[0]), float(xs[-1])
-    tail = math.exp(-dp.nu * t) * _gaussian_outside(dp, t, lo, hi)
-    if dp.nu > 0.0:
-        restart_tail, _ = integrate_adaptive(
-            lambda tau: 0.0
-            if tau >= t
-            else _cycle_failure_mass(dp.nu, dp.eta, tau)
-            * math.exp(-dp.nu * (t - tau))
-            * _gaussian_outside(dp, t - tau, lo, hi),
-            0.0,
-            t,
-            quad,
-        )
-        tail += dp.eta * restart_tail
+    lags = _restart_lags(dp, xs, t)
     return DensitySlice(
         time=t,
         abscissas=xs,
-        values=values,
+        values=_density(dp, xs, t, lags),
         failure_mass=failure_probability(dp, t),
-        tail_mass=tail,
+        tail_mass=_tail_mass(dp, xs, t, lags),
         mass_tolerance=1e-4,
     )
 

@@ -94,6 +94,34 @@ def renewal_check(
     return abs(direct - (head + tail))
 
 
+def operating_mass_by_quadrature(dp: DiffusionParams, t: float) -> float:
+    """Integral over x of :func:`catwalk.diffusion.transient_density` at time
+    t > 0, which should equal ``diffusion.on_mass`` = 1 - q(t).
+
+    The density has a kink at the origin, flanked on the side against the
+    drift by an exponential tail of width sigma2 / (2 |c|), and its
+    failure-free part is a Gaussian of width sigma sqrt(t) at c t.  The
+    support, 12 such widths beyond both, is cut at 0 and c t, with break
+    points spaced geometrically towards each of them from either side, and
+    each piece is integrated adaptively.
+    """
+    if t <= 0.0:
+        raise ValueError(f"time must be positive, got {t}")
+    centre = dp.drift * t
+    spread = 12.0 * math.sqrt(dp.sigma2 * t)
+    lo, hi = min(0.0, centre) - spread, max(0.0, centre) + spread
+    points = {lo, hi}
+    for anchor in (0.0, centre):
+        for width in [0.0] + [spread * 10.0 ** (-k / 2) for k in range(19)]:
+            points.update((anchor - width, anchor + width))
+    edges = sorted(p for p in points if lo <= p <= hi)
+    spec = QuadratureSpec(1e-12, 1e-16)
+    return math.fsum(
+        integrate_adaptive(lambda x: diffusion.transient_density(dp, x, t), a, b, spec).value
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
 def rate_invariance_check(
     dp: DiffusionParams,
     epsilon: float,

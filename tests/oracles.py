@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: the Bessel
 oracle is a high-precision power series, integrals are brute-force midpoint
 sums or scipy.quad over analytically rewritten integrands, the lattice law
 is a restart convolution over Skellam laws convolved from Poisson masses,
-the diffusion density is its restart convolution integrated in mpmath, and
-the hitting probability comes from an absorbing-chain linear solve.
+the diffusion density and the mass outside a density slice are restart
+convolutions integrated in mpmath, and the hitting probability comes from
+an absorbing-chain linear solve.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def skellam_by_poisson(lam: float, mu: float, u: float, n_min: int, n_max: int) 
 
 def lattice_law_by_convolution(
     lam: float, mu: float, nu: float, eta: float, t: float, n_min: int, n_max: int,
-    panels: int = 64,
 ) -> np.ndarray:
     """P_n(t) for n_min <= n <= n_max from the restart convolution in the
     time s since the last restart,
@@ -82,16 +82,19 @@ def lattice_law_by_convolution(
         P_n(t) = e^{-nu t} Sk_n(t) + eta int_0^t q(t - s) e^{-nu s} Sk_n(s) ds,
 
     q the failure mass, Sk the Skellam law from ``skellam_by_poisson``, and
-    the integral a composite 20-point Gauss-Legendre rule on ``panels`` equal
-    panels.  The first of them is cut geometrically towards s = 0, where the
-    law at the origin falls off like (lam + mu) s^(-1/2) once s exceeds
+    the integral a composite 20-point Gauss-Legendre rule on equal panels.
+    As a function of s, Sk_n peaks where the walk's mean reaches n, with a
+    width of about sqrt(s / (lam + mu)) or more, so at least
+    sqrt((lam + mu) t) panels (and never fewer than 32) keep a few nodes on
+    every peak.  The first panel is cut geometrically towards s = 0, where
+    the law at the origin falls off like (lam + mu) s^(-1/2) once s exceeds
     1/(lam + mu), and the last towards s = t, where q(t - s) rises from 0 on
-    the scale 1/(eta + nu).  The integrand is smooth, so doubling ``panels``
-    is a convergence check.
+    the scale 1/(eta + nu).
     """
     nodes, weights = np.polynomial.legendre.leggauss(20)
     rate = nu + eta
     total = math.exp(-nu * t) * skellam_by_poisson(lam, mu, t, n_min, n_max)
+    panels = max(32, math.ceil(math.sqrt((lam + mu) * t)))
     width = t / panels
     graded = [width * 0.5**j for j in range(40, 0, -1)]
     edges = (
@@ -192,6 +195,71 @@ def density_by_mpmath(
             return float(base)
         integral = peak * mpmath.quad(lambda u: integrand(u) / peak, grid)
         return float(base + eta_ * integral)
+
+
+def slice_tail_by_mpmath(
+    lam_hat: float,
+    mu_hat: float,
+    sigma2: float,
+    nu: float,
+    eta: float,
+    t: float,
+    lo: float,
+    hi: float,
+    dps: int = 24,
+) -> float:
+    """Operating mass outside [lo, hi] at time t from the restart convolution
+    of the failure-free normal law,
+
+        T = e^{-nu t} G(t) + eta int_0^t q(t-s) e^{-nu s} G(s) ds,
+        G(s) = P(W_s > hi) + P(W_s < lo),  W_s ~ N(c s, sigma2 s),
+
+    q the failure mass, integrated by tanh-sinh in the time s since the last
+    restart, one tail at a time.  A tail switches on or off where its level
+    meets the mean, s* = h / c, over a width sigma sqrt(s*) / |c|: panels of
+    that width next to s*, widening geometrically away from it, panels
+    shrinking geometrically towards both ends, and panels on the scale
+    1/(eta+nu) of q next to s = t resolve narrow kernels and fast repairs.
+    """
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(lam_hat) - mpmath.mpf(mu_hat)
+        sd = mpmath.sqrt(mpmath.mpf(sigma2))
+        nu_, eta_, tm = mpmath.mpf(nu), mpmath.mpf(eta), mpmath.mpf(t)
+        rate = eta_ + nu_
+
+        def above(s):
+            return mpmath.ncdf((c * s - hi) / (sd * mpmath.sqrt(s)))
+
+        def below(s):
+            return mpmath.ncdf((lo - c * s) / (sd * mpmath.sqrt(s)))
+
+        total = mpmath.exp(-nu_ * tm) * (above(tm) + below(tm))
+        if nu_ == 0:
+            return float(total)
+        for level, tail in ((hi, above), (lo, below)):
+
+            def integrand(s, tail=tail):
+                if s == 0:
+                    return mpmath.mpf(0)
+                q = nu_ / rate * -mpmath.expm1(-rate * (tm - s))
+                return q * mpmath.exp(-nu_ * s) * tail(s)
+
+            points = {mpmath.mpf(0), tm}
+            for k in (1, 2, 4, 8, 16, 32, 48):
+                points.update((tm / mpmath.mpf(2) ** k, tm - tm / mpmath.mpf(2) ** k))
+            for k in (1, 3, 10, 30, 100):
+                points.add(tm - k / rate)
+            if c != 0 and 0 < level / c < tm:
+                crossing = level / c
+                width = sd * mpmath.sqrt(crossing) / abs(c)
+                for k in (0, 1, 2, 4, 8, 16, 64, 256, 4096):
+                    points.update((crossing - k * width, crossing + k * width))
+            grid = sorted(p for p in points if 0 <= p <= tm)
+            # relative to the largest sampled value, as in density_by_mpmath
+            peak = max(integrand(p) for p in grid)
+            if peak > 0:
+                total += eta_ * peak * mpmath.quad(lambda s: integrand(s) / peak, grid)
+        return float(total)
 
 
 def second_moment_by_quadrature(

@@ -14,6 +14,7 @@ from catwalk import simulate as sim
 from catwalk.special import integrate_adaptive
 from identities import (
     mean_correspondence_check,
+    operating_mass_by_quadrature,
     rate_invariance_check,
     renewal_check,
     transient_probability_renewal,
@@ -74,7 +75,7 @@ def test_criterion_2_density_masses():
     worst_identity = 0.0
     for nu, target in targets.items():
         dp = f.DiffusionParams(3.0, 1.0, 1.0, nu, 1.0)
-        mass = f.on_mass(dp, 1.0)
+        mass = operating_mass_by_quadrature(dp, 1.0)
         worst_printed = max(worst_printed, abs(mass - target))
         worst_identity = max(worst_identity, abs(mass - (1.0 - d.failure_probability(
             d.DiscreteParams(1.0, 1.0, nu, 1.0), 1.0))))

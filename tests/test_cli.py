@@ -380,22 +380,24 @@ class TestGridParsing:
 
 
 #: run in a fresh interpreter: import the CLI, optionally run one command with
-#: its table sent to the null device, and print the SciPy modules then loaded
+#: its table sent to the null device and some library calls, and print the
+#: SciPy modules then loaded
 _COLD_START = """
 import json, os, sys
 import catwalk, catwalk.cli
 argv = json.loads(sys.argv[1])
 if argv:
     assert catwalk.cli.main(argv + ["--out", os.devnull]) == 0
+exec(sys.argv[2])
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
-def _scipy_modules_after(argv) -> set:
+def _scipy_modules_after(argv, code: str = "") -> set:
     src = str(Path(catwalk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argv)], env=env,
+    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argv), code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout))
@@ -404,7 +406,7 @@ def _scipy_modules_after(argv) -> set:
 class TestColdStart:
     """The closed-form commands, the simulator and the lattice transient law
     never load SciPy; the diffusion transient kernels load scipy.special, and
-    only quadrature scipy.integrate."""
+    no library path loads scipy.integrate."""
 
     @pytest.mark.parametrize(
         "name", ["import-only", *(n for n in DEFAULT_RUNS if n != "transient-diffusion")]
@@ -415,5 +417,13 @@ class TestColdStart:
     @pytest.mark.parametrize("name", ["transient-diffusion"])
     def test_transient_loads_special_only(self, name):
         loaded = _scipy_modules_after(DEFAULT_RUNS[name])
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
+
+    def test_slice_and_operating_mass_do_not_integrate(self):
+        loaded = _scipy_modules_after([], "from catwalk import diffusion as f\n"
+                                      "dp = f.DiffusionParams(3.0, 1.0, 1.0, 0.1, 1.0)\n"
+                                      "f.density_slice(dp, 1.0)\n"
+                                      "f.on_mass(dp, 1.0)\n")
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 from catwalk import diffusion as f
 from catwalk.failure_cycle import truncated_second_moment
 from catwalk.special import QuadratureSpec, integrate_adaptive
-from identities import renewal_check
-from oracles import density_by_mpmath, second_moment_by_quadrature
+from identities import operating_mass_by_quadrature, renewal_check
+from oracles import density_by_mpmath, second_moment_by_quadrature, slice_tail_by_mpmath
 
 # parameters behind the reference density plots: drift 2, unit variance
 FIG4 = f.DiffusionParams(lam_hat=3.0, mu_hat=1.0, sigma2=1.0, nu=1.0, eta=1.0)
@@ -80,13 +81,31 @@ class TestTransientDensity:
     )
     def test_total_mass_reference_values(self, nu, mass):
         dp = f.DiffusionParams(3.0, 1.0, 1.0, nu, 1.0)
-        assert f.on_mass(dp, 1.0) == pytest.approx(mass, abs=5e-4)
+        assert operating_mass_by_quadrature(dp, 1.0) == pytest.approx(mass, abs=5e-4)
 
     def test_mass_complements_failure_mass(self):
         for t in (0.25, 1.0, 4.0):
-            assert f.on_mass(FIG4, t) == pytest.approx(
+            assert operating_mass_by_quadrature(FIG4, t) == pytest.approx(
                 1.0 - f.failure_probability(FIG4, t), abs=1e-6
             )
+
+    @pytest.mark.parametrize(
+        "params,t",
+        [((3.0, 1.0, 1e-4, 0.1, 1.0), 10.0), ((2.0, 1.0, 1e-6, 1.0, 1.0), 10.0)],
+        ids=["small-variance", "narrow"],
+    )
+    def test_narrow_density_integrates_to_the_operating_mass(self, params, t):
+        # the exponential tail against the drift at 0 has width sigma2 / 2c,
+        # far below sigma sqrt(t): a quadrature blind to it misses 1e-6
+        dp = f.DiffusionParams(*params)
+        assert operating_mass_by_quadrature(dp, t) == pytest.approx(
+            1.0 - f.failure_probability(dp, t), abs=1e-10
+        )
+
+    def test_on_mass_is_the_complement_of_the_failure_mass(self):
+        for dp in (FIG4, TABLE, f.DiffusionParams(3.0, 1.0, 1.0, 0.0, 1.0)):
+            for t in (1e-3, 1.0, 50.0):
+                assert f.on_mass(dp, t) == 1.0 - f.failure_probability(dp, t)
 
     def test_drift_reversal_mirrors_the_density(self):
         mirrored = f.DiffusionParams(FIG4.mu_hat, FIG4.lam_hat, FIG4.sigma2, FIG4.nu, FIG4.eta)
@@ -159,6 +178,27 @@ class TestHardRegimes:
         dp = f.DiffusionParams(5.0 + drift, 5.0, sigma2, nu, eta)
         value = f.transient_density(dp, x, t)
         assert math.isfinite(value) and value >= 0.0
+
+
+class TestLagBrackets:
+    """erfcx(alpha - beta) -/+ erfcx(alpha + beta) far out, where beta / alpha
+    is small and the difference cancels, against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("beta2", [0.01, 0.1, -0.1])
+    @pytest.mark.parametrize("alpha", [1e3, 1e6])
+    def test_scaled_brackets(self, alpha, beta2):
+        # sigma2 = 1 and t = 1/2 make alpha = |x| and beta^2 = r^2 / 4
+        drift, a = (2.0 * math.sqrt(beta2), 0.0) if beta2 > 0 else (0.0, 2.0 * beta2)
+        dp = f.DiffusionParams(1.0 + drift, 1.0, 1.0, 1.0, 1.0)
+        kernel, passage = f._lag_integrals(dp, np.array([alpha]), 0.5, a, np.zeros(1), 0.0)
+        with mpmath.workdps(50):
+            r = mpmath.sqrt(mpmath.mpf(4 * beta2))
+            beta = r / 2
+            lower, upper = (mpmath.exp(z * z) * mpmath.erfc(z) for z in (alpha - beta, alpha + beta))
+            difference = complex((lower - upper) / (2 * r)).real
+            total = complex((lower + upper) / 2).real
+        assert kernel[0] == pytest.approx(difference, rel=1e-12, abs=0.0)
+        assert passage[0] == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 class TestLaplaceDensity:
@@ -314,6 +354,23 @@ class TestRenewalCheck:
             renewal_check(FIG4, 0.0, 1.0)
 
 
+# (lam_hat, mu_hat, sigma2, nu, eta), t for the mass outside a slice: the
+# benchmark's three slices, c^2 - 2 eta sigma2 < 0 (the stationary table),
+# rare catastrophes, fast repairs, a narrow kernel, and long horizons whose
+# grid leaves out the origin (the lower tail then starts at 1)
+SLICE_TAILS = {
+    "nu=1": ((3.0, 1.0, 1.0, 1.0, 1.0), 1.0),
+    "nu=0.5": ((3.0, 1.0, 1.0, 0.5, 1.0), 1.0),
+    "nu=0.1": ((3.0, 1.0, 1.0, 0.1, 1.0), 1.0),
+    "complex-root": ((1.0, 2.0, 9.0, 1.0, 0.25), 2.0),
+    "rare-catastrophe": ((3.0, 1.0, 1.0, 1e-6, 1.0), 1.0),
+    "fast-repair": ((3.0, 1.0, 1.0, 1.0, 1e3), 1.0),
+    "narrow": ((2.0, 1.0, 1e-6, 1.0, 1.0), 10.0),
+    "long-horizon": ((2.0, 0.1, 1.0, 0.1, 1.0), 50.0),
+    "long-horizon-rare-catastrophe": ((3.0, 1.0, 1.0, 1e-6, 1.0), 100.0),
+}
+
+
 class TestDensitySlice:
     def test_mass_identity_within_declared_tolerance(self):
         slice_ = f.density_slice(FIG4, 1.0)
@@ -328,3 +385,11 @@ class TestDensitySlice:
     def test_rejects_time_zero(self):
         with pytest.raises(ValueError):
             f.density_slice(FIG4, 0.0)
+
+    @pytest.mark.parametrize("span_sds", [8.0, 1.0])
+    @pytest.mark.parametrize("params,t", SLICE_TAILS.values(), ids=SLICE_TAILS.keys())
+    def test_tail_mass_matches_the_restart_convolution(self, params, t, span_sds):
+        slice_ = f.density_slice(f.DiffusionParams(*params), t, n_points=3, span_sds=span_sds)
+        lo, hi = float(slice_.abscissas[0]), float(slice_.abscissas[-1])
+        reference = slice_tail_by_mpmath(*params, t, lo, hi)
+        assert abs(slice_.tail_mass - reference) <= 1e-10 * reference + 1e-17

@@ -98,7 +98,7 @@ class TestWindowsAgainstConvolution:
         law = d.transient_distribution(p, t)
         n_min, n_max = law.window
         values = np.array([law.probabilities[n] for n in range(n_min, n_max + 1)])
-        reference = lattice_law_by_convolution(*rates, t, n_min, n_max, panels=32)
+        reference = lattice_law_by_convolution(*rates, t, n_min, n_max)
         assert np.all(np.abs(values - reference) <= 1e-10 * reference + 1e-14)
         assert np.all(values[reference >= 1e-300] > 0.0)
         assert law.tail_bound <= d.WINDOW_TAIL_TARGET
@@ -138,9 +138,11 @@ class TestWindowContract:
         assert variance == pytest.approx(d.variance_transient(p, t), rel=1e-10)
 
     def test_plateau_state_under_strong_drift(self):
-        # the restart mixture's plateau: a state the shared-panel quadrature
-        # returned as 3.5e-15 against a true 2.99667e-5
-        rates, t, n = (3000.0, 1.0, 0.1, 1.0), 5.0, 211
-        reference = lattice_law_by_convolution(*rates, t, n, n, panels=32)[0]
-        value = d.transient_probability(d.DiscreteParams(*rates), n, t)
-        assert value == pytest.approx(reference, rel=1e-10)
+        # the restart mixture's plateau: n = 211 is a state the shared-panel
+        # quadrature returned as 3.5e-15 against a true 2.99667e-5, and
+        # n = 470 one that the oracle on 32 panels missed by 1.85e-7
+        rates, t = (3000.0, 1.0, 0.1, 1.0), 5.0
+        reference = lattice_law_by_convolution(*rates, t, 211, 470)
+        for n in (211, 470):
+            value = d.transient_probability(d.DiscreteParams(*rates), n, t)
+            assert value == pytest.approx(reference[n - 211], rel=1e-10)
