@@ -17,8 +17,11 @@ import numpy as np
 
 from .failure_cycle import (
     NoSteadyStateError,
+    asymptotic_moments as _cycle_asymptotic_moments,
+    check_time,
     failure_mass as _cycle_failure_mass,
-    relaxation_profile,
+    transform_amplitude,
+    truncated_moments,
 )
 
 # Not called here any more, but kept bound under this name: the traced
@@ -106,8 +109,7 @@ def _gaussian(dp: DiffusionParams, offset, t: float):
 def wiener_density(dp: DiffusionParams, x: float, t: float, x0: float = 0.0) -> float:
     """Failure-free transition density: Gaussian with mean x0 + drift*t and
     variance sigma2*t."""
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t, positive=True)
     return float(_gaussian(dp, x - x0 - dp.drift * t, t))
 
 
@@ -273,8 +275,7 @@ def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, P
     closed form (scaled complementary error function, and the Faddeeva
     function where r^2 < 0), with no quadrature.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    check_time(t)
     if t == 0.0:
         return DIRAC_AT_ORIGIN
     return float(_density(dp, np.array([float(x)]), t)[0])
@@ -283,8 +284,7 @@ def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, P
 def on_mass(dp: DiffusionParams, t: float) -> float:
     """Total operating mass at time t: the integral of the transient density
     over the reals, which is exactly 1 minus the failure mass."""
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t, positive=True)
     return 1.0 - failure_probability(dp, t)
 
 
@@ -353,8 +353,7 @@ def density_slice(
     evaluation, and the mass outside the grid in closed form from the same
     lag integrals at its two ends (``_tail_mass``).
     """
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t, positive=True)
     sd = math.sqrt(dp.sigma2 * t)
     center = dp.drift * t
     xs = np.linspace(center - span_sds * sd, center + span_sds * sd, n_points)
@@ -384,13 +383,20 @@ def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
     return (dp.drift + root) / dp.sigma2, (dp.drift - root) / dp.sigma2
 
 
+def _scaled_transform(dp: DiffusionParams, x: float, z: float) -> float:
+    # z times the Laplace transform of the density at x, for z >= 0: the
+    # failure-free resolvent at z + nu times the cycle's amplitude.  At z = 0
+    # it is the stationary density.
+    root = _decay_root(dp, z + dp.nu)
+    amplitude = transform_amplitude(dp.nu, dp.eta, z)
+    return amplitude / root * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
+
+
 def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
     """Laplace transform in time of the transient density, in closed form."""
     if z <= 0.0:
         raise ValueError(f"transform variable must be positive, got {z}")
-    root = _decay_root(dp, z + dp.nu)
-    amplitude = (z + dp.nu) * (z + dp.eta) / (z * (z + dp.eta + dp.nu) * root)
-    return amplitude * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
+    return _scaled_transform(dp, x, z) / z
 
 
 def steady_density(dp: DiffusionParams, x: float) -> float:
@@ -399,51 +405,22 @@ def steady_density(dp: DiffusionParams, x: float) -> float:
         raise NoSteadyStateError(
             "the diffusion has no stationary law without catastrophes (nu > 0 required)"
         )
-    root = _decay_root(dp, dp.nu)
-    weight = dp.eta * dp.nu / (dp.eta + dp.nu)
-    return weight / root * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
+    return _scaled_transform(dp, x, 0.0)
 
 
 def mean_x(dp: DiffusionParams, t: float) -> float:
     """Truncated mean E[X(t) 1{on}]."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if dp.nu == 0.0:
-        return dp.drift * t
-    prefactor = dp.drift * dp.eta / ((dp.eta + dp.nu) * dp.nu)
-    return prefactor * relaxation_profile(dp.nu, dp.eta, t)
+    return truncated_moments(dp.nu, dp.eta, t, dp.drift, dp.sigma2)[0]
 
 
 def variance_x(dp: DiffusionParams, t: float) -> float:
     """Truncated variance Var[X(t) 1{on}], fully closed form."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    nu, eta = dp.nu, dp.eta
-    if nu == 0.0:
-        return dp.sigma2 * t
-    diffusive = dp.sigma2 * eta / ((eta + nu) * nu) * relaxation_profile(nu, eta, t)
-    decay = math.exp(-nu * t)
-    repair_gap = -math.expm1(-eta * t)
-    braces = (
-        -2.0 * nu**2 * decay * repair_gap * (nu**2 + eta * nu + eta**2)
-        + 2.0 * nu * eta**3 * (-math.expm1(-nu * t))
-        + eta**4
-        + 2.0 * eta * nu * (eta + nu) * (nu**2 - eta**2) * t * decay
-        - math.exp(-2.0 * nu * t) * (nu**2 - eta**2 - nu**2 * math.exp(-eta * t)) ** 2
-    )
-    return diffusive + dp.drift**2 / ((eta + nu) ** 2 * nu**2 * eta**2) * braces
+    return truncated_moments(dp.nu, dp.eta, t, dp.drift, dp.sigma2)[1]
 
 
 def asymptotic_moments(dp: DiffusionParams) -> tuple[float, float]:
     """Long-run truncated mean and variance."""
-    if dp.nu <= 0.0:
-        raise NoSteadyStateError("asymptotic moments require nu > 0")
-    nu, eta = dp.nu, dp.eta
-    mean_limit = dp.drift * eta / ((eta + nu) * nu)
-    var_limit = dp.sigma2 * eta / ((eta + nu) * nu) + dp.drift**2 * eta * (
-        2.0 * nu + eta
-    ) / ((eta + nu) ** 2 * nu**2)
-    return mean_limit, var_limit
+    return _cycle_asymptotic_moments(dp.nu, dp.eta, dp.drift, dp.sigma2)
 
 
 def fpt_density_wiener(
@@ -452,7 +429,6 @@ def fpt_density_wiener(
     """First-passage-time density of the failure-free motion from x0 to x."""
     if x == x0:
         raise ValueError("first-passage target must differ from the start point")
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t, positive=True)
     return abs(x - x0) / t * wiener_density(dp, x, t, x0)
 

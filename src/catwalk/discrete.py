@@ -38,10 +38,12 @@ import numpy as np
 
 from .failure_cycle import (
     NoSteadyStateError,
+    asymptotic_moments,
+    check_time,
     failure_mass,
-    relaxation_profile,
     steady_failure_mass,
-    truncated_second_moment,
+    transform_amplitude,
+    truncated_moments,
 )
 from .special import QuadratureError
 
@@ -97,27 +99,6 @@ class DiscreteParams:
         if self.nu < 0.0:
             raise ValueError("nu must be nonnegative")
 
-    @property
-    def alpha(self) -> float:
-        """2 sqrt(lam mu): argument scale of the Bessel kernel."""
-        return 2.0 * math.sqrt(self.lam * self.mu)
-
-    @property
-    def beta(self) -> float:
-        """sqrt(lam / mu): geometric asymmetry factor."""
-        return math.sqrt(self.lam / self.mu)
-
-    @property
-    def log_beta(self) -> float:
-        # written as a difference so swapping lam and mu negates it exactly
-        return 0.5 * (math.log(self.lam) - math.log(self.mu))
-
-    @property
-    def damping(self) -> float:
-        """lam + mu - alpha = (sqrt(lam) - sqrt(mu))^2, the residual decay rate
-        left over once the Bessel factor is scaled; free of cancellation."""
-        return (math.sqrt(self.lam) - math.sqrt(self.mu)) ** 2
-
     def swapped(self) -> "DiscreteParams":
         """Mirror walk with left/right rates exchanged."""
         return DiscreteParams(self.mu, self.lam, self.nu, self.eta)
@@ -126,11 +107,6 @@ class DiscreteParams:
 def failure_probability(p: DiscreteParams, t: float) -> float:
     """Probability the system is under repair at time t."""
     return failure_mass(p.nu, p.eta, t)
-
-
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
 #: a state is inverted on a radius whose Chernoff bound exceeds its least one
@@ -219,7 +195,7 @@ def _radius_grid(p: DiscreteParams, t: float, n_min: int, n_max: int):
 def _transient_window(p: DiscreteParams, t: float, n_min: int, n_max: int) -> np.ndarray:
     # P_n(t) for n_min <= n <= n_max, computed with lam >= mu and reflected
     # otherwise, so swapping the rates mirrors the law bit for bit
-    _check_time(t)
+    check_time(t)
     if p.lam < p.mu or (p.lam == p.mu and n_min + n_max < 0):
         return _transient_window(p.swapped(), t, -n_max, -n_min)[::-1]
     orders = np.arange(n_min, n_max + 1)
@@ -290,8 +266,7 @@ def first_passage_density(p: DiscreteParams, n: int, t: float) -> float:
     walk started at 0: |n| / t times the Skellam law."""
     if n == 0:
         raise ValueError("first-passage level must be nonzero")
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    check_time(t, positive=True)
     return abs(n) / t * skellam_probability(p, n, t)
 
 
@@ -337,7 +312,7 @@ def default_window(p: DiscreteParams, t: float) -> tuple[int, int]:
     at half the target, so the window follows the drift, |lam - mu| t, plus
     O(sqrt((lam + mu) t)) on each side.
     """
-    _check_time(t)
+    check_time(t)
     half = 0.5 * WINDOW_TAIL_TARGET
     return (
         1 - _chernoff_level(p.mu, p.lam, t, half),
@@ -403,12 +378,6 @@ def transient_distribution(
     )
 
 
-def _steady_root(p: DiscreteParams) -> float:
-    # sqrt((lam+mu+nu)^2 - 4 lam mu) rearranged to dodge the heavy-traffic
-    # cancellation: (lam-mu)^2 + nu (nu + 2 (lam+mu))
-    return math.sqrt((p.lam - p.mu) ** 2 + p.nu * (p.nu + 2.0 * (p.lam + p.mu)))
-
-
 def steady_failure(p: DiscreteParams) -> float:
     """Long-run probability of being under repair."""
     return steady_failure_mass(p.nu, p.eta)
@@ -420,59 +389,27 @@ def steady_state(p: DiscreteParams, n: int) -> float:
         raise NoSteadyStateError(
             "the walk has no stationary law without catastrophes (nu > 0 required)"
         )
-    q = steady_failure_mass(p.nu, p.eta)
-    root = _steady_root(p)
-    at_origin = (1.0 - q) * p.nu / root
-    if n == 0:
-        return at_origin
-    total = p.lam + p.mu + p.nu
-    # the small quadratic root, rationalized: (total - root)/(2 mu) = 2 lam/(total + root)
-    if n > 0:
-        ratio = 2.0 * p.lam / (total + root)
-    else:
-        ratio = 2.0 * p.mu / (total + root)
-    return at_origin * ratio ** abs(n)
+    return _scaled_transform(p, n, 0.0)
 
 
 def mean_transient(p: DiscreteParams, t: float) -> float:
     """Mean of the state zeroed while under repair, E[N(t) 1{on}]."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if p.nu == 0.0:
-        return (p.lam - p.mu) * t
-    prefactor = (p.lam - p.mu) * p.eta / ((p.eta + p.nu) * p.nu)
-    return prefactor * relaxation_profile(p.nu, p.eta, t)
+    return truncated_moments(p.nu, p.eta, t, p.lam - p.mu, p.lam + p.mu)[0]
 
 
 def variance_transient(p: DiscreteParams, t: float) -> float:
-    """Variance of the state zeroed while under repair, Var[N(t) 1{on}].
-
-    The failure-free walk has second moment (lam+mu) t + (lam-mu)^2 t^2; its
-    restart convolution is an elementary exponential-polynomial integral, so
-    the result is closed form.
-    """
-    second = truncated_second_moment(
-        p.nu, p.eta, t, linear=p.lam + p.mu, quadratic=(p.lam - p.mu) ** 2
-    )
-    mean = mean_transient(p, t)
-    return second - mean * mean
+    """Variance of the state zeroed while under repair, Var[N(t) 1{on}]."""
+    return truncated_moments(p.nu, p.eta, t, p.lam - p.mu, p.lam + p.mu)[1]
 
 
 def asymptotic_mean(p: DiscreteParams) -> float:
     """Long-run truncated mean, (lam-mu) eta / ((eta+nu) nu)."""
-    if p.nu <= 0.0:
-        raise NoSteadyStateError("asymptotic moments require nu > 0")
-    return (p.lam - p.mu) * p.eta / ((p.eta + p.nu) * p.nu)
+    return asymptotic_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)[0]
 
 
 def asymptotic_variance(p: DiscreteParams) -> float:
     """Long-run truncated variance."""
-    if p.nu <= 0.0:
-        raise NoSteadyStateError("asymptotic moments require nu > 0")
-    drift2 = (p.lam - p.mu) ** 2
-    first = (p.lam + p.mu) * p.eta / ((p.eta + p.nu) * p.nu)
-    second = drift2 * p.eta * (2.0 * p.nu + p.eta) / ((p.eta + p.nu) ** 2 * p.nu**2)
-    return first + second
+    return asymptotic_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)[1]
 
 
 def mean_peak_time(p: DiscreteParams) -> Optional[float]:
@@ -498,32 +435,42 @@ class LaplaceRoots:
 
 
 def _transform_root(p: DiscreteParams, z: float) -> float:
+    # sqrt((z+lam+mu+nu)^2 - 4 lam mu) rearranged to dodge the heavy-traffic
+    # cancellation: (lam-mu)^2 + s (s + 2 (lam+mu)) with s = z + nu
     s = z + p.nu
     return math.sqrt((p.lam - p.mu) ** 2 + s * (s + 2.0 * (p.lam + p.mu)))
+
+
+def _scaled_transform(p: DiscreteParams, n: int, z: float) -> float:
+    # z times the Laplace transform of P_n, for z >= 0: the cycle's amplitude
+    # times the catastrophe-free resolvent at z + nu, which is 1/root at the
+    # origin and falls geometrically on each side, by the small quadratic
+    # root 2 lam/(total + root) for n > 0 and 2 mu/(total + root) for n < 0
+    # (rationalized).  At z = 0 it is the stationary law.
+    root = _transform_root(p, z)
+    origin = transform_amplitude(p.nu, p.eta, z) / root
+    if n == 0:
+        return origin
+    rate = p.lam if n > 0 else p.mu
+    return origin * (2.0 * rate / (z + p.lam + p.mu + p.nu + root)) ** abs(n)
 
 
 def laplace_transforms(p: DiscreteParams, z: float) -> tuple[float, LaplaceRoots]:
     """Laplace transform of the origin probability P_0 and the geometric roots
     that extend it to every other state."""
-    if z <= 0.0:
-        raise ValueError(f"transform variable must be positive, got {z}")
+    origin = laplace_pn(p, 0, z)
     root = _transform_root(p, z)
     total = z + p.lam + p.mu + p.nu
-    origin = (1.0 + p.eta * p.nu / (z * (z + p.eta + p.nu))) / root
-    roots = LaplaceRoots(
+    return origin, LaplaceRoots(
         psi1=(total + root) / (2.0 * p.mu),
         psi2=2.0 * p.lam / (total + root),
         z=z,
     )
-    return origin, roots
 
 
 def laplace_pn(p: DiscreteParams, n: int, z: float) -> float:
     """Laplace transform of P_n: the origin transform times psi2^n for n >= 1
     and psi1^n for n <= -1."""
-    origin, roots = laplace_transforms(p, z)
-    if n == 0:
-        return origin
-    if n > 0:
-        return origin * roots.psi2**n
-    return origin * roots.psi1**n
+    if z <= 0.0:
+        raise ValueError(f"transform variable must be positive, got {z}")
+    return _scaled_transform(p, n, z) / z

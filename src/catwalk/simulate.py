@@ -126,8 +126,9 @@ class PathTrace:
 
     A read-only view of one row of the arrays its block of replications was
     drawn into; only the simulators make one.  ``events`` and
-    ``observations`` are built when read, and two traces are equal, and hash
-    alike, when both of them are.
+    ``observations`` are built when read.  Two traces are equal when both of
+    them are; the hash reads the event times from the block and the
+    observations, and builds no event tuples.
     """
 
     __slots__ = ("_block", "_row")
@@ -168,7 +169,12 @@ class PathTrace:
         return self.events == other.events and self.observations == other.observations
 
     def __hash__(self) -> int:
-        return hash((self.events, self.observations))
+        # equal traces have equal event times, and so equal bytes once 0.0 is
+        # added (it maps -0.0 to 0.0).  The observations alone are shared by
+        # most lattice paths, and a set would compare each with all the others.
+        block = self._block
+        start, end = block.bounds[self._row], block.bounds[self._row + 1]
+        return hash(((block.times[start:end] + 0.0).tobytes(), self.observations))
 
     def __repr__(self) -> str:
         return (f"PathTrace(replication={self.replication}, events={self.events}, "

@@ -29,11 +29,6 @@ __all__ = [
     "integrate_adaptive",
 ]
 
-# Orders are supported far beyond this, but accuracy is only asserted by the
-# test suite up to |n| = 1e5 and x = 1e7.
-MAX_TESTED_ORDER = 100_000
-
-
 def bessel_i_scaled(n: int, x: float) -> float:
     """Return e^{-x} I_n(x) for integer order n and x >= 0.
 

@@ -48,10 +48,12 @@ def transient_probability_renewal(
 
     closing = 1e-8 * t
     body, _ = integrate_adaptive(integrand, 0.0, t - closing, quad)
-    # g_n(s) ~ |n| (alpha/2)^{|n|} beta^n s^{|n|-1} / |n|! for s -> 0, so the
-    # closing interval contributes P_0(t) (alpha closing / 2)^{|n|} beta^n / |n|!
+    # g_n(s) ~ |n| (alpha/2)^{|n|} beta^n s^{|n|-1} / |n|! for s -> 0, with
+    # alpha = 2 sqrt(lam mu) and beta = sqrt(lam / mu), so the closing
+    # interval contributes P_0(t) (alpha closing / 2)^{|n|} beta^n / |n|!
     m = abs(n)
-    log_tip = m * math.log(p.alpha * closing / 2.0) + n * p.log_beta - math.lgamma(m + 1)
+    log_tip = (m * math.log(math.sqrt(p.lam * p.mu) * closing)
+               + 0.5 * n * (math.log(p.lam) - math.log(p.mu)) - math.lgamma(m + 1))
     tip = math.exp(log_tip) * discrete.transient_probability(p, 0, t)
     return body + tip
 

@@ -5,12 +5,15 @@ oracle is a high-precision power series, integrals are brute-force midpoint
 sums or scipy.quad over analytically rewritten integrands, the lattice law
 is a restart convolution over Skellam laws convolved from Poisson masses,
 the diffusion density and the mass outside a density slice are restart
-convolutions integrated in mpmath, and the hitting probability comes from
-an absorbing-chain linear solve.
+convolutions integrated in mpmath, the truncated moments integrate the law
+of the age of the operating period in mpmath, the diffusion's truncated
+variance is also available in the paper's expanded closed form, and the
+hitting probability comes from an absorbing-chain linear solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -286,3 +289,66 @@ def second_moment_by_quadrature(
         limit=400,
     )
     return base + eta * integral
+
+
+@functools.lru_cache(maxsize=None)
+def _age_moments_by_mpmath(nu: float, eta: float, t: float):
+    # E[A 1{on}] and Var[A 1{on}] as mpmath numbers; the variance is
+    # integrated about the mean, so nothing cancels
+    with mpmath.workdps(20):
+        nu_, eta_, tm = mpmath.mpf(nu), mpmath.mpf(eta), mpmath.mpf(t)
+        if nu_ == 0:
+            return tm, mpmath.mpf(0)
+        rate = eta_ + nu_
+        intact = mpmath.exp(-nu_ * tm)
+        off = nu_ / rate * -mpmath.expm1(-rate * tm)
+
+        def density(a):
+            return eta_ * -mpmath.expm1(-rate * (tm - a)) * nu_ / rate * mpmath.exp(-nu_ * a)
+
+        points = {mpmath.mpf(0), tm}
+        for k in range(1, 50, 6):
+            points.update((tm / mpmath.mpf(2) ** k, tm - tm / mpmath.mpf(2) ** k))
+        grid = sorted(points)
+        mean = intact * tm + mpmath.quad(lambda a: a * density(a), grid, method="gauss-legendre")
+        spread = mpmath.quad(lambda a: (a - mean) ** 2 * density(a), grid, method="gauss-legendre")
+        return mean, intact * (tm - mean) ** 2 + off * mean**2 + spread
+
+
+def truncated_moments_by_mpmath(
+    nu: float, eta: float, t: float, drift: float, spread: float
+) -> tuple[float, float]:
+    """Truncated mean and variance, E[X(t) 1{on}] and Var[X(t) 1{on}], of
+    either model from the law of the age A of the current operating period,
+
+        P(A in da, on) = e^{-nu t} delta(a - t) da + eta q(t - a) e^{-nu a} da,
+
+    0 < a <= t, q the failure mass.  Given A the state has mean drift*A and
+    variance spread*A, so the mean is drift E[A 1{on}] and the variance
+    spread E[A 1{on}] + drift^2 Var[A 1{on}].  Both age moments are
+    Gauss-Legendre integrals in 20-digit mpmath, on panels halving
+    geometrically towards both ends (the repair factor switches on within
+    1/(eta+nu) of a = t, the catastrophe factor decays within 1/nu of
+    a = 0), and agree with a 50-digit tanh-sinh run to 1e-16.
+    """
+    mean, spread_age = _age_moments_by_mpmath(nu, eta, t)
+    return float(drift * mean), float(spread * mean + drift**2 * spread_age)
+
+
+def printed_variance(nu: float, eta: float, t: float, drift: float, sigma2: float) -> float:
+    """The diffusion's truncated variance Var[X(t) 1{on}] in the paper's
+    expanded closed form, for nu > 0.  It cancels as nu t -> 0: at
+    (drift 2, sigma2 1, nu 1e-6, eta 1), t = 1e-3, it gives 5.56e-4 against
+    1.00e-3."""
+    decay = math.exp(-nu * t)
+    repair_gap = -math.expm1(-eta * t)
+    profile = -math.expm1(-nu * t) + (nu / eta) ** 2 * decay * repair_gap
+    diffusive = sigma2 * eta / ((eta + nu) * nu) * profile
+    braces = (
+        -2.0 * nu**2 * decay * repair_gap * (nu**2 + eta * nu + eta**2)
+        + 2.0 * nu * eta**3 * (-math.expm1(-nu * t))
+        + eta**4
+        + 2.0 * eta * nu * (eta + nu) * (nu**2 - eta**2) * t * decay
+        - math.exp(-2.0 * nu * t) * (nu**2 - eta**2 - nu**2 * math.exp(-eta * t)) ** 2
+    )
+    return diffusive + drift**2 / ((eta + nu) ** 2 * nu**2 * eta**2) * braces

@@ -195,6 +195,16 @@ class TestMoments:
         assert all(b >= a for a, b in zip(means, means[1:]))
         assert means[-1] == pytest.approx(2.0 / 3.0, abs=1e-6)
 
+    @pytest.mark.parametrize("model", ["discrete", "diffusion"])
+    def test_non_finite_time_is_a_validation_error(self, model, capsys):
+        rates = LATTICE if model == "discrete" else DIFFUSION
+        assert run(["moments", "--model", model, *rates, "--t-grid", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"]["type"] == "validation"
+        assert "finite" in record["error"]["message"]
+
 
 class TestSimulate:
     def test_zero_replications_is_a_validation_error(self, capsys):

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catwalk import diffusion as f
-from catwalk.failure_cycle import truncated_second_moment
 from catwalk.special import QuadratureSpec, integrate_adaptive
 from identities import operating_mass_by_quadrature, renewal_check
-from oracles import density_by_mpmath, second_moment_by_quadrature, slice_tail_by_mpmath
+from oracles import (
+    density_by_mpmath,
+    printed_variance,
+    second_moment_by_quadrature,
+    slice_tail_by_mpmath,
+)
 
 # parameters behind the reference density plots: drift 2, unit variance
 FIG4 = f.DiffusionParams(lam_hat=3.0, mu_hat=1.0, sigma2=1.0, nu=1.0, eta=1.0)
@@ -288,13 +292,10 @@ class TestMoments:
         drift=st.floats(min_value=-1.9, max_value=4.0),
     )
     def test_printed_variance_equals_convolution_form(self, t, nu, eta, drift):
-        # same law derived two ways: the expanded closed form in variance_x
-        # against the restart convolution of the Gaussian second moment
+        # same law derived two ways: the paper's expanded closed form against
+        # the age-law form in variance_x
         dp = f.DiffusionParams(2.0 + drift, 2.0, 1.7, nu, eta)
-        second = truncated_second_moment(
-            nu, eta, t, linear=dp.sigma2, quadratic=dp.drift**2
-        )
-        expected = second - f.mean_x(dp, t) ** 2
+        expected = printed_variance(nu, eta, t, dp.drift, dp.sigma2)
         assert f.variance_x(dp, t) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.5, 2.0])

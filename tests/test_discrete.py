@@ -41,14 +41,6 @@ class TestParams:
         with pytest.raises(ValueError):
             d.DiscreteParams(**kwargs)
 
-    @given(lam=rates, mu=rates)
-    def test_derived_quantities(self, lam, mu):
-        p = d.DiscreteParams(lam, mu, 0.5, 1.0)
-        assert p.alpha == pytest.approx(2.0 * math.sqrt(lam * mu), rel=1e-14)
-        assert p.alpha <= lam + mu + 1e-12
-        assert p.beta > 0.0
-        assert p.damping == pytest.approx(lam + mu - p.alpha, rel=1e-7, abs=1e-10)
-
 
 class TestFailureProbability:
     def test_starts_at_zero(self):
@@ -88,9 +80,13 @@ class TestSkellam:
 
     @pytest.mark.parametrize("n,t", [(1, 0.5), (-2, 1.7), (4, 3.0)])
     def test_oracle_at_asymmetric_rates(self, n, t):
-        p = d.DiscreteParams(3.0, 1.5, 0.0, 1.0)
+        lam, mu = 3.0, 1.5
+        p = d.DiscreteParams(lam, mu, 0.0, 1.0)
+        # (lam/mu)^{n/2} e^{-(sqrt(lam) - sqrt(mu))^2 t} e^{-x} I_n(x), x = 2 sqrt(lam mu) t
         expected = (
-            p.beta**n * math.exp(-p.damping * t) * bessel_series_scaled(n, p.alpha * t)
+            math.sqrt(lam / mu) ** n
+            * math.exp(-((math.sqrt(lam) - math.sqrt(mu)) ** 2) * t)
+            * bessel_series_scaled(n, 2.0 * math.sqrt(lam * mu) * t)
         )
         assert d.skellam_probability(p, n, t) == pytest.approx(expected, rel=1e-12)
 

@@ -79,7 +79,7 @@ class TestSkellamAgainstScipy:
         value = d.skellam_probability(p, n, t)
         assert reference >= 1e-300
         assert value > 0.0
-        log_kernel = bessel_reference_scaled(n, p.alpha * t, dps=20, log=True)
+        log_kernel = bessel_reference_scaled(n, 2.0 * math.sqrt(lam * mu) * t, dps=20, log=True)
         assert value == pytest.approx(reference, rel=_rtol(log_kernel))
 
     def test_tiny_argument_far_order_is_not_zero(self):

@@ -243,6 +243,20 @@ class TestPathTraceView:
                 assert a is not b and a == b and hash(a) == hash(b)
             assert len(set(first) | set(second)) == len(set(first))
 
+    def test_a_set_keeps_every_path_of_a_large_batch(self):
+        # many lattice paths share their observations; their hashes must
+        # still differ, or a set compares each path with all that share it
+        # (an event-free path, which would equal another, has chance
+        # e^{-20.5} here)
+        cfg = _config(reps=4000, horizon=5.0, times=(1.0, 5.0))
+        first = list(sim.simulate_discrete(SYMMETRIC, cfg))
+        second = list(sim.simulate_discrete(SYMMETRIC, cfg))
+        assert all(hash(a) == hash(b) for a, b in zip(first, second))
+        assert len({trace.observations for trace in first}) < len(first) // 10
+        assert len({hash(trace) for trace in first}) == len(first)
+        assert len(set(first)) == len(first)
+        assert set(first) == set(second)
+
     def test_different_replications_are_unequal(self):
         cfg = _config(reps=40, horizon=2.0, times=(0.5, 2.0))
         for traces in (list(sim.simulate_discrete(SYMMETRIC, cfg)),
