@@ -10,7 +10,7 @@ from .discrete import (
     NoSteadyStateError,
 )
 from .diffusion import DensitySlice, DiffusionParams, PointMass, DIRAC_AT_ORIGIN
-from .scaling import ComparisonRow, ScalingMap, scale_params
+from .scaling import ComparisonRow, scale_params
 from .simulate import EmpiricalEstimate, PathTrace, SimConfig
 from .special import QuadratureError
 
@@ -23,7 +23,6 @@ __all__ = [
     "DensitySlice",
     "PointMass",
     "DIRAC_AT_ORIGIN",
-    "ScalingMap",
     "ComparisonRow",
     "scale_params",
     "SimConfig",

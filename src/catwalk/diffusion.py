@@ -18,7 +18,11 @@ import numpy as np
 from .failure_cycle import (
     NoSteadyStateError,
     asymptotic_moments as _cycle_asymptotic_moments,
+    check_level,
+    check_rates,
+    check_stationary,
     check_time,
+    check_transform_variable,
     failure_mass as _cycle_failure_mass,
     transform_amplitude,
     truncated_moments,
@@ -33,6 +37,7 @@ __all__ = [
     "DensitySlice",
     "PointMass",
     "DIRAC_AT_ORIGIN",
+    "NoSteadyStateError",
     "failure_probability",
     "wiener_density",
     "transient_density",
@@ -66,18 +71,8 @@ class DiffusionParams:
     eta: float
 
     def __post_init__(self) -> None:
-        for name in ("lam_hat", "mu_hat", "sigma2", "nu", "eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.lam_hat <= 0.0 or self.mu_hat <= 0.0:
-            raise ValueError("drift components lam_hat and mu_hat must be positive")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.nu < 0.0:
-            raise ValueError("nu must be nonnegative")
+        check_rates(self.nu, lam_hat=self.lam_hat, mu_hat=self.mu_hat, sigma2=self.sigma2,
+                    eta=self.eta)
 
     @property
     def drift(self) -> float:
@@ -110,6 +105,8 @@ def wiener_density(dp: DiffusionParams, x: float, t: float, x0: float = 0.0) -> 
     """Failure-free transition density: Gaussian with mean x0 + drift*t and
     variance sigma2*t."""
     check_time(t, positive=True)
+    check_level(x)
+    check_level(x0)
     return float(_gaussian(dp, x - x0 - dp.drift * t, t))
 
 
@@ -249,7 +246,7 @@ def _density(dp: DiffusionParams, x: np.ndarray, t: float, lags=None) -> np.ndar
     # _restart_lags or computing them
     finite = np.isfinite(x)
     if not finite.all():
-        raise ValueError(f"x must be finite, got {float(x[~finite][0])!r}")
+        check_level(float(x[~finite][0]))
     base = _gaussian(dp, x - dp.drift * t, t) * math.exp(-dp.nu * t)
     if dp.nu == 0.0:
         return base
@@ -377,8 +374,7 @@ def _decay_root(dp: DiffusionParams, rate: float) -> float:
 def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
     """Roots w1 > 0 > w2 of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0, the decay
     exponents of the transform density on each side of the origin."""
-    if z <= 0.0:
-        raise ValueError(f"transform variable must be positive, got {z}")
+    check_transform_variable(z)
     root = _decay_root(dp, z + dp.nu)
     return (dp.drift + root) / dp.sigma2, (dp.drift - root) / dp.sigma2
 
@@ -394,17 +390,15 @@ def _scaled_transform(dp: DiffusionParams, x: float, z: float) -> float:
 
 def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
     """Laplace transform in time of the transient density, in closed form."""
-    if z <= 0.0:
-        raise ValueError(f"transform variable must be positive, got {z}")
+    check_transform_variable(z)
+    check_level(x)
     return _scaled_transform(dp, x, z) / z
 
 
 def steady_density(dp: DiffusionParams, x: float) -> float:
     """Long-run density: bilateral asymmetric exponential around the origin."""
-    if dp.nu <= 0.0:
-        raise NoSteadyStateError(
-            "the diffusion has no stationary law without catastrophes (nu > 0 required)"
-        )
+    check_stationary(dp.nu)
+    check_level(x)
     return _scaled_transform(dp, x, 0.0)
 
 

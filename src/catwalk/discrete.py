@@ -39,7 +39,11 @@ import numpy as np
 from .failure_cycle import (
     NoSteadyStateError,
     asymptotic_moments,
+    check_rates,
+    check_state,
+    check_stationary,
     check_time,
+    check_transform_variable,
     failure_mass,
     steady_failure_mass,
     transform_amplitude,
@@ -90,14 +94,7 @@ class DiscreteParams:
     eta: float
 
     def __post_init__(self) -> None:
-        for name in ("lam", "mu", "nu", "eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"rate {name} must be finite, got {value!r}")
-        if self.lam <= 0.0 or self.mu <= 0.0 or self.eta <= 0.0:
-            raise ValueError("lam, mu and eta must be strictly positive")
-        if self.nu < 0.0:
-            raise ValueError("nu must be nonnegative")
+        check_rates(self.nu, lam=self.lam, mu=self.mu, eta=self.eta)
 
     def swapped(self) -> "DiscreteParams":
         """Mirror walk with left/right rates exchanged."""
@@ -258,6 +255,7 @@ def transient_probability(p: DiscreteParams, n: int, t: float) -> float:
     radius at the state's saddle point.  A one-state window of
     :func:`transient_distribution`.
     """
+    n = check_state(n)
     return float(_transient_window(p, t, n, n)[0])
 
 
@@ -355,7 +353,7 @@ def transient_distribution(
     """
     if window is None:
         window = default_window(p, t)
-    n_min, n_max = window
+    n_min, n_max = window = tuple(map(check_state, window))
     if n_min > n_max:
         raise ValueError(f"window must be nonempty, got {window}")
     values = _transient_window(p, t, n_min, n_max)
@@ -385,10 +383,7 @@ def steady_failure(p: DiscreteParams) -> float:
 
 def steady_state(p: DiscreteParams, n: int) -> float:
     """Long-run probability of state n; geometric on each side of the origin."""
-    if p.nu <= 0.0:
-        raise NoSteadyStateError(
-            "the walk has no stationary law without catastrophes (nu > 0 required)"
-        )
+    check_stationary(p.nu)
     return _scaled_transform(p, n, 0.0)
 
 
@@ -447,6 +442,7 @@ def _scaled_transform(p: DiscreteParams, n: int, z: float) -> float:
     # origin and falls geometrically on each side, by the small quadratic
     # root 2 lam/(total + root) for n > 0 and 2 mu/(total + root) for n < 0
     # (rationalized).  At z = 0 it is the stationary law.
+    n = check_state(n)
     root = _transform_root(p, z)
     origin = transform_amplitude(p.nu, p.eta, z) / root
     if n == 0:
@@ -471,6 +467,5 @@ def laplace_transforms(p: DiscreteParams, z: float) -> tuple[float, LaplaceRoots
 def laplace_pn(p: DiscreteParams, n: int, z: float) -> float:
     """Laplace transform of P_n: the origin transform times psi2^n for n >= 1
     and psi1^n for n <= -1."""
-    if z <= 0.0:
-        raise ValueError(f"transform variable must be positive, got {z}")
+    check_transform_variable(z)
     return _scaled_transform(p, n, z) / z

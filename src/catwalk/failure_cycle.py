@@ -23,8 +23,10 @@ motion at the origin.
   z + nu times ``transform_amplitude``.  At z = 0 that product is the
   stationary law (the final-value theorem).
 
-Every public function of either model that takes a time checks it with
-``check_time``.
+The argument rules of both models' public laws live here too, one per kind
+of argument: ``check_rates``, ``check_time``, ``check_state`` (a lattice
+state), ``check_level`` (a diffusion level), ``check_transform_variable`` (z)
+and ``check_stationary`` (nu > 0, for the laws that need catastrophes).
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ import math
 
 __all__ = [
     "NoSteadyStateError",
+    "check_rates",
     "check_time",
+    "check_state",
+    "check_level",
+    "check_transform_variable",
+    "check_stationary",
     "failure_mass",
     "steady_failure_mass",
     "truncated_moments",
@@ -54,6 +61,42 @@ def check_time(t: float, positive: bool = False) -> None:
         raise ValueError(f"time must be finite and {kind}, got {t}")
 
 
+def check_rates(nu: float, **rates: float) -> None:
+    """Raise ``ValueError`` unless the catastrophe rate nu is finite and
+    nonnegative and every other rate is finite and positive."""
+    for name, value in rates.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise ValueError(f"nu must be finite and nonnegative, got {nu!r}")
+
+
+def check_state(n: float) -> int:
+    """The lattice state n as an ``int``; ``ValueError`` unless n is integral."""
+    if not float(n).is_integer():
+        raise ValueError(f"expected an integer state, got {n!r}")
+    return int(n)
+
+
+def check_level(x: float) -> None:
+    """Raise ``ValueError`` unless the diffusion level x is finite."""
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+
+
+def check_transform_variable(z: float) -> None:
+    """Raise ``ValueError`` unless the Laplace variable z is finite and positive."""
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError(f"transform variable must be finite and positive, got {z}")
+
+
+def check_stationary(nu: float) -> None:
+    """Raise ``NoSteadyStateError`` unless nu > 0: without catastrophes
+    neither model has a stationary law."""
+    if not nu > 0.0:
+        raise NoSteadyStateError("no stationary law without catastrophes (nu > 0 required)")
+
+
 def failure_mass(nu: float, eta: float, t: float) -> float:
     """Probability of being under repair at time t, starting operational."""
     check_time(t)
@@ -64,59 +107,30 @@ def failure_mass(nu: float, eta: float, t: float) -> float:
 
 
 def steady_failure_mass(nu: float, eta: float) -> float:
-    if nu <= 0.0:
-        raise NoSteadyStateError("stationary failure mass requires a positive catastrophe rate")
+    check_stationary(nu)
     return nu / (eta + nu)
 
 
-def _int_exp_s(a: float, t: float) -> float:
-    # integral of e^{a s} s over [0, t]; series branch avoids the 0/0 at a ~ 0
+def _age_integral(k: int, a: float, t: float, damp: float = 0.0) -> float:
+    # e^{-damp t} * integral of e^{a s} s^k over [0, t] for k = 1, 2, with
+    # damp >= a so the growing exponential never materializes
     at = a * t
     if abs(at) < 0.25:
-        # sum_k a^k t^{k+2} / (k! (k+2))
-        total, coeff = 0.0, t * t
-        for k in range(0, 26):
-            term = coeff / (k + 2)
+        # sum_j a^j t^{j+k+1} / (j! (j+k+1)): the series avoids the 0/0 at a ~ 0
+        total, coeff = 0.0, t * t if k == 1 else t * t * t
+        for j in range(0, 26):
+            term = coeff / (j + k + 1)
             total += term
             if abs(term) <= 1e-18 * abs(total):
                 break
-            coeff *= a * t / (k + 1)
-        return total
-    return (math.exp(at) * (at - 1.0) + 1.0) / (a * a)
-
-
-def _int_exp_s2(a: float, t: float) -> float:
-    # integral of e^{a s} s^2 over [0, t]
-    at = a * t
-    if abs(at) < 0.25:
-        total, coeff = 0.0, t * t * t
-        for k in range(0, 26):
-            term = coeff / (k + 3)
-            total += term
-            if abs(term) <= 1e-18 * abs(total):
-                break
-            coeff *= a * t / (k + 1)
-        return total
-    return (math.exp(at) * (at * at - 2.0 * at + 2.0) - 2.0) / (a * a * a)
-
-
-def _int_exp_s_damped(a: float, damp: float, t: float) -> float:
-    # e^{-damp t} * integral of e^{a s} s over [0, t], for damp >= a so the
-    # growing exponential never materializes
-    at = a * t
-    if abs(at) < 0.25:
-        return math.exp(-damp * t) * _int_exp_s(a, t)
-    return (math.exp((a - damp) * t) * (at - 1.0) + math.exp(-damp * t)) / (a * a)
-
-
-def _int_exp_s2_damped(a: float, damp: float, t: float) -> float:
-    # e^{-damp t} * integral of e^{a s} s^2 over [0, t]
-    at = a * t
-    if abs(at) < 0.25:
-        return math.exp(-damp * t) * _int_exp_s2(a, t)
-    return (
-        math.exp((a - damp) * t) * (at * at - 2.0 * at + 2.0) - 2.0 * math.exp(-damp * t)
-    ) / (a * a * a)
+            coeff *= a * t / (j + 1)
+        return math.exp(-damp * t) * total
+    # (e^{at} P_k(at) + C_k) / a^{k+1}
+    if k == 1:
+        poly, const, power = at - 1.0, 1.0, a * a
+    else:
+        poly, const, power = at * at - 2.0 * at + 2.0, -2.0, a * a * a
+    return (math.exp((a - damp) * t) * poly + const * math.exp(-damp * t)) / power
 
 
 def _restarted_age_moments(nu: float, eta: float, t: float) -> tuple[float, float]:
@@ -125,8 +139,8 @@ def _restarted_age_moments(nu: float, eta: float, t: float) -> tuple[float, floa
     # against a and a^2, with w = eta nu / r and r = eta + nu
     rate = eta + nu
     weight = eta * nu / rate
-    first = _int_exp_s(-nu, t) - _int_exp_s_damped(eta, rate, t)
-    second = _int_exp_s2(-nu, t) - _int_exp_s2_damped(eta, rate, t)
+    first = _age_integral(1, -nu, t) - _age_integral(1, eta, t, rate)
+    second = _age_integral(2, -nu, t) - _age_integral(2, eta, t, rate)
     return weight * first, weight * second
 
 
@@ -160,8 +174,7 @@ def truncated_moments(
 
 def asymptotic_moments(nu: float, eta: float, drift: float, spread: float) -> tuple[float, float]:
     """Long-run truncated mean and variance: truncated_moments as t -> infinity."""
-    if nu <= 0.0:
-        raise NoSteadyStateError("asymptotic moments require nu > 0")
+    check_stationary(nu)
     m = eta / ((eta + nu) * nu)
     return drift * m, spread * m + drift * drift * eta * (2.0 * nu + eta) / ((eta + nu) * nu) ** 2
 

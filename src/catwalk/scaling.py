@@ -12,6 +12,7 @@ here quantify that agreement (stationary laws, Laplace transforms, moments).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,7 +21,6 @@ from .discrete import DiscreteParams, laplace_pn, steady_state
 from .diffusion import DiffusionParams
 
 __all__ = [
-    "ScalingMap",
     "ComparisonRow",
     "scale_params",
     "steady_comparison",
@@ -31,8 +31,8 @@ __all__ = [
 
 def scale_params(dp: DiffusionParams, epsilon: float) -> DiscreteParams:
     """Lattice rates induced by spacing epsilon."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     shared = dp.sigma2 / (2.0 * epsilon * epsilon)
     return DiscreteParams(
         lam=dp.lam_hat / epsilon + shared,
@@ -40,22 +40,6 @@ def scale_params(dp: DiffusionParams, epsilon: float) -> DiscreteParams:
         nu=dp.nu,
         eta=dp.eta,
     )
-
-
-@dataclass(frozen=True)
-class ScalingMap:
-    """A diffusion together with one lattice spacing."""
-
-    epsilon: float
-    source: DiffusionParams
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-    @property
-    def discrete(self) -> DiscreteParams:
-        return scale_params(self.source, self.epsilon)
 
 
 @dataclass(frozen=True)

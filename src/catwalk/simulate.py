@@ -35,6 +35,7 @@ import numpy as np
 
 from .discrete import DiscreteParams
 from .diffusion import DiffusionParams
+from .failure_cycle import check_state
 
 __all__ = [
     "FAILED",
@@ -394,10 +395,6 @@ def _simulate(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig) ->
     return chain.from_iterable(_paths(params, cfg, replications, chunk) for replications in blocks)
 
 
-def _discrete_path(p: DiscreteParams, cfg: SimConfig, replication: int) -> PathTrace:
-    return _paths(p, cfg, np.array([replication], dtype=np.uint64))[0]
-
-
 def simulate_discrete(p: DiscreteParams, cfg: SimConfig) -> Iterator[PathTrace]:
     """Exact CTMC paths of the discrete model, one per replication."""
     return _simulate(p, cfg)
@@ -427,9 +424,7 @@ def _statistic(statistic: str, arg: Optional[float]) -> Optional[float]:
     if statistic in ("state-probability", "cdf") and arg is None:
         raise ValueError(f"statistic {statistic!r} requires an argument")
     if statistic == "state-probability":
-        if not float(arg).is_integer():
-            raise ValueError(f"state-probability takes an integer state, got {arg!r}")
-        return int(arg)
+        return check_state(arg)
     if statistic == "cdf" and math.isnan(arg):
         raise ValueError("the cdf threshold must be a number, got nan")
     return arg

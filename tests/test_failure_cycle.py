@@ -1,13 +1,17 @@
 """The failure-cycle core that both models share: their truncated moments
 against an mpmath integral of the age law (``oracles.truncated_moments_by_mpmath``),
-and one time check for every public law that takes a time."""
+the age integral against its closed forms, and one check per kind of argument
+for every public law that takes one."""
 
 import math
 
+import mpmath
 import pytest
 
 from catwalk import diffusion as f
 from catwalk import discrete as d
+from catwalk import failure_cycle as fc
+from catwalk import scaling as s
 from oracles import truncated_moments_by_mpmath
 
 NUS = (0.0, 1e-6, 1e-3, 0.1, 100.0)
@@ -73,6 +77,38 @@ class TestTruncatedMoments:
         assert (d.mean_transient(p, t), d.variance_transient(p, t)) == (1.75 * t, 4.25 * t)
 
 
+def _closed_age_integral(k: int, a: float, t: float, damp: float) -> float:
+    # e^{-damp t} (e^{at}(at - 1) + 1) / a^2 for k = 1 and
+    # e^{-damp t} (e^{at}(a^2 t^2 - 2at + 2) - 2) / a^3 for k = 2, at 120
+    # digits, which leave more than a double's worth after the cancellation
+    # of |at| down to 1e-14
+    with mpmath.workdps(120):
+        a, t, damp = mpmath.mpf(a), mpmath.mpf(t), mpmath.mpf(damp)
+        at = a * t
+        if k == 1:
+            value = (mpmath.exp(at) * (at - 1) + 1) / a**2
+        else:
+            value = (mpmath.exp(at) * (at * at - 2 * at + 2) - 2) / a**3
+        return float(mpmath.exp(-damp * t) * value)
+
+
+class TestAgeIntegral:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_against_the_closed_forms(self, k):
+        # the two calls truncated_moments makes, a = -nu undamped and a = eta
+        # damped by eta + nu, on both sides of the series' |at| < 0.25
+        misses = []
+        for nu in (1e-8, 1e-3, 0.1, 10.0, 1e3):
+            for eta in (1e-3, 1.0, 1e4):
+                for t in (1e-6, 1e-2, 1.0, 1e3):
+                    for a, damp in ((-nu, 0.0), (eta, eta + nu)):
+                        got = fc._age_integral(k, a, t, damp)
+                        want = _closed_age_integral(k, a, t, damp)
+                        if got != pytest.approx(want, rel=1e-12, abs=1e-300):
+                            misses.append((a, t, damp, got, want))
+        assert misses == []
+
+
 LATTICE = d.DiscreteParams(2.0, 1.0, 1.0, 1.0)
 DIFFUSION = f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 1.0)
 
@@ -114,3 +150,63 @@ class TestTimeCheck:
                 law(0.0)
         else:
             law(0.0)
+
+
+#: every public law that takes a lattice state
+STATED = {
+    "discrete.steady_state": lambda n: d.steady_state(LATTICE, n),
+    "discrete.laplace_pn": lambda n: d.laplace_pn(LATTICE, n, 1.0),
+    "discrete.skellam_probability": lambda n: d.skellam_probability(LATTICE, n, 1.0),
+    "discrete.transient_probability": lambda n: d.transient_probability(LATTICE, n, 1.0),
+    "discrete.first_passage_density": lambda n: d.first_passage_density(LATTICE, n, 1.0),
+    "discrete.transient_distribution": lambda n: d.transient_distribution(LATTICE, 1.0, (n, 2)),
+}
+
+#: every public law of the diffusion that takes a level
+LEVELLED = {
+    "diffusion.wiener_density": lambda x: f.wiener_density(DIFFUSION, x, 1.0),
+    "diffusion.fpt_density_wiener": lambda x: f.fpt_density_wiener(DIFFUSION, x, 1.0),
+    "diffusion.transient_density": lambda x: f.transient_density(DIFFUSION, x, 1.0),
+    "diffusion.steady_density": lambda x: f.steady_density(DIFFUSION, x),
+    "diffusion.laplace_density": lambda x: f.laplace_density(DIFFUSION, x, 1.0),
+}
+
+#: every public transform in the Laplace variable z
+TRANSFORMS = {
+    "discrete.laplace_pn": lambda z: d.laplace_pn(LATTICE, 1, z),
+    "discrete.laplace_transforms": lambda z: d.laplace_transforms(LATTICE, z),
+    "diffusion.laplace_density": lambda z: f.laplace_density(DIFFUSION, 0.5, z),
+    "diffusion.laplace_roots": lambda z: f.laplace_roots(DIFFUSION, z),
+    "scaling.laplace_convergence": lambda z: s.laplace_convergence(DIFFUSION, z, 0.5, [0.1]),
+}
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("n", [1.5, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(STATED))
+    def test_rejects_a_state_that_is_not_an_integer(self, name, n):
+        with pytest.raises(ValueError, match="integer state"):
+            STATED[name](n)
+
+    @pytest.mark.parametrize("name", sorted(STATED))
+    def test_an_integral_float_is_its_integer_state(self, name):
+        assert STATED[name](-1.0) == STATED[name](-1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(LEVELLED))
+    def test_rejects_a_level_that_is_not_finite(self, name, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            LEVELLED[name](x)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_rejects_a_transform_variable_that_is_not_finite_and_positive(self, name, z):
+        with pytest.raises(ValueError, match="transform variable must be finite and positive"):
+            TRANSFORMS[name](z)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("params", [LATTICE, DIFFUSION], ids=["discrete", "diffusion"])
+    def test_both_models_check_every_rate_alike(self, params, value):
+        for name in vars(params):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                type(params)(**{**vars(params), name: value})

@@ -32,12 +32,6 @@ class TestScaleParams:
         assert p.lam > 0.0 and p.mu > 0.0
         assert (p.lam - p.mu) * eps == pytest.approx(TABLE.drift, rel=1e-9)
 
-    def test_scaling_map_wrapper(self):
-        held = s.ScalingMap(epsilon=0.05, source=TABLE)
-        assert held.discrete == s.scale_params(TABLE, 0.05)
-        with pytest.raises(ValueError):
-            s.ScalingMap(epsilon=-1.0, source=TABLE)
-
 
 class TestSteadyComparison:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ HEAVY = d.DiscreteParams(460.0, 470.0, 1.0, 0.25)
 
 def _config(seed=1234, reps=20_000, horizon=1.0, times=(1.0,)):
     return sim.SimConfig(seed=seed, replications=reps, horizon=horizon, observation_times=times)
+
+
+def _one_path(params, cfg, replication):
+    """Replication ``replication`` of the plan, drawn on its own."""
+    return sim._paths(params, cfg, np.array([replication], dtype=np.uint64))[0]
 
 
 def _reference_estimate(traces, t, statistic, arg=None):
@@ -224,8 +230,28 @@ class TestDeterminism:
         cfg = _config(reps=10)
         batch = list(sim.simulate_discrete(SYMMETRIC, cfg))
         # drawing replication 7 on its own gives the same path as in the batch
-        alone = sim._discrete_path(SYMMETRIC, cfg, 7)
+        alone = _one_path(SYMMETRIC, cfg, 7)
         assert alone == batch[7]
+
+    def test_short_budgets_are_doubled_without_changing_the_paths(self, monkeypatch):
+        # with the sqrt that sizes the budgets patched to 0, the skeleton's
+        # cycles and the moves' draws start at their bare means, which some of
+        # 200 paths exceed, so both loops draw again at twice the size
+        cfg = _config(reps=200, horizon=5.0, times=(2.5, 5.0))
+        rows = np.arange(200, dtype=np.uint64)
+        plain = sim._paths(SYMMETRIC, cfg, rows)
+        sizes = {sim._SKELETON: [], sim._MOVES: []}
+        uniforms = sim._uniforms
+
+        def counted(seed, replications, stream, draws):
+            sizes[stream].append(draws)
+            return uniforms(seed, replications, stream, draws)
+
+        monkeypatch.setattr(sim, "_uniforms", counted)
+        unbudgeted = types.SimpleNamespace(**{**vars(math), "sqrt": lambda x: 0.0})
+        monkeypatch.setattr(sim, "math", unbudgeted)
+        assert sim._paths(SYMMETRIC, cfg, rows) == plain
+        assert sizes == {sim._SKELETON: [2, 4], sim._MOVES: [24, 48]}
 
     def test_diffusion_runs_are_bit_identical(self):
         cfg = _config(reps=50)
@@ -272,7 +298,7 @@ class TestPathTraceView:
             assert trace.events == events and trace.observations == observations
 
     def test_views_are_read_only(self):
-        trace = sim._discrete_path(SYMMETRIC, _config(reps=10), 3)
+        trace = _one_path(SYMMETRIC, _config(reps=10), 3)
         for name in ("events", "observations", "replication"):
             with pytest.raises(AttributeError):
                 setattr(trace, name, ())
@@ -282,7 +308,7 @@ class TestPathTraceView:
     def test_one_path_diffusion_call_equals_the_batch_path(self):
         cfg = _config(reps=12, horizon=3.0, times=(0.5, 1.5, 3.0))
         batch = list(sim.simulate_diffusion(FIG4, cfg))
-        alone = sim._paths(FIG4, cfg, np.array([9], dtype=np.uint64))[0]
+        alone = _one_path(FIG4, cfg, 9)
         assert alone == batch[9] and hash(alone) == hash(batch[9])
         assert alone.events == batch[9].events and alone.observations == batch[9].observations
         assert alone.replication == 9
@@ -532,7 +558,7 @@ class TestExport:
         records = _exported_records(traces[::3], tmp_path, cfg)
         assert records == _reference_export(traces[::3])
         assert {int(line.split("\t")[0]) for line in records} == set(range(0, 30, 3))
-        alone = sim._discrete_path(SYMMETRIC, cfg, 7)
+        alone = _one_path(SYMMETRIC, cfg, 7)
         records = _exported_records([alone], tmp_path, cfg)
         assert records == _reference_export([traces[7]])
         assert {line.split("\t")[0] for line in records} == {"7"}

@@ -16,6 +16,11 @@ from oracles import bessel_reference_scaled, bessel_series_scaled, midpoint_inte
 # frozen from the power-series oracle (bessel_series_scaled)
 E2_I1_2 = 0.21526928924893765916
 
+# bessel_reference_scaled(n, x) at its 40 digits, computed once because
+# mpmath takes about 12 s for it: e^{-x} I_n(x) is e^{-24521.46...} there
+# (its log=True value), below the double range, so the reference is 0.0
+PINNED_REFERENCES = {(100_000, 2e5): 0.0}
+
 
 class TestBesselScaled:
     def test_order_zero_at_origin(self):
@@ -66,7 +71,9 @@ class TestBesselScaled:
         value = bessel_i_scaled(n, x)
         assert math.isfinite(value)
         assert 0.0 <= value <= 1.0
-        reference = bessel_reference_scaled(n, x)
+        reference = PINNED_REFERENCES.get((n, x))
+        if reference is None:
+            reference = bessel_reference_scaled(n, x)
         if reference > 1e-280:
             assert value == pytest.approx(reference, rel=1e-12)
 
