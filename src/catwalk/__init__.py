@@ -3,15 +3,12 @@ jump-diffusion limit: exact transient and stationary laws, Laplace
 transforms, moments, Monte Carlo oracles, and lattice-to-diffusion
 convergence checks."""
 
-from .discrete import (
-    DiscreteParams,
-    DistributionSlice,
-    LaplaceRoots,
-    NoSteadyStateError,
-)
-from .diffusion import DensitySlice, DiffusionParams, PointMass, DIRAC_AT_ORIGIN
+from importlib import import_module
+
+from .discrete_closed import DiscreteParams, LaplaceRoots
+from .diffusion_closed import DIRAC_AT_ORIGIN, DiffusionParams, PointMass
+from .failure_cycle import NoSteadyStateError
 from .scaling import ComparisonRow, scale_params
-from .simulate import EmpiricalEstimate, PathTrace, SimConfig
 from .special import QuadratureError
 
 __all__ = [
@@ -32,3 +29,19 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: names whose modules load NumPy, imported on first access (PEP 562) so
+#: that ``import catwalk`` does not
+_LAZY = {
+    "DistributionSlice": "discrete",
+    "DensitySlice": "diffusion",
+    "SimConfig": "simulate",
+    "PathTrace": "simulate",
+    "EmpiricalEstimate": "simulate",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

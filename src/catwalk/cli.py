@@ -18,10 +18,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import diffusion, discrete, scaling
-from . import simulate as sim
+from . import diffusion_closed, discrete_closed, scaling
 from .failure_cycle import steady_failure_mass
 from .special import QuadratureError
 
@@ -30,6 +27,8 @@ __all__ = ["main", "entrypoint", "read_table", "rebuild_argv"]
 TABLE1_EPSILONS = (0.1, 0.05, 0.01)
 TABLE1_RANGE = range(-6, 7)
 DEFAULT_STATS = ("failure-probability", "truncated-mean", "truncated-variance")
+#: most points a start:stop:step grid may have
+MAX_GRID_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +37,34 @@ DEFAULT_STATS = ("failure-probability", "truncated-mean", "truncated-variance")
 
 def _parse_grid(spec: str) -> tuple[float, ...]:
     """Accept 'a,b,c' lists (one value alone is a one-point list) or
-    'start:stop:step' ranges."""
+    'start:stop:step' ranges, whose points are np.arange(start,
+    stop + 1e-9 step, step) bit for bit: point i >= 2 is start + i d with
+    d = (start + step) - start."""
     text = spec.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0.0:
-            raise ValueError("grid step must be positive")
-        values = np.arange(start, stop + step * 1e-9, step)
-        return tuple(float(v) for v in values)
-    return tuple(float(v) for v in text.split(","))
+    if ":" not in text:
+        return tuple(float(v) for v in text.split(","))
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"grid range must be start:stop:step, got {text!r}")
+    start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid range must be finite, got {text!r}")
+    if step <= 0.0:
+        raise ValueError("grid step must be positive")
+    count = (stop + step * 1e-9 - start) / step
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
+    count = math.ceil(max(count, 0.0))
+    d = (start + step) - start
+    return (start, start + step, *(start + i * d for i in range(2, count)))[:count]
+
+
+def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """np.linspace(lo, hi, n) for n >= 2, bit for bit unless the step
+    (hi - lo) / (n - 1) underflows to 0: point i is i step + lo, and the
+    last point is hi."""
+    step = (hi - lo) / (n - 1)
+    return (*(i * step + lo for i in range(n - 1)), hi)
 
 
 def _parse_time(text: str) -> tuple[float]:
@@ -58,6 +73,8 @@ def _parse_time(text: str) -> tuple[float]:
 
 
 def _parse_stat(text: str) -> tuple[str, Optional[float]]:
+    from . import simulate as sim
+
     name, _, arg = text.partition(":")
     name = name.strip()
     return name, sim._statistic(name, float(arg) if arg else None)
@@ -211,14 +228,16 @@ def _require(options: dict, *names: str) -> None:
         raise ValueError(f"missing required options: {', '.join(flags)}")
 
 
-def _discrete_params(options: dict) -> discrete.DiscreteParams:
+def _discrete_params(options: dict) -> discrete_closed.DiscreteParams:
     _require(options, "lam", "mu", "nu", "eta")
-    return discrete.DiscreteParams(options["lam"], options["mu"], options["nu"], options["eta"])
+    return discrete_closed.DiscreteParams(
+        options["lam"], options["mu"], options["nu"], options["eta"]
+    )
 
 
-def _diffusion_params(options: dict) -> diffusion.DiffusionParams:
+def _diffusion_params(options: dict) -> diffusion_closed.DiffusionParams:
     _require(options, "lam_hat", "mu_hat", "sigma2", "nu", "eta")
-    return diffusion.DiffusionParams(
+    return diffusion_closed.DiffusionParams(
         options["lam_hat"], options["mu_hat"], options["sigma2"], options["nu"], options["eta"]
     )
 
@@ -346,6 +365,10 @@ def _provenance(options: dict, **resolved) -> dict:
 
 
 def cmd_transient(options: dict) -> int:
+    import numpy as np
+
+    from . import diffusion, discrete
+
     _require(options, "t_grid")
     t_grid = options["t_grid"]
     if options["model"] == "discrete":
@@ -368,7 +391,7 @@ def cmd_transient(options: dict) -> int:
         sd = math.sqrt(dp.sigma2 * t_ref)
         lo = min(0.0, dp.drift * t_ref) - 8.0 * sd
         hi = max(0.0, dp.drift * t_ref) + 8.0 * sd
-        xs = tuple(float(v) for v in np.linspace(lo, hi, 161))
+        xs = _linspace(lo, hi, 161)
     grid = np.array(xs)
     rows = []
     for t in t_grid:
@@ -381,18 +404,18 @@ def cmd_transient(options: dict) -> int:
 def cmd_steady(options: dict) -> int:
     if options["model"] == "discrete":
         p = _discrete_params(options)
-        q = discrete.steady_failure(p)
+        q = discrete_closed.steady_failure(p)
         states = range(options["n_min"], options["n_max"] + 1)
-        rows = [[n, discrete.steady_state(p, n), q] for n in states]
+        rows = [[n, discrete_closed.steady_state(p, n), q] for n in states]
         write_table(["n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
     q = steady_failure_mass(dp.nu, dp.eta)
     xs = options["x_grid"]
     if xs is None:
-        length = dp.sigma2 / (diffusion._decay_root(dp, dp.nu) - abs(dp.drift))
-        xs = tuple(float(v) for v in np.linspace(-12.0 * length, 12.0 * length, 161))
-    rows = [[x, diffusion.steady_density(dp, x), q] for x in xs]
+        length = dp.sigma2 / (diffusion_closed._decay_root(dp, dp.nu) - abs(dp.drift))
+        xs = _linspace(-12.0 * length, 12.0 * length, 161)
+    rows = [[x, diffusion_closed.steady_density(dp, x), q] for x in xs]
     write_table(["x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)
     return 0
 
@@ -402,15 +425,19 @@ def cmd_moments(options: dict) -> int:
     t_grid = options["t_grid"]
     if options["model"] == "discrete":
         p = _discrete_params(options)
-        rows = [[t, discrete.mean_transient(p, t), discrete.variance_transient(p, t)] for t in t_grid]
+        rows = [[t, discrete_closed.mean_transient(p, t), discrete_closed.variance_transient(p, t)]
+                for t in t_grid]
     else:
         dp = _diffusion_params(options)
-        rows = [[t, diffusion.mean_x(dp, t), diffusion.variance_x(dp, t)] for t in t_grid]
+        rows = [[t, diffusion_closed.mean_x(dp, t), diffusion_closed.variance_x(dp, t)]
+                for t in t_grid]
     write_table(["t", "mean", "variance"], rows, _provenance(options), options)
     return 0
 
 
 def cmd_simulate(options: dict) -> int:
+    from . import simulate as sim
+
     _require(options, "seed", "reps", "t_grid")
     t_grid = tuple(sorted(options["t_grid"]))
     cfg = sim.SimConfig(

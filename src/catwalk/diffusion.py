@@ -5,6 +5,10 @@ infinitesimal variance sigma2 until a catastrophe (rate nu) sends it to the
 failure state F; after an Exp(eta) repair it restarts from 0.  Its law has a
 density on the reals plus an atom at F whose mass is the same failure mass as
 in the discrete model.
+
+The parameters and the closed-form laws (failure mass, stationary density,
+moments, transforms) live in :mod:`catwalk.diffusion_closed`, which needs no
+NumPy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,18 +19,19 @@ from typing import Union
 
 import numpy as np
 
-from .failure_cycle import (
-    NoSteadyStateError,
-    asymptotic_moments as _cycle_asymptotic_moments,
-    check_level,
-    check_rates,
-    check_stationary,
-    check_time,
-    check_transform_variable,
-    failure_mass as _cycle_failure_mass,
-    transform_amplitude,
-    truncated_moments,
+from .diffusion_closed import (
+    DIRAC_AT_ORIGIN,
+    DiffusionParams,
+    PointMass,
+    asymptotic_moments,
+    failure_probability,
+    laplace_density,
+    laplace_roots,
+    mean_x,
+    steady_density,
+    variance_x,
 )
+from .failure_cycle import NoSteadyStateError, check_level, check_time
 
 # Not called here any more, but kept bound under this name: the traced
 # benchmark run (perfbench/spans.py) wraps it in this module by name.
@@ -51,47 +56,6 @@ __all__ = [
     "asymptotic_moments",
     "fpt_density_wiener",
 ]
-
-
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Drift components, variance and failure-cycle rates of the jump-diffusion.
-
-    lam_hat: upward drift component (space per time)
-    mu_hat:  downward drift component
-    sigma2:  infinitesimal variance (space^2 per time)
-    nu:      catastrophe rate
-    eta:     repair rate
-    """
-
-    lam_hat: float
-    mu_hat: float
-    sigma2: float
-    nu: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        check_rates(self.nu, lam_hat=self.lam_hat, mu_hat=self.mu_hat, sigma2=self.sigma2,
-                    eta=self.eta)
-
-    @property
-    def drift(self) -> float:
-        return self.lam_hat - self.mu_hat
-
-
-@dataclass(frozen=True)
-class PointMass:
-    """Degenerate law concentrated at one point (the t = 0 initial condition)."""
-
-    location: float
-
-
-DIRAC_AT_ORIGIN = PointMass(0.0)
-
-
-def failure_probability(dp: DiffusionParams, t: float) -> float:
-    """Probability of being under repair at time t (atom at F)."""
-    return _cycle_failure_mass(dp.nu, dp.eta, t)
 
 
 def _gaussian(dp: DiffusionParams, offset, t: float):
@@ -351,6 +315,10 @@ def density_slice(
     lag integrals at its two ends (``_tail_mass``).
     """
     check_time(t, positive=True)
+    if not n_points >= 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
+    if not (math.isfinite(span_sds) and span_sds > 0.0):
+        raise ValueError(f"span_sds must be finite and positive, got {span_sds!r}")
     sd = math.sqrt(dp.sigma2 * t)
     center = dp.drift * t
     xs = np.linspace(center - span_sds * sd, center + span_sds * sd, n_points)
@@ -363,58 +331,6 @@ def density_slice(
         tail_mass=_tail_mass(dp, xs, t, lags),
         mass_tolerance=1e-4,
     )
-
-
-def _decay_root(dp: DiffusionParams, rate: float) -> float:
-    # r = sqrt(drift^2 + 2 sigma2 rate): at catastrophe rate plus transform
-    # variable ``rate``, densities fall off as exp((drift x - r |x|) / sigma2)
-    return math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * rate)
-
-
-def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
-    """Roots w1 > 0 > w2 of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0, the decay
-    exponents of the transform density on each side of the origin."""
-    check_transform_variable(z)
-    root = _decay_root(dp, z + dp.nu)
-    return (dp.drift + root) / dp.sigma2, (dp.drift - root) / dp.sigma2
-
-
-def _scaled_transform(dp: DiffusionParams, x: float, z: float) -> float:
-    # z times the Laplace transform of the density at x, for z >= 0: the
-    # failure-free resolvent at z + nu times the cycle's amplitude.  At z = 0
-    # it is the stationary density.
-    root = _decay_root(dp, z + dp.nu)
-    amplitude = transform_amplitude(dp.nu, dp.eta, z)
-    return amplitude / root * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
-
-
-def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
-    """Laplace transform in time of the transient density, in closed form."""
-    check_transform_variable(z)
-    check_level(x)
-    return _scaled_transform(dp, x, z) / z
-
-
-def steady_density(dp: DiffusionParams, x: float) -> float:
-    """Long-run density: bilateral asymmetric exponential around the origin."""
-    check_stationary(dp.nu)
-    check_level(x)
-    return _scaled_transform(dp, x, 0.0)
-
-
-def mean_x(dp: DiffusionParams, t: float) -> float:
-    """Truncated mean E[X(t) 1{on}]."""
-    return truncated_moments(dp.nu, dp.eta, t, dp.drift, dp.sigma2)[0]
-
-
-def variance_x(dp: DiffusionParams, t: float) -> float:
-    """Truncated variance Var[X(t) 1{on}], fully closed form."""
-    return truncated_moments(dp.nu, dp.eta, t, dp.drift, dp.sigma2)[1]
-
-
-def asymptotic_moments(dp: DiffusionParams) -> tuple[float, float]:
-    """Long-run truncated mean and variance."""
-    return _cycle_asymptotic_moments(dp.nu, dp.eta, dp.drift, dp.sigma2)
 
 
 def fpt_density_wiener(

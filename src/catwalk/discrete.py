@@ -26,6 +26,10 @@ is sized by a Chernoff bound of the law tilted to that radius: the folded
 mass is below the rounding error.  The catastrophe-free law is the nu = 0
 case.  The default window is the smallest one whose Chernoff bound on the
 out-of-window mass is at most ``WINDOW_TAIL_TARGET``.
+
+The parameters and the closed-form laws (failure mass, stationary law,
+moments, transforms) live in :mod:`catwalk.discrete_closed`, which needs no
+NumPy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -36,19 +40,21 @@ from typing import Optional
 
 import numpy as np
 
-from .failure_cycle import (
-    NoSteadyStateError,
-    asymptotic_moments,
-    check_rates,
-    check_state,
-    check_stationary,
-    check_time,
-    check_transform_variable,
-    failure_mass,
-    steady_failure_mass,
-    transform_amplitude,
-    truncated_moments,
+from .discrete_closed import (
+    DiscreteParams,
+    LaplaceRoots,
+    asymptotic_mean,
+    asymptotic_variance,
+    failure_probability,
+    laplace_pn,
+    laplace_transforms,
+    mean_peak_time,
+    mean_transient,
+    steady_failure,
+    steady_state,
+    variance_transient,
 )
+from .failure_cycle import NoSteadyStateError, check_state, check_time
 from .special import QuadratureError
 
 # Not called here any more, but kept bound under these names: the traced
@@ -78,34 +84,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscreteParams:
-    """Rates of the catastrophe-repair random walk (events per unit time).
-
-    lam: rate of unit steps to the right
-    mu:  rate of unit steps to the left
-    nu:  catastrophe rate (any state jumps to the failure state F)
-    eta: repair rate (Exp(eta) sojourn in F, then restart at 0)
-    """
-
-    lam: float
-    mu: float
-    nu: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        check_rates(self.nu, lam=self.lam, mu=self.mu, eta=self.eta)
-
-    def swapped(self) -> "DiscreteParams":
-        """Mirror walk with left/right rates exchanged."""
-        return DiscreteParams(self.mu, self.lam, self.nu, self.eta)
-
-
-def failure_probability(p: DiscreteParams, t: float) -> float:
-    """Probability the system is under repair at time t."""
-    return failure_mass(p.nu, p.eta, t)
-
-
 #: a state is inverted on a radius whose Chernoff bound exceeds its least one
 #: by at most this factor, in logarithms
 _RADIUS_SLACK = math.log(10.0)
@@ -118,6 +96,17 @@ _STEP = 1e-20
 #: bound, the rounding level, by a tilted Chernoff bound at these shifts
 _FOLD = math.log(np.finfo(float).eps)
 _SHIFTS = 2.0 ** np.arange(-14, 4, 2)
+#: expected events (lam + mu + nu) t past which the exponent of G, formed in
+#: doubles, carries a rounding error above 1
+_MAX_EVENTS = 1.0 / np.finfo(float).eps
+
+
+def _check_horizon(p: DiscreteParams, t: float) -> None:
+    check_time(t)
+    events = (p.lam + p.mu + p.nu) * t
+    if events > _MAX_EVENTS:
+        raise ValueError(f"t = {t} is too long for the lattice law: (lam + mu + nu) t = "
+                         f"{events:.3g} exceeds {_MAX_EVENTS:.3g}")
 
 
 def _restart_integral(x, rate_t, scale, t):
@@ -192,7 +181,7 @@ def _radius_grid(p: DiscreteParams, t: float, n_min: int, n_max: int):
 def _transient_window(p: DiscreteParams, t: float, n_min: int, n_max: int) -> np.ndarray:
     # P_n(t) for n_min <= n <= n_max, computed with lam >= mu and reflected
     # otherwise, so swapping the rates mirrors the law bit for bit
-    check_time(t)
+    _check_horizon(p, t)
     if p.lam < p.mu or (p.lam == p.mu and n_min + n_max < 0):
         return _transient_window(p.swapped(), t, -n_max, -n_min)[::-1]
     orders = np.arange(n_min, n_max + 1)
@@ -310,7 +299,7 @@ def default_window(p: DiscreteParams, t: float) -> tuple[int, int]:
     at half the target, so the window follows the drift, |lam - mu| t, plus
     O(sqrt((lam + mu) t)) on each side.
     """
-    check_time(t)
+    _check_horizon(p, t)
     half = 0.5 * WINDOW_TAIL_TARGET
     return (
         1 - _chernoff_level(p.mu, p.lam, t, half),
@@ -374,98 +363,3 @@ def transient_distribution(
         failure_mass=failed,
         tail_bound=tail_bound,
     )
-
-
-def steady_failure(p: DiscreteParams) -> float:
-    """Long-run probability of being under repair."""
-    return steady_failure_mass(p.nu, p.eta)
-
-
-def steady_state(p: DiscreteParams, n: int) -> float:
-    """Long-run probability of state n; geometric on each side of the origin."""
-    check_stationary(p.nu)
-    return _scaled_transform(p, n, 0.0)
-
-
-def mean_transient(p: DiscreteParams, t: float) -> float:
-    """Mean of the state zeroed while under repair, E[N(t) 1{on}]."""
-    return truncated_moments(p.nu, p.eta, t, p.lam - p.mu, p.lam + p.mu)[0]
-
-
-def variance_transient(p: DiscreteParams, t: float) -> float:
-    """Variance of the state zeroed while under repair, Var[N(t) 1{on}]."""
-    return truncated_moments(p.nu, p.eta, t, p.lam - p.mu, p.lam + p.mu)[1]
-
-
-def asymptotic_mean(p: DiscreteParams) -> float:
-    """Long-run truncated mean, (lam-mu) eta / ((eta+nu) nu)."""
-    return asymptotic_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)[0]
-
-
-def asymptotic_variance(p: DiscreteParams) -> float:
-    """Long-run truncated variance."""
-    return asymptotic_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)[1]
-
-
-def mean_peak_time(p: DiscreteParams) -> Optional[float]:
-    """Interior extremum of the truncated mean, or None when it is monotone.
-
-    The mean has an interior peak only when repairs are slower than
-    catastrophes (eta < nu) and the walk actually drifts (lam != mu).
-    """
-    if p.lam == p.mu:
-        return None
-    if p.eta >= p.nu:
-        return None
-    return math.log(p.nu / (p.nu - p.eta)) / p.eta
-
-
-@dataclass(frozen=True)
-class LaplaceRoots:
-    """Roots psi1 > psi2 of mu x^2 - (z + lam + mu + nu) x + lam = 0."""
-
-    psi1: float
-    psi2: float
-    z: float
-
-
-def _transform_root(p: DiscreteParams, z: float) -> float:
-    # sqrt((z+lam+mu+nu)^2 - 4 lam mu) rearranged to dodge the heavy-traffic
-    # cancellation: (lam-mu)^2 + s (s + 2 (lam+mu)) with s = z + nu
-    s = z + p.nu
-    return math.sqrt((p.lam - p.mu) ** 2 + s * (s + 2.0 * (p.lam + p.mu)))
-
-
-def _scaled_transform(p: DiscreteParams, n: int, z: float) -> float:
-    # z times the Laplace transform of P_n, for z >= 0: the cycle's amplitude
-    # times the catastrophe-free resolvent at z + nu, which is 1/root at the
-    # origin and falls geometrically on each side, by the small quadratic
-    # root 2 lam/(total + root) for n > 0 and 2 mu/(total + root) for n < 0
-    # (rationalized).  At z = 0 it is the stationary law.
-    n = check_state(n)
-    root = _transform_root(p, z)
-    origin = transform_amplitude(p.nu, p.eta, z) / root
-    if n == 0:
-        return origin
-    rate = p.lam if n > 0 else p.mu
-    return origin * (2.0 * rate / (z + p.lam + p.mu + p.nu + root)) ** abs(n)
-
-
-def laplace_transforms(p: DiscreteParams, z: float) -> tuple[float, LaplaceRoots]:
-    """Laplace transform of the origin probability P_0 and the geometric roots
-    that extend it to every other state."""
-    origin = laplace_pn(p, 0, z)
-    root = _transform_root(p, z)
-    total = z + p.lam + p.mu + p.nu
-    return origin, LaplaceRoots(
-        psi1=(total + root) / (2.0 * p.mu),
-        psi2=2.0 * p.lam / (total + root),
-        z=z,
-    )
-
-
-def laplace_pn(p: DiscreteParams, n: int, z: float) -> float:
-    """Laplace transform of P_n: the origin transform times psi2^n for n >= 1
-    and psi1^n for n <= -1."""
-    check_transform_variable(z)
-    return _scaled_transform(p, n, z) / z

@@ -368,7 +368,7 @@ class TestErrors:
         def explode(*args, **kwargs):
             raise QuadratureError("did not converge", best_estimate=0.1, error_bound=1.0)
 
-        monkeypatch.setattr("catwalk.cli.discrete.transient_distribution", explode)
+        monkeypatch.setattr("catwalk.discrete.transient_distribution", explode)
         argv = [
             "transient", "--model", "discrete", "--lambda", "2", "--mu", "2",
             "--nu", "0.1", "--eta", "1", "--t", "1",
@@ -388,10 +388,48 @@ class TestGridParsing:
         with pytest.raises(ValueError):
             cli._parse_grid("0:1:-0.5")
 
+    @pytest.mark.parametrize("spec", ["nan:1:0.5", "0:nan:0.5", "0:1:nan", "-inf:1:0.5",
+                                      "0:inf:0.5", "0:-inf:1", "0:1:inf"])
+    def test_non_finite_range_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            cli._parse_grid(spec)
+
+    def test_huge_range_rejected_before_it_is_built(self):
+        with pytest.raises(ValueError, match="points"):
+            cli._parse_grid("0:1e12:1e-3")
+        assert len(cli._parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("spec", ["0:1e12:1e-3", "0:-inf:1", "nan:1:1"])
+    def test_bad_range_exits_2(self, spec, capsys):
+        with pytest.raises(SystemExit) as done:
+            run(["moments", *LATTICE, "--t-grid", spec])
+        assert done.value.code == 2
+        assert "--t-grid" in capsys.readouterr().err
+
+    def test_grids_match_numpy_bit_for_bit(self):
+        # the range form is np.arange(start, stop + 1e-9 step, step) and the
+        # default abscissas np.linspace(lo, hi, n), to the last bit
+        import numpy as np
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        rng = np.random.default_rng(20240611)
+        for _ in range(2000):
+            start = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6))
+            step = float(10.0 ** rng.uniform(-6, 6))
+            stretch = float(rng.choice([1.0, 1 - 1e-12, 1 + 1e-12]))
+            stop = start + int(rng.integers(0, 300)) * step * stretch
+            got = cli._parse_grid(f"{start!r}:{stop!r}:{step!r}")
+            assert bits(got) == bits(np.arange(start, stop + step * 1e-9, step))
+            hi = start + float(10.0 ** rng.uniform(-6, 6))
+            n = int(rng.integers(2, 300))
+            assert bits(cli._linspace(start, hi, n)) == bits(np.linspace(start, hi, n))
+
 
 #: run in a fresh interpreter: import the CLI, optionally run one command with
 #: its table sent to the null device and some library calls, and print the
-#: SciPy modules then loaded
+#: SciPy modules then loaded and whether NumPy was
 _COLD_START = """
 import json, os, sys
 import catwalk, catwalk.cli
@@ -399,41 +437,52 @@ argv = json.loads(sys.argv[1])
 if argv:
     assert catwalk.cli.main(argv + ["--out", os.devnull]) == 0
 exec(sys.argv[2])
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps([sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+                  "numpy" in sys.modules]))
 """
 
 
-def _scipy_modules_after(argv, code: str = "") -> set:
+def _cold_start(argv, code: str = "") -> tuple[set, bool]:
     src = str(Path(catwalk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argv), code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout))
+    scipy, numpy = json.loads(done.stdout)
+    return set(scipy), numpy
+
+
+#: the subcommands whose every law is a closed form in scalar math
+CLOSED_FORM_RUNS = ["table1", "steady-discrete", "steady-diffusion", "moments-discrete",
+                    "moments-diffusion", "compare"]
 
 
 class TestColdStart:
-    """The closed-form commands, the simulator and the lattice transient law
-    never load SciPy; the diffusion transient kernels load scipy.special, and
-    no library path loads scipy.integrate."""
+    """The closed-form commands never load NumPy; they, the simulator and the
+    lattice transient law never load SciPy; the diffusion transient kernels
+    load scipy.special, and no library path loads scipy.integrate."""
+
+    @pytest.mark.parametrize("name", ["import-only", *CLOSED_FORM_RUNS])
+    def test_no_numpy(self, name):
+        assert _cold_start(DEFAULT_RUNS.get(name, []))[1] is False
 
     @pytest.mark.parametrize(
         "name", ["import-only", *(n for n in DEFAULT_RUNS if n != "transient-diffusion")]
     )
     def test_no_scipy(self, name):
-        assert _scipy_modules_after(DEFAULT_RUNS.get(name, [])) == set()
+        assert _cold_start(DEFAULT_RUNS.get(name, []))[0] == set()
 
     @pytest.mark.parametrize("name", ["transient-diffusion"])
     def test_transient_loads_special_only(self, name):
-        loaded = _scipy_modules_after(DEFAULT_RUNS[name])
+        loaded, _ = _cold_start(DEFAULT_RUNS[name])
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 
     def test_slice_and_operating_mass_do_not_integrate(self):
-        loaded = _scipy_modules_after([], "from catwalk import diffusion as f\n"
-                                      "dp = f.DiffusionParams(3.0, 1.0, 1.0, 0.1, 1.0)\n"
-                                      "f.density_slice(dp, 1.0)\n"
-                                      "f.on_mass(dp, 1.0)\n")
+        loaded, _ = _cold_start([], "from catwalk import diffusion as f\n"
+                                    "dp = f.DiffusionParams(3.0, 1.0, 1.0, 0.1, 1.0)\n"
+                                    "f.density_slice(dp, 1.0)\n"
+                                    "f.on_mass(dp, 1.0)\n")
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded

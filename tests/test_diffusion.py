@@ -387,6 +387,16 @@ class TestDensitySlice:
         with pytest.raises(ValueError):
             f.density_slice(FIG4, 0.0)
 
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_rejects_fewer_than_two_points(self, n_points):
+        with pytest.raises(ValueError, match="n_points"):
+            f.density_slice(FIG4, 1.0, n_points=n_points)
+
+    @pytest.mark.parametrize("span_sds", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_span_that_is_not_finite_and_positive(self, span_sds):
+        with pytest.raises(ValueError, match="span_sds"):
+            f.density_slice(FIG4, 1.0, span_sds=span_sds)
+
     @pytest.mark.parametrize("span_sds", [8.0, 1.0])
     @pytest.mark.parametrize("params,t", SLICE_TAILS.values(), ids=SLICE_TAILS.keys())
     def test_tail_mass_matches_the_restart_convolution(self, params, t, span_sds):

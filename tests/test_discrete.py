@@ -220,6 +220,14 @@ class TestTransientDistribution:
         with pytest.raises(ValueError):
             d.transient_probability(SYMMETRIC, 0, t)
 
+    @pytest.mark.parametrize("t", [1e300, 1e30])
+    def test_rejects_a_horizon_beyond_double_precision(self, t):
+        # (lam + mu + nu) t past 1/eps: the exponent of G has no digit left
+        with pytest.raises(ValueError, match="too long"):
+            d.transient_probability(DRIFTING, 1, t)
+        with pytest.raises(ValueError, match="too long"):
+            d.transient_distribution(DRIFTING, t)
+
     def test_lost_state_fails_the_mass_check(self, monkeypatch):
         inversion = d._transient_window
         mode = d.transient_probability(SYMMETRIC, 0, 1.0)

@@ -26,6 +26,12 @@ class TestScaleParams:
         with pytest.raises(ValueError):
             s.scale_params(TABLE, 0.0)
 
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])
+    def test_rejects_epsilon_with_infinite_rates(self, eps):
+        # eps^2 underflows to 0 at 1e-200 and sigma2 / (2 eps^2) overflows at 1e-160
+        with pytest.raises(ValueError):
+            s.scale_params(f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 1.0), eps)
+
     @given(eps=st.floats(min_value=1e-3, max_value=2.0))
     def test_induced_rates_positive_and_drift_preserved(self, eps):
         p = s.scale_params(TABLE, eps)
