@@ -37,10 +37,8 @@ def transient_curves(out_dir: str) -> None:
     grid = np.linspace(0.0, 8.0, 81)
     for lam, tag in ((2.0, "lam2"), (8.0, "lam8")):
         p = d.DiscreteParams(lam, 2.0, 0.1, 1.0)
-        rows = []
-        for t in grid:
-            law = d.transient_distribution(p, float(t), window=(0, 2))
-            rows.append([float(t)] + list(law.probabilities.values()))
+        laws = d.transient_distributions(p, grid.tolist(), window=(0, 2))
+        rows = [[law.time] + list(law.probabilities.values()) for law in laws]
         write_rows(
             os.path.join(out_dir, f"transient_probabilities_{tag}.csv"),
             ["t", "P0", "P1", "P2"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -35,6 +36,10 @@ MAX_GRID_POINTS = 1_000_000
 # option parsing
 
 
+class _GridError(argparse.ArgumentTypeError, ValueError):
+    """A malformed grid; argparse reports its message as the flag's error."""
+
+
 def _parse_grid(spec: str) -> tuple[float, ...]:
     """Accept 'a,b,c' lists (one value alone is a one-point list) or
     'start:stop:step' ranges, whose points are np.arange(start,
@@ -45,15 +50,15 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         return tuple(float(v) for v in text.split(","))
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid range must be start:stop:step, got {text!r}")
+        raise _GridError(f"grid range must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"grid range must be finite, got {text!r}")
+        raise _GridError(f"grid range must be finite, got {text!r}")
     if step <= 0.0:
-        raise ValueError("grid step must be positive")
+        raise _GridError("grid step must be positive")
     count = (stop + step * 1e-9 - start) / step
     if count > MAX_GRID_POINTS:
-        raise ValueError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
+        raise _GridError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
     count = math.ceil(max(count, 0.0))
     d = (start + step) - start
     return (start, start + step, *(start + i * d for i in range(2, count)))[:count]
@@ -159,7 +164,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Nothing may change it: a config
+    file's values reach a run as namespace defaults instead."""
     parser = argparse.ArgumentParser(
         prog="catwalk",
         description="Transient and stationary laws of a random walk with "
@@ -174,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subcommand(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    (subparsers,) = parser._subparsers._group_actions
+def _subcommand(command: str) -> argparse.ArgumentParser:
+    (subparsers,) = build_parser()._subparsers._group_actions
     return subparsers.choices[command]
 
 
@@ -191,15 +199,17 @@ def _text(value) -> str:
     return str(value)
 
 
-def _load_config(sub: argparse.ArgumentParser, path: str) -> None:
-    """Make a config file's values the subcommand's defaults, so that flags
-    still win.  Keys are the long flag names; each value is converted and
-    checked by argparse as its flag's argument would be."""
+def _load_config(sub: argparse.ArgumentParser, path: str) -> dict:
+    """A config file's values by option name, to stand in for the
+    subcommand's defaults, so that flags still win.  Keys are the long flag
+    names; each value is converted and checked by argparse as its flag's
+    argument would be."""
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object of options")
     actions = _actions(sub)
+    values = {}
     for key, value in config.items():
         action = actions.get("--" + key)
         if action is None or action.dest == "config":
@@ -217,13 +227,14 @@ def _load_config(sub: argparse.ArgumentParser, path: str) -> None:
             except argparse.ArgumentError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
             value = tuple(items) if repeated else items[0]
-        sub.set_defaults(**{action.dest: value})
+        values[action.dest] = value
+    return values
 
 
 def _require(options: dict, *names: str) -> None:
     missing = [n for n in names if options.get(n) is None]
     if missing:
-        actions = _actions(_subcommand(build_parser(), options["command"])).items()
+        actions = _actions(_subcommand(options["command"])).items()
         flags = [" or ".join(flag for flag, a in actions if a.dest == n) for n in missing]
         raise ValueError(f"missing required options: {', '.join(flags)}")
 
@@ -334,7 +345,7 @@ def rebuild_argv(params: dict) -> list[str]:
     """
     command = params["command"]
     # later flags win: t_grid is replayed by --t-grid, not --t
-    by_dest = {a.dest: a for a in _actions(_subcommand(build_parser(), command)).values()}
+    by_dest = {a.dest: a for a in _actions(_subcommand(command)).values()}
     argv = [command]
     for key, value in params.items():
         action = by_dest.get(key)
@@ -373,13 +384,13 @@ def cmd_transient(options: dict) -> int:
     t_grid = options["t_grid"]
     if options["model"] == "discrete":
         p = _discrete_params(options)
+        laws = discrete.transient_distributions(p, t_grid, (options["n_min"], options["n_max"]))
         rows = []
-        for t in t_grid:
+        for t, law in zip(t_grid, laws):
             if t == 0.0:
                 rows.append([0.0, 0, 1.0, 0.0])
-                continue
-            law = discrete.transient_distribution(p, t, window=(options["n_min"], options["n_max"]))
-            rows += [[t, n, value, law.failure_mass] for n, value in law.probabilities.items()]
+            else:
+                rows += [[t, n, value, law.failure_mass] for n, value in law.probabilities.items()]
         write_table(["t", "n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
@@ -517,12 +528,15 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
-            _load_config(_subcommand(parser, args.command), args.config)
-            args = parser.parse_args(argv)
+            # the subcommand parses its own arguments again, over the file's
+            # values: a subparser fills in its defaults in a fresh namespace
+            sub = _subcommand(args.command)
+            config = argparse.Namespace(command=args.command, **_load_config(sub, args.config))
+            args = sub.parse_args(argv[argv.index(args.command) + 1:], namespace=config)
         return DISPATCH[args.command](vars(args))
     except QuadratureError as exc:
         _emit_error("convergence", exc)

@@ -25,7 +25,9 @@ factor 10 of its least one.  The rule folds the states n +- M onto n, so M
 is sized by a Chernoff bound of the law tilted to that radius: the folded
 mass is below the rounding error.  The catastrophe-free law is the nu = 0
 case.  The default window is the smallest one whose Chernoff bound on the
-out-of-window mass is at most ``WINDOW_TAIL_TARGET``.
+out-of-window mass is at most ``WINDOW_TAIL_TARGET``.  A grid of times is
+inverted together (``transient_distributions``): every time keeps its own
+radii, groups and FFT lengths, but each step runs once for all of them.
 
 The parameters and the closed-form laws (failure mass, stationary law,
 moments, transforms) live in :mod:`catwalk.discrete_closed`, which needs no
@@ -34,6 +36,7 @@ NumPy; they are re-exported here.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -70,6 +73,7 @@ __all__ = [
     "skellam_probability",
     "transient_probability",
     "transient_distribution",
+    "transient_distributions",
     "default_window",
     "steady_state",
     "steady_failure",
@@ -99,6 +103,14 @@ _SHIFTS = 2.0 ** np.arange(-14, 4, 2)
 #: expected events (lam + mu + nu) t past which the exponent of G, formed in
 #: doubles, carries a rounding error above 1
 _MAX_EVENTS = 1.0 / np.finfo(float).eps
+#: most states of a window and most nodes of one FFT: past either the lattice
+#: law raises ``ValueError`` before it allocates.  An FFT's work arrays take
+#: up to about 160 bytes a node, 0.7 GB at the cap; the largest FFT of the
+#: README's examples (lam = 1e4, t = 20) has 2^18 nodes.
+MAX_NODES = 1 << 22
+#: nodes one batch works on: FFT nodes of the radius groups evaluated
+#: together, and states of the times inverted together
+_BATCH_NODES = 1 << 18
 
 
 def _check_horizon(p: DiscreteParams, t: float) -> None:
@@ -112,8 +124,9 @@ def _check_horizon(p: DiscreteParams, t: float) -> None:
 def _restart_integral(x, rate_t, scale, t):
     # e^{-scale} int_0^t e^{a u} (1 - e^{-r (t - u)}) du at x = a t and
     # rate_t = r t: t [(e^x - 1) / x - (e^x - e^{-r t}) / (x + r t)], each
-    # quotient (e^x - e^y) / (x - y) in its expm1 form near its pole x = y
-    y = np.array([0.0, -rate_t])
+    # quotient (e^x - e^y) / (x - y) in its expm1 form near its pole x = y;
+    # rate_t, scale and t are arrays that broadcast against x
+    y = rate_t[..., None] * np.array([0.0, -1.0])
     d = x[..., None] - y
     d = np.where(d == 0.0, 1e-300, d)  # expm1(d) / d -> 1
     low = np.exp(y - scale[..., None])
@@ -123,13 +136,15 @@ def _restart_integral(x, rate_t, scale, t):
     return t * (quotient[..., 0] - quotient[..., 1])
 
 
-def _scaled_gf(p: DiscreteParams, t: float, s, theta):
-    # (K, e^{-K} G(e^{s + i theta}, t)), broadcast over s and theta.  K is at
-    # least the real exponent a(e^s) t, which bounds Re(a) t on the circle,
-    # so nothing overflows; with catastrophes it is at least min(0, log c),
-    # so G(e^s) e^{-K} >= c e^{-K} (restart integral) does not underflow.
-    up, down = p.lam * np.exp(s), p.mu * np.exp(-s)
-    real = (p.lam * np.expm1(s) + p.mu * np.expm1(-s) - p.nu) * t
+def _scaled_gf(p: DiscreteParams, t, s, theta):
+    # (K, e^{-K} G(e^{s + i theta}, t)), broadcast over t, s and theta.  K is
+    # at least the real exponent a(e^s) t, which bounds Re(a) t on the
+    # circle, so nothing overflows; with catastrophes it is at least
+    # min(0, log c), so G(e^s) e^{-K} >= c e^{-K} (restart integral) does not
+    # underflow.
+    neg = -s
+    up, down = p.lam * np.exp(s), p.mu * np.exp(neg)
+    real = (p.lam * np.expm1(s) + p.mu * np.expm1(neg) - p.nu) * t
     half = np.sin(0.5 * theta)
     x = (real - 2.0 * t * (up + down) * half * half) + 1j * (t * (up - down) * np.sin(theta))
     if p.nu == 0.0:
@@ -141,88 +156,185 @@ def _scaled_gf(p: DiscreteParams, t: float, s, theta):
     return scale, np.exp(x - scale) + weight * restarts
 
 
-def _log_gf(p: DiscreteParams, t: float, s: np.ndarray):
+def _log_gf(p: DiscreteParams, t, s):
     # log G(e^s, t) and its slope in s, the mean of the law tilted by e^{ns},
     # from one complex step
     scale, g = _scaled_gf(p, t, s, _STEP)
     return scale + np.log(g.real), g.imag / (g.real * _STEP)
 
 
-def _radius_grid(p: DiscreteParams, t: float, n_min: int, n_max: int):
-    # ascending radii s_j = log rho_j with L_j = log G(e^{s_j}), whose tilted
-    # means m_j cover [n_min, n_max] and are refined where they meet it,
-    # starting from the catastrophe-free saddles, where (lam rho - mu / rho) t = n
+def _radius_grid(p: DiscreteParams, times: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
+    # for each time, ascending radii s_j = log rho_j with L_j = log G(e^{s_j}),
+    # whose tilted means m_j cover [n_min, n_max] and are refined where they
+    # meet it, starting from the catastrophe-free saddles, where
+    # (lam rho - mu / rho) t = n.  Every time is refined at once but alone:
+    # the nodes are columns (row of times, s, L), ascending in s within
+    # each row.
+    t = times[:, None]
     n = np.array([n_min, n_max], dtype=float)
     root = np.log(np.abs(n) + np.sqrt(n * n + 4.0 * p.lam * p.mu * t * t))
-    s = np.where(n >= 0, root - math.log(2.0 * p.lam * t), math.log(2.0 * p.mu * t) - root)
+    base = np.array([[math.log(2.0 * p.lam * v), math.log(2.0 * p.mu * v)] for v in times.tolist()])
+    s = np.where(n >= 0, root - base[:, :1], base[:, 1:] - root)
     log_g, mean = _log_gf(p, t, s)
     # restarts pull the tilted mean towards 0, so the catastrophe-free saddles
     # can fall inside the window: push each end out until its mean clears
     # the window by all but 0.1, which moves L* by at most 0.005 / variance
-    for end, sign, target in ((0, -1.0, n_min), (1, 1.0, n_max)):
-        step = 0.25
-        while sign * (mean[end] - target) < -0.1:
-            s[end] += sign * step
-            step *= 2.0
-            log_g[end], mean[end] = (v[0] for v in _log_gf(p, t, s[end:end + 1]))
-    if s[0] == s[1]:
-        return s[:1], log_g[:1]
+    sign = np.array([-1.0, 1.0])
+    step = np.full(s.shape, 0.25)
+    while (push := sign * (mean - n) < -0.1).any():
+        s[push] += (sign * step)[push]
+        step[push] *= 2.0
+        log_g[push], mean[push] = _log_gf(p, times[np.nonzero(push)[0]], s[push])
+    keep = np.ones(s.shape, dtype=bool)
+    keep[:, 1] = s[:, 0] != s[:, 1]
+    nodes = np.array([np.nonzero(keep)[0], s[keep], log_g[keep], mean[keep]])
     while True:
-        gap = np.diff(s) * np.diff(mean)
-        split = np.flatnonzero((gap > _GRID_GAP) & (mean[1:] >= n_min) & (mean[:-1] <= n_max))
+        row, s, _, mean = nodes
+        rise = nodes[:, 1:] - nodes[:, :-1]
+        split = np.flatnonzero((rise[0] == 0.0) & (rise[1] * rise[3] > _GRID_GAP)
+                               & (mean[1:] >= n_min) & (mean[:-1] <= n_max))
         if not split.size:
-            return s, log_g
-        new = (s[split, None] + np.diff(s)[split, None] * np.array([0.25, 0.5, 0.75])).ravel()
-        merged = [np.concatenate(pair) for pair in zip((s, log_g, mean), (new, *_log_gf(p, t, new)))]
-        order = np.argsort(merged[0])
-        s, log_g, mean = (v[order] for v in merged)
+            return nodes[:3]
+        new_row = np.repeat(row[split], 3)
+        new = (s[split, None] + rise[1, split, None] * np.array([0.25, 0.5, 0.75])).ravel()
+        new = np.array([new_row, new, *_log_gf(p, times[new_row.astype(np.intp)], new)])
+        nodes = np.concatenate([nodes, new], axis=1)
+        nodes = nodes[:, np.lexsort(nodes[1::-1])]
 
 
-def _transient_window(p: DiscreteParams, t: float, n_min: int, n_max: int) -> np.ndarray:
-    # P_n(t) for n_min <= n <= n_max, computed with lam >= mu and reflected
-    # otherwise, so swapping the rates mirrors the law bit for bit
-    _check_horizon(p, t)
+def _transient_window(p: DiscreteParams, times, n_min: int, n_max: int) -> np.ndarray:
+    # P_n(t) for n_min <= n <= n_max, one row per time, computed with
+    # lam >= mu and reflected otherwise, so swapping the rates mirrors the
+    # law bit for bit
+    times = np.array([float(t) for t in times])
+    for t in times.tolist():
+        _check_horizon(p, t)
+    if n_max - n_min >= MAX_NODES:
+        raise ValueError(f"window [{n_min}, {n_max}] has more than MAX_NODES = {MAX_NODES} states")
     if p.lam < p.mu or (p.lam == p.mu and n_min + n_max < 0):
-        return _transient_window(p.swapped(), t, -n_max, -n_min)[::-1]
+        return _transient_window(p.swapped(), times, -n_max, -n_min)[:, ::-1]
     orders = np.arange(n_min, n_max + 1)
-    if t == 0.0:
-        return (orders == 0).astype(float)
-    s, log_g = _radius_grid(p, t, n_min, n_max)
-    # L*(n) = max_j (n s_j - L_j), attained where the chord slopes pass n;
-    # f_n(s) = L(s) - n s, the log Chernoff bound of state n, exceeds its
-    # least value by L(s) - n s + L*(n)
-    best = np.searchsorted(np.diff(log_g) / np.diff(s), orders)
-    conjugate = orders * s[best] - log_g[best]
-    out = np.empty(orders.size)
-    first = 0
-    while first < orders.size:
-        # the farthest radius the group's first state accepts, the states it
-        # serves, then the radius that serves the group's two ends best
-        lead = log_g - orders[first] * s + conjugate[first]
-        k = np.flatnonzero(lead <= _RADIUS_SLACK)[-1]
-        excess = log_g[k] - orders[first + 1:] * s[k] + conjugate[first + 1:]
-        beyond = np.flatnonzero(excess > _RADIUS_SLACK)
-        stop = first + 1 + (beyond[0] if beyond.size else excess.size)
-        trail = log_g - orders[stop - 1] * s + conjugate[stop - 1]
-        k = np.argmin(np.maximum(lead, trail))
-        n = orders[first:stop]
-        size = _fft_size(p, t, s[k], log_g[k], n[0], n[-1])
-        scale, g = _scaled_gf(p, t, s[k], (2.0 * math.pi / size) * np.arange(size // 2 + 1))
-        # the law tilted by rho^n / G(rho), with G(rho) = e^{scale} g[0]
-        tilted = np.fft.hfft(g / g[0].real, size) / size
-        out[first:stop] = tilted[n % size] * np.exp(scale + math.log(g[0].real) - n * s[k])
-        first = stop
+    out = np.zeros((times.size, orders.size))
+    out[:, orders == 0] = 1.0
+    live = np.flatnonzero(times > 0.0)
+    # a time costs its window's states, but at least a few hundred nodes for
+    # its radius grid and groups
+    step = max(1, _BATCH_NODES // max(orders.size, 256))
+    for batch in (live[i:i + step] for i in range(0, live.size, step)):
+        out[batch] = _invert(p, times[batch], orders)
     return out
 
 
-def _fft_size(p: DiscreteParams, t: float, s: float, log_g: float, first: int, last: int) -> int:
-    # the smallest power of two M at which the states n +- M folded onto the
-    # states first..last at radius s are below eps e^{f_n(s)}: for h > 0, the
-    # law tilted by e^{ns} / G(e^s) is below e^{L(s +- h) - L(s) -+ h m} at m
-    rise = _log_gf(p, t, s + np.concatenate([_SHIFTS, -_SHIFTS]))[0] - log_g
-    right = np.min((rise[:_SHIFTS.size] - first * _SHIFTS - _FOLD) / _SHIFTS)
-    left = np.min((rise[_SHIFTS.size:] + last * _SHIFTS - _FOLD) / _SHIFTS)
-    return 1 << max(4, math.ceil(math.log2(max(right, left, last - first + 1))))
+def _invert(p: DiscreteParams, times: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    # the window's states at each time t > 0, from a few FFTs per time
+    nodes = _radius_grid(p, times, orders[0], orders[-1])
+    row, s, log_g = nodes[0].astype(np.intp), nodes[1], nodes[2]
+    # the radii as a (time, radius) table padded with L = inf
+    col = np.arange(row.size) - np.searchsorted(row, row)
+    shape = (times.size, col.max() + 1)
+    radius, level = np.zeros(shape), np.full(shape, np.inf)
+    radius[row, col], level[row, col] = s, log_g
+    # L*(n) = max_j (n s_j - L_j) is attained at the first radius whose
+    # chord slope to the next is not below n; the slopes below each integer
+    # n are counted by a histogram over floor(slope) + 1, summed along n
+    rise = nodes[:, 1:] - nodes[:, :-1]
+    inner = np.flatnonzero(rise[0] == 0.0)
+    slopes = rise[2, inner] / rise[1, inner]
+    bucket = np.minimum(np.maximum(np.floor(slopes) + 1.0 - orders[0], 0), orders.size).astype(np.intp)
+    span = orders.size + 1
+    below = np.bincount(row[inner] * span + bucket, minlength=times.size * span)
+    best = np.cumsum(below.reshape(times.size, span)[:, :-1], axis=1)
+    rows = np.arange(times.size)[:, None]
+    # f_n(s) = L(s) - n s, the log Chernoff bound of state n, exceeds its
+    # least value by L(s) - n s + L*(n)
+    conjugate = orders * radius[rows, best] - level[rows, best]
+    return _fill(p, times, radius, level, orders, _radius_groups(radius, level, orders, conjugate))
+
+
+def _radius_groups(radius, level, orders, conjugate):
+    # runs of consecutive states of one time that share a radius: (row of
+    # times, radius index, first state, end state) per group, found for
+    # every time at once
+    rows = np.arange(radius.shape[0])
+    last, size = radius.shape[1] - 1, orders.size
+    # one more state that no radius serves ends each time's last group
+    orders = np.append(orders, orders[-1] + 1)
+    conjugate = np.concatenate([conjugate, np.full((rows.size, 1), np.inf)], axis=1)
+    start = np.zeros(rows.size, dtype=np.intp)
+    found = []
+    while (low := start.min()) < size:
+        # the farthest radius the group's first state accepts, the states it
+        # serves, then the radius that serves the group's two ends best; a
+        # time whose groups are all found repeats its last one
+        first = np.minimum(start, size - 1)
+        lead = level - orders[first, None] * radius + conjugate[rows, first, None]
+        k = last - (lead[:, ::-1] <= _RADIUS_SLACK).argmax(axis=1)
+        excess = level[rows, k, None] - orders[low:] * radius[rows, k, None] + conjugate[:, low:]
+        stop = low + ((excess > _RADIUS_SLACK) & (orders[low:] > orders[first, None])).argmax(axis=1)
+        end = stop - 1
+        trail = level - orders[end, None] * radius + conjugate[rows, end, None]
+        found.append((start, np.maximum(lead, trail).argmin(axis=1), stop))
+        start = stop
+    start, k, stop = map(np.concatenate, zip(*found))
+    keep = start < size
+    return np.tile(rows, len(found))[keep], k[keep], start[keep], stop[keep]
+
+
+def _fill(p: DiscreteParams, times, radius, level, orders, groups) -> np.ndarray:
+    # each group's states by one FFT at its radius; the groups of one FFT
+    # length are evaluated and transformed together
+    row, k, first, stop = groups
+    s, t = radius[row, k], times[row]
+    sizes = _fft_sizes(p, t, s, level[row, k], orders[first], orders[stop - 1])
+    # groups by FFT length, and their states, one entry each, in that order
+    by_size = np.argsort(sizes, kind="stable")
+    row, first, stop, s, t = (v[by_size] for v in (row, first, stop, s, t))
+    sizes = sizes[by_size].tolist()
+    length = stop - first
+    offset = np.cumsum(length) - length
+    member = np.repeat(np.arange(row.size), length)
+    state = np.arange(member.size) - offset[member] + first[member]
+    n = orders[state]
+    bounds = [*offset.tolist(), member.size]
+    tilted = np.empty(n.size)
+    norm = np.empty(row.size)
+    lo = 0
+    while lo < len(sizes):
+        size = sizes[lo]
+        hi = bisect.bisect_right(sizes, size, lo)
+        theta = (2.0 * math.pi / size) * np.arange(size // 2 + 1)
+        step = max(1, _BATCH_NODES // size)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            scale, g = _scaled_gf(p, t[a:b, None], s[a:b, None], theta)
+            # the law tilted by rho^n / G(rho), with G(rho) = e^{scale} g[0]
+            peak = g[:, 0].real
+            law = np.fft.hfft(g / peak[:, None], size, axis=-1) / size
+            norm[a:b] = scale[:, 0] + np.array([math.log(v) for v in peak.tolist()])
+            at = slice(bounds[a], bounds[b])
+            tilted[at] = law[member[at] - a, n[at] % size]
+        lo = hi
+    out = np.empty((times.size, orders.size))
+    out[row[member], state] = tilted * np.exp(norm[member] - n * s[member])
+    return out
+
+
+def _fft_sizes(p: DiscreteParams, t, s, log_g, first, last) -> np.ndarray:
+    # per group, the smallest power of two M at which the states n +- M
+    # folded onto the states first..last at radius s are below
+    # eps e^{f_n(s)}: for h > 0, the law tilted by e^{ns} / G(e^s) is below
+    # e^{L(s +- h) - L(s) -+ h m} at m
+    rise = _log_gf(p, t[:, None], s[:, None] + np.concatenate([_SHIFTS, -_SHIFTS]))[0]
+    rise -= log_g[:, None]
+    right = np.min((rise[:, :_SHIFTS.size] - first[:, None] * _SHIFTS - _FOLD) / _SHIFTS, axis=1)
+    left = np.min((rise[:, _SHIFTS.size:] + last[:, None] * _SHIFTS - _FOLD) / _SHIFTS, axis=1)
+    sizes = [1 << max(4, math.ceil(math.log2(max(need))))
+             for need in zip(right.tolist(), left.tolist(), (last - first + 1).tolist())]
+    for time, size in zip(t.tolist(), sizes):
+        if size > MAX_NODES:
+            raise ValueError(f"the lattice law at t = {time} needs an FFT of {size} nodes, "
+                             f"more than MAX_NODES = {MAX_NODES}")
+    return np.array(sizes)
 
 
 def skellam_probability(p: DiscreteParams, n: int, t: float) -> float:
@@ -245,7 +357,7 @@ def transient_probability(p: DiscreteParams, n: int, t: float) -> float:
     :func:`transient_distribution`.
     """
     n = check_state(n)
-    return float(_transient_window(p, t, n, n)[0])
+    return float(_transient_window(p, [t], n, n)[0, 0])
 
 
 def first_passage_density(p: DiscreteParams, n: int, t: float) -> float:
@@ -342,24 +454,40 @@ def transient_distribution(
     """
     if window is None:
         window = default_window(p, t)
+    return transient_distributions(p, [t], window)[0]
+
+
+def transient_distributions(
+    p: DiscreteParams, times, window: tuple[int, int]
+) -> list[DistributionSlice]:
+    """:func:`transient_distribution` at each of ``times`` over one window,
+    in one batched pass; each slice equals the one-time call's.
+
+    Every time has its own mass check; the first time, in order, that fails
+    it raises the :class:`QuadratureError`.
+    """
     n_min, n_max = window = tuple(map(check_state, window))
     if n_min > n_max:
         raise ValueError(f"window must be nonempty, got {window}")
-    values = _transient_window(p, t, n_min, n_max)
-    right = _skellam_tail_chernoff(p.lam, p.mu, t, n_max + 1)
-    left = _skellam_tail_chernoff(p.mu, p.lam, t, 1 - n_min)
-    tail_bound = min(1.0, left + right)
-    failed = failure_probability(p, t)
-    mass = math.fsum(values.tolist())
-    defect = abs(1.0 - mass - failed)
-    allowance = tail_bound + 1e-10 * mass + 1e-14 * values.size
-    if defect > allowance:
-        raise QuadratureError(f"window [{n_min}, {n_max}] at t={t} misses its mass: "
-                              f"|1 - sum P_n - q| = {defect:.3g} > {allowance:.3g}", values, defect)
-    return DistributionSlice(
-        time=t,
-        window=window,
-        probabilities=dict(zip(range(n_min, n_max + 1), values.tolist())),
-        failure_mass=failed,
-        tail_bound=tail_bound,
-    )
+    times = [float(t) for t in times]
+    slices = []
+    for t, values in zip(times, _transient_window(p, times, n_min, n_max)):
+        right = _skellam_tail_chernoff(p.lam, p.mu, t, n_max + 1)
+        left = _skellam_tail_chernoff(p.mu, p.lam, t, 1 - n_min)
+        tail_bound = min(1.0, left + right)
+        failed = failure_probability(p, t)
+        mass = math.fsum(values.tolist())
+        defect = abs(1.0 - mass - failed)
+        allowance = tail_bound + 1e-10 * mass + 1e-14 * values.size
+        if defect > allowance:
+            raise QuadratureError(f"window [{n_min}, {n_max}] at t={t} misses its mass: "
+                                  f"|1 - sum P_n - q| = {defect:.3g} > {allowance:.3g}",
+                                  values, defect)
+        slices.append(DistributionSlice(
+            time=t,
+            window=window,
+            probabilities=dict(zip(range(n_min, n_max + 1), values.tolist())),
+            failure_mass=failed,
+            tail_bound=tail_bound,
+        ))
+    return slices

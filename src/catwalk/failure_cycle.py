@@ -84,10 +84,12 @@ def check_level(x: float) -> None:
         raise ValueError(f"x must be finite, got {x!r}")
 
 
-def check_transform_variable(z: float) -> None:
-    """Raise ``ValueError`` unless the Laplace variable z is finite and positive."""
-    if not (math.isfinite(z) and z > 0.0):
-        raise ValueError(f"transform variable must be finite and positive, got {z}")
+def check_transform_variable(z: float, positive: bool = True) -> None:
+    """Raise ``ValueError`` unless the Laplace variable z is finite and
+    positive, or nonnegative where z = 0 (the stationary limit) is allowed."""
+    if not (math.isfinite(z) and (z > 0.0 if positive else z >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"transform variable must be finite and {kind}, got {z}")
 
 
 def check_stationary(nu: float) -> None:
@@ -97,8 +99,16 @@ def check_stationary(nu: float) -> None:
         raise NoSteadyStateError("no stationary law without catastrophes (nu > 0 required)")
 
 
+def _check_motion(nu: float, eta: float, drift: float, spread: float) -> None:
+    # the cycle's rates and the catastrophe-free motion's drift and spread
+    check_rates(nu, eta=eta, spread=spread)
+    if not math.isfinite(drift):
+        raise ValueError(f"drift must be finite, got {drift!r}")
+
+
 def failure_mass(nu: float, eta: float, t: float) -> float:
     """Probability of being under repair at time t, starting operational."""
+    check_rates(nu, eta=eta)
     check_time(t)
     if nu == 0.0:
         return 0.0
@@ -108,6 +118,7 @@ def failure_mass(nu: float, eta: float, t: float) -> float:
 
 def steady_failure_mass(nu: float, eta: float) -> float:
     check_stationary(nu)
+    check_rates(nu, eta=eta)
     return nu / (eta + nu)
 
 
@@ -161,6 +172,7 @@ def truncated_moments(
     ever more digits: Y spreads over [0, t], so Var[Y] is not small against
     E[Y^2].
     """
+    _check_motion(nu, eta, drift, spread)
     check_time(t)
     intact, lost = math.exp(-nu * t), -math.expm1(-nu * t)
     if lost == 0.0:
@@ -175,6 +187,7 @@ def truncated_moments(
 def asymptotic_moments(nu: float, eta: float, drift: float, spread: float) -> tuple[float, float]:
     """Long-run truncated mean and variance: truncated_moments as t -> infinity."""
     check_stationary(nu)
+    _check_motion(nu, eta, drift, spread)
     m = eta / ((eta + nu) * nu)
     return drift * m, spread * m + drift * drift * eta * (2.0 * nu + eta) / ((eta + nu) * nu) ** 2
 
@@ -183,4 +196,6 @@ def transform_amplitude(nu: float, eta: float, z: float) -> float:
     """z + eta nu / (z + eta + nu) = (z + nu)(z + eta) / (z + eta + nu), for
     z >= 0: z times the Laplace transform of the operating law, over the
     catastrophe-free resolvent at z + nu.  At z = 0 it is eta nu / (eta + nu)."""
+    check_rates(nu, eta=eta)
+    check_transform_variable(z, positive=False)
     return (z + nu) * (z + eta) / (z + eta + nu)

@@ -352,6 +352,20 @@ class TestConfigFile:
         assert [row[1] for row in json.loads(capsys.readouterr().out)["rows"]] == ["truncated-mean"]
 
 
+    def test_a_config_file_does_not_reach_the_next_run(self, tmp_path, capsys):
+        # the parser is built once per process, so a file's values must not
+        # become the defaults of a later run without it
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "discrete", "lambda": 2.0, "mu": 1.0, "nu": 1.0,
+                                      "eta": 1.0, "n-min": -1, "n-max": 1}))
+        assert run(["steady", "--config", str(config), "--format", "json"]) == 0
+        assert [row[0] for row in json.loads(capsys.readouterr().out)["rows"]] == [-1, 0, 1]
+        assert run(["steady", "--model", "discrete"]) == 2
+        assert "--lambda" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert run(["steady", *LATTICE, "--format", "json"]) == 0
+        assert [row[0] for row in json.loads(capsys.readouterr().out)["rows"]] == list(range(-6, 7))
+
+
 class TestErrors:
     def test_invalid_rates_exit_code(self, capsys):
         argv = ["steady", "--model", "discrete", "--lambda", "2", "--mu", "-1",
@@ -368,7 +382,7 @@ class TestErrors:
         def explode(*args, **kwargs):
             raise QuadratureError("did not converge", best_estimate=0.1, error_bound=1.0)
 
-        monkeypatch.setattr("catwalk.discrete.transient_distribution", explode)
+        monkeypatch.setattr("catwalk.discrete.transient_distributions", explode)
         argv = [
             "transient", "--model", "discrete", "--lambda", "2", "--mu", "2",
             "--nu", "0.1", "--eta", "1", "--t", "1",
@@ -399,12 +413,22 @@ class TestGridParsing:
             cli._parse_grid("0:1e12:1e-3")
         assert len(cli._parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
 
-    @pytest.mark.parametrize("spec", ["0:1e12:1e-3", "0:-inf:1", "nan:1:1"])
-    def test_bad_range_exits_2(self, spec, capsys):
+    @pytest.mark.parametrize("spec,fault", [("0:1e12:1e-3", "more than 1000000 points"),
+                                            ("0:-inf:1", "must be finite"),
+                                            ("nan:1:1", "must be finite"),
+                                            ("0:1:-1", "step must be positive")])
+    def test_bad_range_exits_2(self, spec, fault, tmp_path, capsys):
+        # the parser's own message reaches stderr and the config record
         with pytest.raises(SystemExit) as done:
             run(["moments", *LATTICE, "--t-grid", spec])
         assert done.value.code == 2
-        assert "--t-grid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--t-grid" in err and fault in err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t-grid": spec}))
+        assert run(["moments", *LATTICE, "--config", str(config)]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "t-grid" in message and fault in message
 
     def test_grids_match_numpy_bit_for_bit(self):
         # the range form is np.arange(start, stop + 1e-9 step, step) and the

@@ -12,6 +12,7 @@ from identities import transient_probability_renewal
 from oracles import (
     bessel_series_scaled,
     hitting_probability,
+    lattice_law_by_convolution,
     second_moment_by_quadrature,
 )
 
@@ -232,9 +233,9 @@ class TestTransientDistribution:
         inversion = d._transient_window
         mode = d.transient_probability(SYMMETRIC, 0, 1.0)
 
-        def drop_the_mode(p, t, n_min, n_max):
-            values = inversion(p, t, n_min, n_max)
-            values[np.argmax(values)] = 0.0
+        def drop_the_mode(p, times, n_min, n_max):
+            values = inversion(p, times, n_min, n_max)
+            values[np.arange(len(values)), np.argmax(values, axis=1)] = 0.0
             return values
 
         monkeypatch.setattr(d, "_transient_window", drop_the_mode)
@@ -251,6 +252,80 @@ class TestTransientDistribution:
         slice_ = d.transient_distribution(DRIFTING, 2.0, window=(-3, 7))
         assert slice_.window == (-3, 7)
         assert sorted(slice_.probabilities) == list(range(-3, 8))
+
+    def test_ordinary_windows_past_a_lowered_cap_raise(self, monkeypatch):
+        # the strong-drift default window has 1,253 states and FFTs of up to
+        # 2^11 nodes; under a cap of 2^10 both its window and, for a window
+        # of one state, its FFT are refused before anything is allocated
+        p = d.DiscreteParams(200.0, 1.0, 0.1, 1.0)
+        window = d.default_window(p, 5.0)
+        d.transient_distribution(p, 5.0, window)
+        monkeypatch.setattr(d, "MAX_NODES", 1 << 10)
+        with pytest.raises(ValueError, match="more than MAX_NODES = 1024 states"):
+            d.transient_distribution(p, 5.0, window)
+        with pytest.raises(ValueError, match="needs an FFT of 2048 nodes"):
+            d.transient_distributions(p, [1.0, 5.0], (50, 50))
+
+    def test_a_long_horizon_without_catastrophes_is_refused(self):
+        # at t = 1e12 one state needs an FFT of 2^27 nodes, gigabytes of
+        # work arrays, and the default window 1e12 states
+        p = d.DiscreteParams(2.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="needs an FFT of 134217728 nodes"):
+            d.transient_probability(p, 0, 1e12)
+        with pytest.raises(ValueError, match="more than MAX_NODES"):
+            d.transient_distribution(p, 1e12)
+
+
+class TestBatchedTimes:
+    """``transient_distributions`` inverts a grid of times in one pass.
+    Batching must not couple the times: each slice is the one-time call's,
+    and each meets the per-state contract against the convolution oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_slice_is_the_one_time_call(self, seed):
+        rng = np.random.default_rng(seed)
+        lam, mu = sorted(10.0 ** rng.uniform(-0.5, 1.2, size=2))
+        if seed % 2:
+            lam, mu = mu, lam  # lam < mu takes the mirrored path
+        nu, eta = 10.0 ** rng.uniform(-2.0, 0.5, size=2)
+        p = d.DiscreteParams(lam, mu, nu, eta)
+        times = [0.0, *np.sort(10.0 ** rng.uniform(-2.0, 0.7, size=5)).tolist()]
+        centre = int(rng.integers(-4, 5))
+        for window in (d.default_window(p, times[-1]), (centre - 3, centre + 6)):
+            batch = d.transient_distributions(p, times, window)
+            assert [law.time for law in batch] == times
+            for t, law in zip(times, batch):
+                alone = d.transient_distribution(p, t, window)
+                values = np.array(list(law.probabilities.values()))
+                single = np.array(list(alone.probabilities.values()))
+                assert np.all(np.abs(values - single) <= 1e-14 * single)
+                assert (law.window, law.failure_mass, law.tail_bound) == (
+                    alone.window, alone.failure_mass, alone.tail_bound)
+                if t > 0.0:
+                    reference = lattice_law_by_convolution(lam, mu, nu, eta, t, *window)
+                    assert np.all(np.abs(values - reference) <= 1e-10 * reference + 1e-14)
+
+    def test_the_first_failing_time_names_itself(self, monkeypatch):
+        inversion = d._transient_window
+
+        def drop_the_last_mode(p, times, n_min, n_max):
+            values = inversion(p, times, n_min, n_max)
+            values[-1, np.argmax(values[-1])] = 0.0
+            return values
+
+        monkeypatch.setattr(d, "_transient_window", drop_the_last_mode)
+        with pytest.raises(QuadratureError, match=r"at t=2\.0 misses its mass"):
+            d.transient_distributions(SYMMETRIC, [0.5, 1.0, 2.0], (-20, 20))
+
+    def test_small_batches_give_the_same_slices(self, monkeypatch):
+        # one time per batch of times, one radius group per FFT batch
+        times = np.linspace(0.0, 6.0, 25).tolist()
+        whole = d.transient_distributions(DRIFTING, times, (-4, 9))
+        monkeypatch.setattr(d, "_BATCH_NODES", 64)
+        assert d.transient_distributions(DRIFTING, times, (-4, 9)) == whole
+
+    def test_no_times_give_no_slices(self):
+        assert d.transient_distributions(SYMMETRIC, [], (-2, 2)) == []
 
 
 class TestDefaultWindow:

@@ -119,6 +119,8 @@ TIMED = {
     "discrete.skellam_probability": (lambda t: d.skellam_probability(LATTICE, 1, t), False),
     "discrete.transient_probability": (lambda t: d.transient_probability(LATTICE, 1, t), False),
     "discrete.transient_distribution": (lambda t: d.transient_distribution(LATTICE, t), False),
+    "discrete.transient_distributions": (
+        lambda t: d.transient_distributions(LATTICE, [1.0, t], (-3, 3)), False),
     "discrete.default_window": (lambda t: d.default_window(LATTICE, t), False),
     "discrete.mean_transient": (lambda t: d.mean_transient(LATTICE, t), False),
     "discrete.variance_transient": (lambda t: d.variance_transient(LATTICE, t), False),
@@ -160,6 +162,7 @@ STATED = {
     "discrete.transient_probability": lambda n: d.transient_probability(LATTICE, n, 1.0),
     "discrete.first_passage_density": lambda n: d.first_passage_density(LATTICE, n, 1.0),
     "discrete.transient_distribution": lambda n: d.transient_distribution(LATTICE, 1.0, (n, 2)),
+    "discrete.transient_distributions": lambda n: d.transient_distributions(LATTICE, [1.0], (n, 2)),
 }
 
 #: every public law of the diffusion that takes a level
@@ -169,6 +172,15 @@ LEVELLED = {
     "diffusion.transient_density": lambda x: f.transient_density(DIFFUSION, x, 1.0),
     "diffusion.steady_density": lambda x: f.steady_density(DIFFUSION, x),
     "diffusion.laplace_density": lambda x: f.laplace_density(DIFFUSION, x, 1.0),
+}
+
+#: the raw-float laws of the failure cycle, each with valid arguments by name
+CYCLE_LAWS = {
+    "failure_mass": (fc.failure_mass, dict(nu=1.0, eta=1.0, t=1.0)),
+    "steady_failure_mass": (fc.steady_failure_mass, dict(nu=1.0, eta=1.0)),
+    "truncated_moments": (fc.truncated_moments, dict(nu=1.0, eta=1.0, t=1.0, drift=1.0, spread=1.0)),
+    "asymptotic_moments": (fc.asymptotic_moments, dict(nu=1.0, eta=1.0, drift=1.0, spread=1.0)),
+    "transform_amplitude": (fc.transform_amplitude, dict(nu=1.0, eta=1.0, z=1.0)),
 }
 
 #: every public transform in the Laplace variable z
@@ -203,6 +215,21 @@ class TestArgumentChecks:
     def test_rejects_a_transform_variable_that_is_not_finite_and_positive(self, name, z):
         with pytest.raises(ValueError, match="transform variable must be finite and positive"):
             TRANSFORMS[name](z)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("name,argument", [
+        (name, argument) for name, (_, valid) in sorted(CYCLE_LAWS.items()) for argument in valid])
+    def test_each_cycle_law_checks_each_argument(self, name, argument, value):
+        law, valid = CYCLE_LAWS[name]
+        law(**valid)
+        if argument == "drift" and value == -1.0:
+            law(**{**valid, argument: value})  # any finite drift is valid
+            return
+        with pytest.raises(ValueError):
+            law(**{**valid, argument: value})
+
+    def test_the_amplitude_at_z_zero_is_the_stationary_one(self):
+        assert fc.transform_amplitude(1.0, 0.25, 0.0) == 0.25 * 1.0 / 1.25
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("params", [LATTICE, DIFFUSION], ids=["discrete", "diffusion"])
