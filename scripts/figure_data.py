@@ -67,21 +67,15 @@ def moment_curves_discrete(out_dir: str) -> None:
 
 def density_profiles(out_dir: str) -> None:
     nus = (1.0, 0.5, 0.1)
-    xs = np.linspace(-3.0, 6.0, 181)
-    rows = []
-    for x in xs:
-        row = [float(x)]
-        for nu in nus:
-            dp = f.DiffusionParams(3.0, 1.0, 1.0, nu, 1.0)
-            row.append(f.transient_density(dp, float(x), 1.0))
-        rows.append(row)
+    xs = np.linspace(-3.0, 6.0, 181).tolist()
+    params = [f.DiffusionParams(3.0, 1.0, 1.0, nu, 1.0) for nu in nus]
+    curves = [f.transient_densities(dp, xs, 1.0) for dp in params]
     write_rows(
         os.path.join(out_dir, "density_profiles.csv"),
         ["x"] + [f"nu_{nu}" for nu in nus],
-        rows,
+        zip(xs, *curves),
     )
-    for nu in nus:
-        dp = f.DiffusionParams(3.0, 1.0, 1.0, nu, 1.0)
+    for nu, dp in zip(nus, params):
         print(f"  operating mass at t=1, nu={nu}: {f.on_mass(dp, 1.0):.4f}")
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from itertools import chain, compress, repeat
+from operator import is_not
+from typing import Iterable, Optional, Sequence
 
 from . import diffusion_closed, discrete_closed, scaling
 from .failure_cycle import steady_failure_mass
@@ -257,45 +258,107 @@ def _diffusion_params(options: dict) -> diffusion_closed.DiffusionParams:
 # table output
 
 
-def _format_cell(value, full_precision: bool, decimals: Optional[int]) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if decimals is not None:
-            return f"{value:.{decimals}f}"
-        if full_precision:
-            return repr(value)
-        return f"{value:.6g}"
-    return str(value)
+class _Echo:
+    """A file whose ``write`` hands its text back, so that a csv writer's
+    ``writerow`` returns the row as csv writes it."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_csv_line = csv.writer(_Echo(), lineterminator="\n").writerow
+
+
+def _csv_text(value, alone: bool) -> str:
+    """A cell as csv writes it: quoted where its text needs quotes, and ""
+    when it is empty and ``alone`` in its row."""
+    return _csv_line((str(value),))[:-1] if alone else _csv_line((str(value), ""))[:-2]
+
+
+def _csv_body(rows: list, width: int, float_code: str) -> str:
+    """Every row at once.  Each cell type has one format code (``float_code``
+    for a float, %d for an int, the empty field for None, csv's quoted text
+    for anything else); the codes make one template, and one
+    ``template % cells`` fills it."""
+    cells = tuple(chain.from_iterable(rows))
+    columns = [cells[j::width] for j in range(width)]
+    kinds = [set(map(type, column)) for column in columns]
+    alone = width == 1
+    codes, texts = {}, set()
+    for kind in set().union(*kinds):
+        if issubclass(kind, float):
+            codes[kind] = float_code
+        elif kind is int:
+            codes[kind] = "%d"
+        elif kind is type(None):
+            codes[kind] = _csv_text("", alone)
+        else:
+            codes[kind] = "%s"
+            texts.add(kind)
+    # each cell's code, then a comma, or a newline after a row's last cell;
+    # a column of one type takes its code once
+    parts = [","] * (2 * len(cells))
+    parts[2 * width - 1::2 * width] = ["\n"] * len(rows)
+    for j, (column, column_kinds) in enumerate(zip(columns, kinds)):
+        if len(column_kinds) == 1:
+            parts[2 * j::2 * width] = [codes[column_kinds.pop()]] * len(rows)
+        else:
+            parts[2 * j::2 * width] = map(codes.__getitem__, map(type, column))
+    if type(None) in codes:
+        cells = tuple(compress(cells, map(is_not, cells, repeat(None))))
+    if texts:
+        cells = tuple(_csv_text(v, alone) if type(v) in texts else v for v in cells)
+    return "".join(parts) % cells
+
+
+def _json_nested(value) -> str:
+    # a value of the payload, laid out with indent 2 one level down
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _json_rows(rows: list) -> str:
+    """The rows as ``json.dumps(indent=2)`` lays them out one level down,
+    every cell encoded by one call of the C encoder.  Encoded cells hold no
+    raw newline, so "]" + separator + "[" only ever joins two rows."""
+    if not rows:
+        return "[]"
+    within = ",\n      "
+    text = json.dumps(rows, separators=(within, ": "))[2:-2]
+    rows_text = text.replace("]" + within + "[", "\n    ],\n    [" + within[1:])
+    return "[\n    [" + within[1:] + rows_text + "\n    ]\n  ]"
 
 
 def write_table(
     columns: Sequence[str],
-    rows: Sequence[Sequence],
+    rows: Iterable[Sequence],
     params: dict,
     options: dict,
     decimals: Optional[int] = None,
 ) -> None:
+    """Write a table in one pass over its cells.  ``rows`` may be any
+    iterable of rows of one cell per column, such as a ``zip`` of columns.
+    CSV writes floats with %.6g, or repr under --full-precision, or with
+    ``decimals`` fixed decimals; JSON writes them in full, or rounded to
+    ``decimals``."""
     out = options["out"]
-    fmt = options["format"]
-    full = options["full_precision"]
-    if fmt == "json":
+    width = len(columns)
+    rows = list(rows)
+    if not width or set(map(len, rows)) - {width}:
+        raise ValueError(f"each row needs one cell for each of {width} columns")
+    if options["format"] == "json":
         if decimals is not None:
-            rows = [
-                [round(v, decimals) if isinstance(v, float) else v for v in row]
-                for row in rows
-            ]
-        payload = {"params": params, "schema": list(columns), "rows": [list(r) for r in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            rows = [[round(v, decimals) if isinstance(v, float) else v for v in row]
+                    for row in rows]
+        text = (f'{{\n  "params": {_json_nested(params)},\n  "rows": {_json_rows(rows)},'
+                f'\n  "schema": {_json_nested(list(columns))}\n}}\n')
     else:
-        buffer = io.StringIO()
-        buffer.write("# catwalk-table v1\n")
-        buffer.write(f"# params {json.dumps(params, sort_keys=True)}\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v, full, decimals) for v in row])
-        text = buffer.getvalue()
+        if decimals is not None:
+            float_code = f"%.{decimals}f"
+        else:
+            float_code = "%r" if options["full_precision"] else "%.6g"
+        text = (f"# catwalk-table v1\n# params {json.dumps(params, sort_keys=True)}\n"
+                f"{_csv_line(columns)}{_csv_body(rows, width, float_code)}")
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -376,8 +439,6 @@ def _provenance(options: dict, **resolved) -> dict:
 
 
 def cmd_transient(options: dict) -> int:
-    import numpy as np
-
     from . import diffusion, discrete
 
     _require(options, "t_grid")
@@ -390,7 +451,8 @@ def cmd_transient(options: dict) -> int:
             if t == 0.0:
                 rows.append([0.0, 0, 1.0, 0.0])
             else:
-                rows += [[t, n, value, law.failure_mass] for n, value in law.probabilities.items()]
+                states = law.probabilities
+                rows += zip(repeat(t), states, states.values(), repeat(law.failure_mass))
         write_table(["t", "n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
@@ -403,11 +465,10 @@ def cmd_transient(options: dict) -> int:
         lo = min(0.0, dp.drift * t_ref) - 8.0 * sd
         hi = max(0.0, dp.drift * t_ref) + 8.0 * sd
         xs = _linspace(lo, hi, 161)
-    grid = np.array(xs)
     rows = []
     for t in t_grid:
         q = diffusion.failure_probability(dp, t)
-        rows += [[t, x, f, q] for x, f in zip(xs, diffusion._density(dp, grid, t).tolist())]
+        rows += zip(repeat(t), xs, diffusion.transient_densities(dp, xs, t), repeat(q))
     write_table(["t", "x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)
     return 0
 
@@ -424,7 +485,7 @@ def cmd_steady(options: dict) -> int:
     q = steady_failure_mass(dp.nu, dp.eta)
     xs = options["x_grid"]
     if xs is None:
-        length = dp.sigma2 / (diffusion_closed._decay_root(dp, dp.nu) - abs(dp.drift))
+        length = diffusion_closed.steady_decay_length(dp)
         xs = _linspace(-12.0 * length, 12.0 * length, 161)
     rows = [[x, diffusion_closed.steady_density(dp, x), q] for x in xs]
     write_table(["x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)

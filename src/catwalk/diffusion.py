@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .diffusion_closed import (
     laplace_density,
     laplace_roots,
     mean_x,
+    steady_decay_length,
     steady_density,
     variance_x,
 )
@@ -46,11 +47,13 @@ __all__ = [
     "failure_probability",
     "wiener_density",
     "transient_density",
+    "transient_densities",
     "on_mass",
     "density_slice",
     "laplace_density",
     "laplace_roots",
     "steady_density",
+    "steady_decay_length",
     "mean_x",
     "variance_x",
     "asymptotic_moments",
@@ -240,6 +243,14 @@ def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, P
     if t == 0.0:
         return DIRAC_AT_ORIGIN
     return float(_density(dp, np.array([float(x)]), t)[0])
+
+
+def transient_densities(dp: DiffusionParams, xs: Sequence[float], t: float) -> list[float]:
+    """The transient density at each abscissa of ``xs`` at one time t > 0,
+    in one vectorised evaluation: element for element the values of
+    :func:`transient_density`."""
+    check_time(t, positive=True)
+    return _density(dp, np.array(xs, dtype=float), t).tolist()
 
 
 def on_mass(dp: DiffusionParams, t: float) -> float:

@@ -32,6 +32,7 @@ __all__ = [
     "laplace_density",
     "laplace_roots",
     "steady_density",
+    "steady_decay_length",
     "mean_x",
     "variance_x",
     "asymptotic_moments",
@@ -114,6 +115,13 @@ def steady_density(dp: DiffusionParams, x: float) -> float:
     check_stationary(dp.nu)
     check_level(x)
     return _scaled_transform(dp, x, 0.0)
+
+
+def steady_decay_length(dp: DiffusionParams) -> float:
+    """Decay length of the stationary density on the drift's side, the longer
+    of its two: there it falls off as exp(-|x| / length)."""
+    check_stationary(dp.nu)
+    return dp.sigma2 / (_decay_root(dp, dp.nu) - abs(dp.drift))
 
 
 def mean_x(dp: DiffusionParams, t: float) -> float:

@@ -8,13 +8,19 @@ the diffusion density and the mass outside a density slice are restart
 convolutions integrated in mpmath, the truncated moments integrate the law
 of the age of the operating period in mpmath, the diffusion's truncated
 variance is also available in the paper's expanded closed form, and the
-hitting probability comes from an absorbing-chain linear solve.
+hitting probability comes from an absorbing-chain linear solve.  The CLI's
+tables are checked against a writer that formats them cell by cell through
+the csv module and the pure-Python JSON encoder.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
+import json
 import math
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -352,3 +358,44 @@ def printed_variance(nu: float, eta: float, t: float, drift: float, sigma2: floa
         - math.exp(-2.0 * nu * t) * (nu**2 - eta**2 - nu**2 * math.exp(-eta * t)) ** 2
     )
     return diffusive + drift**2 / ((eta + nu) ** 2 * nu**2 * eta**2) * braces
+
+
+def _format_cell(value, full_precision: bool, decimals: Optional[int]) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if decimals is not None:
+            return f"{value:.{decimals}f}"
+        if full_precision:
+            return repr(value)
+        return f"{value:.6g}"
+    return str(value)
+
+
+def table_by_cells(
+    columns: Sequence[str],
+    rows: Sequence[Sequence],
+    params: dict,
+    fmt: str = "csv",
+    full_precision: bool = False,
+    decimals: Optional[int] = None,
+) -> str:
+    """The text of a CLI table, written one cell and one row at a time: each
+    cell through ``_format_cell`` and ``csv.writer`` (CSV), or the whole
+    payload through ``json.dumps(indent=2)`` (JSON)."""
+    if fmt == "json":
+        if decimals is not None:
+            rows = [
+                [round(v, decimals) if isinstance(v, float) else v for v in row]
+                for row in rows
+            ]
+        payload = {"params": params, "schema": list(columns), "rows": [list(r) for r in rows]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    buffer = io.StringIO()
+    buffer.write("# catwalk-table v1\n")
+    buffer.write(f"# params {json.dumps(params, sort_keys=True)}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(v, full_precision, decimals) for v in row])
+    return buffer.getvalue()

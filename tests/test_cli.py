@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import catwalk
 from catwalk import cli
 from catwalk.special import QuadratureError
+from oracles import table_by_cells
 
 TABLE1_ROW0 = (0.04516, 0.04588, 0.01593, 0.04552, 0.04588, 0.00793, 0.04581, 0.04588, 0.00158)
 LATTICE = ["--lambda", "2", "--mu", "1", "--nu", "1", "--eta", "1"]
@@ -113,6 +116,92 @@ class TestRoundTrip:
         assert run(argv + ["--out", str(first)]) == 0
         assert run(argv + ["--out", str(second)]) == 0
         assert cli.read_table(str(first))["rows"] == cli.read_table(str(second))["rows"]
+
+
+#: a heavy-traffic lattice table of 20 times x 601 states, 12,020 rows
+LARGE_LATTICE = ["transient", "--lambda", "5000", "--mu", "5000", "--nu", "0.1", "--eta", "1",
+                 "--t-grid", "0.1:2:0.1", "--n-min", "-300", "--n-max", "300"]
+
+#: (format, full_precision, decimals): the three float renderings in each format
+RENDERINGS = [(fmt, full, decimals) for fmt in ("csv", "json")
+              for full, decimals in ((False, None), (True, None), (False, 5))]
+
+#: cells of every type a table may hold, floats at the edges of %.6g and repr
+CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 123456.5, 999999.5, 1 / 3,
+         -2.5e-7, 0, -7, 2**70, -(10**20), None, True, False, "", "plain", "a,b", 'say "x"',
+         "two\nlines", "cr\rlf", "50%", "%s%d"]
+NAMES = ["t", "n", "", "x,y", 'q"', "two\nlines"]
+
+
+def _written(tmp_path, columns, rows, params, fmt, full, decimals):
+    out = tmp_path / "table"
+    cli.write_table(columns, rows, params,
+                    {"out": str(out), "format": fmt, "full_precision": full}, decimals)
+    return out.read_bytes().decode("utf-8")
+
+
+class TestTableWriter:
+    """The one-pass writer gives, byte for byte, the text of the reference
+    writer in tests/oracles.py, which formats one cell and one row at a time."""
+
+    PARAMS = {"command": "transient", "lam": 2.0, "t_grid": [0.0, 0.5], "stats": ["cdf"]}
+
+    @pytest.mark.parametrize("fmt,full,decimals", RENDERINGS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tables_match_the_reference(self, tmp_path, seed, fmt, full, decimals):
+        rng = random.Random(seed)
+        for _ in range(60):
+            width, height = rng.randint(1, 4), rng.randint(0, 6)
+            columns = [rng.choice(NAMES) for _ in range(width)]
+            rows = [[rng.choice(CELLS) for _ in range(width)] for _ in range(height)]
+            expected = table_by_cells(columns, rows, self.PARAMS, fmt, full, decimals)
+            assert _written(tmp_path, columns, rows, self.PARAMS, fmt, full, decimals) == expected
+
+    TABLES = {
+        "empty": (["t", "x"], []),
+        "one-column": (["n"], [[1.5], [None], [""], [3], ["a,b"]]),
+        "simulate-like": (
+            ["t", "statistic", "arg", "estimate", "standard_error", "replications"],
+            [(1.0, "state-probability", -1, 0.25, 0.0125, 200),
+             (1.0, "cdf", -0.5, 0.5, None, 200),
+             (1.0, "truncated-mean", None, 1.75, 0.031, 200)]),
+        "every-cell": (["v"] * len(CELLS), [CELLS, CELLS[::-1]]),
+    }
+
+    @pytest.mark.parametrize("fmt,full,decimals", RENDERINGS)
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_edge_tables_match_the_reference(self, tmp_path, name, fmt, full, decimals):
+        columns, rows = self.TABLES[name]
+        expected = table_by_cells(columns, rows, self.PARAMS, fmt, full, decimals)
+        assert _written(tmp_path, columns, iter(rows), self.PARAMS, fmt, full, decimals) == expected
+
+    @pytest.mark.parametrize("columns,rows", [([], []), (["t", "x"], [(1.0, 2.0), (1.0,)])])
+    def test_a_row_must_fill_the_columns(self, tmp_path, columns, rows):
+        with pytest.raises(ValueError, match="one cell for each of"):
+            _written(tmp_path, columns, rows, self.PARAMS, "csv", False, None)
+
+    @pytest.mark.parametrize("variant", [[], ["--format", "json"], ["--full-precision"]],
+                             ids=["csv", "json", "full-precision"])
+    @pytest.mark.parametrize("run_name", [*sorted(DEFAULT_RUNS), "large-lattice"])
+    def test_every_command_writes_the_reference_rendering(self, tmp_path, monkeypatch, run_name,
+                                                          variant):
+        write, calls = cli.write_table, []
+
+        def capture(columns, rows, params, options, decimals=None):
+            rows = list(rows)
+            calls.append((columns, rows, params, options, decimals))
+            write(columns, rows, params, options, decimals)
+
+        monkeypatch.setattr(cli, "write_table", capture)
+        out = tmp_path / "table"
+        argv = DEFAULT_RUNS.get(run_name, LARGE_LATTICE)
+        assert run(argv + variant + ["--out", str(out)]) == 0
+        ((columns, rows, params, options, decimals),) = calls
+        if run_name == "large-lattice":
+            assert len(rows) == 12_020
+        expected = table_by_cells(columns, rows, params, options["format"],
+                                  options["full_precision"], decimals)
+        assert out.read_bytes().decode("utf-8") == expected
 
 
 class TestTransient:

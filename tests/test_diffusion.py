@@ -130,6 +130,12 @@ class TestTransientDensity:
         for x, value in zip(slice_.abscissas, slice_.values):
             assert value == pytest.approx(f.transient_density(TABLE, float(x), 2.0), rel=1e-14)
 
+    @pytest.mark.parametrize("dp", [FIG4, TABLE, f.DiffusionParams(3.0, 1.0, 1.0, 0.0, 1.0)])
+    def test_a_grid_of_densities_is_the_pointwise_density(self, dp):
+        xs = np.linspace(-40.0, 40.0, 161).tolist()
+        assert f.transient_densities(dp, xs, 1.3) == [f.transient_density(dp, x, 1.3) for x in xs]
+        assert f.transient_densities(dp, (), 1.3) == []
+
     def test_long_run_pointwise_limit_is_the_steady_density(self):
         # t = 50 / min(nu, eta)
         for x in np.linspace(-3.0, 3.0, 13):
@@ -264,6 +270,18 @@ class TestSteadyDensity:
         dp = f.DiffusionParams(3.0, 1.0, 1.0, 0.0, 1.0)
         with pytest.raises(f.NoSteadyStateError):
             f.steady_density(dp, 0.0)
+        with pytest.raises(f.NoSteadyStateError):
+            f.steady_decay_length(dp)
+
+    @pytest.mark.parametrize("dp", [FIG4, TABLE])
+    def test_decay_length_is_the_slower_tail(self, dp):
+        length = f.steady_decay_length(dp)
+        for side in (1.0, -1.0):
+            ratio = f.steady_density(dp, side * 2.0 * length) / f.steady_density(dp, side * length)
+            if side * dp.drift > 0.0:
+                assert ratio == pytest.approx(math.exp(-1.0), rel=1e-12)
+            else:
+                assert ratio < math.exp(-1.0)
 
 
 class TestMoments:

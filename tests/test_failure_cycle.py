@@ -127,6 +127,7 @@ TIMED = {
     "discrete.first_passage_density": (lambda t: d.first_passage_density(LATTICE, 1, t), True),
     "diffusion.failure_probability": (lambda t: f.failure_probability(DIFFUSION, t), False),
     "diffusion.transient_density": (lambda t: f.transient_density(DIFFUSION, 0.5, t), False),
+    "diffusion.transient_densities": (lambda t: f.transient_densities(DIFFUSION, [0.5], t), True),
     "diffusion.mean_x": (lambda t: f.mean_x(DIFFUSION, t), False),
     "diffusion.variance_x": (lambda t: f.variance_x(DIFFUSION, t), False),
     "diffusion.wiener_density": (lambda t: f.wiener_density(DIFFUSION, 0.5, t), True),
@@ -170,6 +171,7 @@ LEVELLED = {
     "diffusion.wiener_density": lambda x: f.wiener_density(DIFFUSION, x, 1.0),
     "diffusion.fpt_density_wiener": lambda x: f.fpt_density_wiener(DIFFUSION, x, 1.0),
     "diffusion.transient_density": lambda x: f.transient_density(DIFFUSION, x, 1.0),
+    "diffusion.transient_densities": lambda x: f.transient_densities(DIFFUSION, [0.5, x], 1.0),
     "diffusion.steady_density": lambda x: f.steady_density(DIFFUSION, x),
     "diffusion.laplace_density": lambda x: f.laplace_density(DIFFUSION, x, 1.0),
 }
