@@ -5,8 +5,8 @@ convergence checks."""
 
 from importlib import import_module
 
-from .discrete_closed import DiscreteParams, LaplaceRoots
-from .diffusion_closed import DIRAC_AT_ORIGIN, DiffusionParams, PointMass
+from .discrete import DiscreteParams, DistributionSlice, LaplaceRoots
+from .diffusion import DIRAC_AT_ORIGIN, DensitySlice, DiffusionParams, PointMass
 from .failure_cycle import NoSteadyStateError
 from .scaling import ComparisonRow, scale_params
 from .special import QuadratureError
@@ -30,18 +30,12 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-#: names whose modules load NumPy, imported on first access (PEP 562) so
-#: that ``import catwalk`` does not
-_LAZY = {
-    "DistributionSlice": "discrete",
-    "DensitySlice": "diffusion",
-    "SimConfig": "simulate",
-    "PathTrace": "simulate",
-    "EmpiricalEstimate": "simulate",
-}
+#: the simulator's names, imported on first access (PEP 562) because its
+#: module loads NumPy and ``import catwalk`` does not
+_LAZY = ("SimConfig", "PathTrace", "EmpiricalEstimate")
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return getattr(import_module(".simulate", __name__), name)

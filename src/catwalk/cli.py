@@ -20,8 +20,8 @@ from itertools import chain, compress, repeat
 from operator import is_not
 from typing import Iterable, Optional, Sequence
 
-from . import diffusion_closed, discrete_closed, scaling
-from .failure_cycle import steady_failure_mass
+from . import diffusion, discrete, scaling
+from .failure_cycle import check_time, steady_failure_mass
 from .special import QuadratureError
 
 __all__ = ["main", "entrypoint", "read_table", "rebuild_argv"]
@@ -240,16 +240,16 @@ def _require(options: dict, *names: str) -> None:
         raise ValueError(f"missing required options: {', '.join(flags)}")
 
 
-def _discrete_params(options: dict) -> discrete_closed.DiscreteParams:
+def _discrete_params(options: dict) -> discrete.DiscreteParams:
     _require(options, "lam", "mu", "nu", "eta")
-    return discrete_closed.DiscreteParams(
+    return discrete.DiscreteParams(
         options["lam"], options["mu"], options["nu"], options["eta"]
     )
 
 
-def _diffusion_params(options: dict) -> diffusion_closed.DiffusionParams:
+def _diffusion_params(options: dict) -> diffusion.DiffusionParams:
     _require(options, "lam_hat", "mu_hat", "sigma2", "nu", "eta")
-    return diffusion_closed.DiffusionParams(
+    return diffusion.DiffusionParams(
         options["lam_hat"], options["mu_hat"], options["sigma2"], options["nu"], options["eta"]
     )
 
@@ -439,8 +439,6 @@ def _provenance(options: dict, **resolved) -> dict:
 
 
 def cmd_transient(options: dict) -> int:
-    from . import diffusion, discrete
-
     _require(options, "t_grid")
     t_grid = options["t_grid"]
     if options["model"] == "discrete":
@@ -456,8 +454,10 @@ def cmd_transient(options: dict) -> int:
         write_table(["t", "n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
-    if any(t <= 0.0 for t in t_grid):
-        raise ValueError("the diffusion density needs t > 0 (t = 0 is a point mass at 0)")
+    for t in t_grid:
+        if t <= 0.0:
+            raise ValueError("the diffusion density needs t > 0 (t = 0 is a point mass at 0)")
+        check_time(t, positive=True)
     xs = options["x_grid"]
     if xs is None:
         t_ref = max(t_grid)
@@ -476,18 +476,18 @@ def cmd_transient(options: dict) -> int:
 def cmd_steady(options: dict) -> int:
     if options["model"] == "discrete":
         p = _discrete_params(options)
-        q = discrete_closed.steady_failure(p)
+        q = discrete.steady_failure(p)
         states = range(options["n_min"], options["n_max"] + 1)
-        rows = [[n, discrete_closed.steady_state(p, n), q] for n in states]
+        rows = [[n, discrete.steady_state(p, n), q] for n in states]
         write_table(["n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
     q = steady_failure_mass(dp.nu, dp.eta)
     xs = options["x_grid"]
     if xs is None:
-        length = diffusion_closed.steady_decay_length(dp)
+        length = diffusion.steady_decay_length(dp)
         xs = _linspace(-12.0 * length, 12.0 * length, 161)
-    rows = [[x, diffusion_closed.steady_density(dp, x), q] for x in xs]
+    rows = [[x, diffusion.steady_density(dp, x), q] for x in xs]
     write_table(["x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)
     return 0
 
@@ -497,11 +497,11 @@ def cmd_moments(options: dict) -> int:
     t_grid = options["t_grid"]
     if options["model"] == "discrete":
         p = _discrete_params(options)
-        rows = [[t, discrete_closed.mean_transient(p, t), discrete_closed.variance_transient(p, t)]
+        rows = [[t, discrete.mean_transient(p, t), discrete.variance_transient(p, t)]
                 for t in t_grid]
     else:
         dp = _diffusion_params(options)
-        rows = [[t, diffusion_closed.mean_x(dp, t), diffusion_closed.variance_x(dp, t)]
+        rows = [[t, diffusion.mean_x(dp, t), diffusion.variance_x(dp, t)]
                 for t in t_grid]
     write_table(["t", "mean", "variance"], rows, _provenance(options), options)
     return 0

@@ -6,37 +6,36 @@ failure state F; after an Exp(eta) repair it restarts from 0.  Its law has a
 density on the reals plus an atom at F whose mass is the same failure mass as
 in the discrete model.
 
-The parameters and the closed-form laws (failure mass, stationary density,
-moments, transforms) live in :mod:`catwalk.diffusion_closed`, which needs no
-NumPy; they are re-exported here.
+The closed-form laws (failure mass, stationary density, moments, transforms)
+are elementary in the rates.  NumPy and SciPy are imported only inside the
+functions of the transient density, so the closed forms load without them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
-
-from .diffusion_closed import (
-    DIRAC_AT_ORIGIN,
-    DiffusionParams,
-    PointMass,
-    asymptotic_moments,
-    failure_probability,
-    laplace_density,
-    laplace_roots,
-    mean_x,
-    steady_decay_length,
-    steady_density,
-    variance_x,
+from .failure_cycle import (
+    NoSteadyStateError,
+    asymptotic_moments as _cycle_asymptotic_moments,
+    check_level,
+    check_rates,
+    check_stationary,
+    check_time,
+    check_transform_variable,
+    failure_mass,
+    transform_amplitude,
+    truncated_moments,
 )
-from .failure_cycle import NoSteadyStateError, check_level, check_time
 
 # Not called here any more, but kept bound under this name: the traced
 # benchmark run (perfbench/spans.py) wraps it in this module by name.
 from .special import integrate_adaptive  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiffusionParams",
@@ -61,11 +60,121 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class DiffusionParams:
+    """Drift components, variance and failure-cycle rates of the jump-diffusion.
+
+    lam_hat: upward drift component (space per time)
+    mu_hat:  downward drift component
+    sigma2:  infinitesimal variance (space^2 per time)
+    nu:      catastrophe rate
+    eta:     repair rate
+    """
+
+    lam_hat: float
+    mu_hat: float
+    sigma2: float
+    nu: float
+    eta: float
+
+    def __post_init__(self) -> None:
+        check_rates(self.nu, lam_hat=self.lam_hat, mu_hat=self.mu_hat, sigma2=self.sigma2,
+                    eta=self.eta)
+
+    @property
+    def drift(self) -> float:
+        return self.lam_hat - self.mu_hat
+
+
+@dataclass(frozen=True)
+class PointMass:
+    """Degenerate law concentrated at one point (the t = 0 initial condition)."""
+
+    location: float
+
+
+DIRAC_AT_ORIGIN = PointMass(0.0)
+
+
+def failure_probability(dp: DiffusionParams, t: float) -> float:
+    """Probability of being under repair at time t (atom at F)."""
+    return failure_mass(dp.nu, dp.eta, t)
+
+
+def _decay_root(dp: DiffusionParams, rate: float) -> float:
+    # r = sqrt(drift^2 + 2 sigma2 rate): at catastrophe rate plus transform
+    # variable ``rate``, densities fall off as exp((drift x - r |x|) / sigma2)
+    return math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * rate)
+
+
+def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
+    """Roots w1 > 0 > w2 of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0, the decay
+    exponents of the transform density on each side of the origin."""
+    check_transform_variable(z)
+    root = _decay_root(dp, z + dp.nu)
+    return (dp.drift + root) / dp.sigma2, (dp.drift - root) / dp.sigma2
+
+
+def _scaled_transform(dp: DiffusionParams, x: float, z: float) -> float:
+    # z times the Laplace transform of the density at x, for z >= 0: the
+    # failure-free resolvent at z + nu times the cycle's amplitude.  At z = 0
+    # it is the stationary density.
+    root = _decay_root(dp, z + dp.nu)
+    amplitude = transform_amplitude(dp.nu, dp.eta, z)
+    return amplitude / root * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
+
+
+def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
+    """Laplace transform in time of the transient density, in closed form."""
+    check_transform_variable(z)
+    check_level(x)
+    return _scaled_transform(dp, x, z) / z
+
+
+def steady_density(dp: DiffusionParams, x: float) -> float:
+    """Long-run density: bilateral asymmetric exponential around the origin."""
+    check_stationary(dp.nu)
+    check_level(x)
+    return _scaled_transform(dp, x, 0.0)
+
+
+def steady_decay_length(dp: DiffusionParams) -> float:
+    """Decay length of the stationary density on the drift's side, the longer
+    of its two: there it falls off as exp(-|x| / length)."""
+    check_stationary(dp.nu)
+    return dp.sigma2 / (_decay_root(dp, dp.nu) - abs(dp.drift))
+
+
+def mean_x(dp: DiffusionParams, t: float) -> float:
+    """Truncated mean E[X(t) 1{on}]."""
+    return truncated_moments(dp.nu, dp.eta, t, dp.drift, dp.sigma2)[0]
+
+
+def variance_x(dp: DiffusionParams, t: float) -> float:
+    """Truncated variance Var[X(t) 1{on}], fully closed form."""
+    return truncated_moments(dp.nu, dp.eta, t, dp.drift, dp.sigma2)[1]
+
+
+def asymptotic_moments(dp: DiffusionParams) -> tuple[float, float]:
+    """Long-run truncated mean and variance."""
+    return _cycle_asymptotic_moments(dp.nu, dp.eta, dp.drift, dp.sigma2)
+
+
+def _gaussian_exponent(dp: DiffusionParams, offset, t: float):
+    # -offset^2 / (2 sigma2 t) as -z^2 with z = offset / sqrt(2 sigma2 t),
+    # since offset^2 overflows at huge times; |z| is capped at 1e150, where
+    # e^{-z^2} is 0 in doubles anyway
+    import numpy as np
+    z = np.minimum(np.abs(offset) / math.sqrt(2.0 * dp.sigma2 * t), 1e150)
+    return -z * z
+
+
 def _gaussian(dp: DiffusionParams, offset, t: float):
     # failure-free kernel at displacement ``offset`` from its mean; numpy
     # arithmetic so that scalar and vector callers get identical bits
+    import numpy as np
     var = dp.sigma2 * t
-    return np.exp(-offset * offset / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    return np.exp(_gaussian_exponent(dp, offset, t)) / np.sqrt(2.0 * math.pi * var)
 
 
 def wiener_density(dp: DiffusionParams, x: float, t: float, x0: float = 0.0) -> float:
@@ -95,6 +204,7 @@ def _erfcx_derivatives(alpha: np.ndarray, count: int) -> list:
     y_n / y_{n-1} = 2n / (y_{n+1} / y_n - 2 alpha) come from a continued
     fraction run backward from zero.
     """
+    import numpy as np
     from scipy.special import erfcx
 
     ys = [erfcx(alpha)] + [np.empty_like(alpha) for _ in range(count)]
@@ -141,6 +251,7 @@ def _lag_integrals(
     2 Re w.  Where alpha < beta, erfcx(alpha - beta) would overflow, so that
     term keeps erfc and its own exponent.
     """
+    import numpy as np
     from scipy.special import erfc, erfcx, wofz
 
     c, s2 = dp.drift, dp.sigma2
@@ -202,8 +313,7 @@ def _restart_lags(dp: DiffusionParams, x: np.ndarray, t: float) -> tuple:
     a = -eta times the repair factor e^{-(eta+nu) t}."""
     # e^{-nu t} times the Gaussian shape: the exponent of K_nu, and of
     # e^{-(eta+nu) t} K_{-eta} once the repair factor is folded in
-    offset = x - dp.drift * t
-    exponent = -offset * offset / (2.0 * dp.sigma2 * t) - dp.nu * t
+    exponent = _gaussian_exponent(dp, x - dp.drift * t, t) - dp.nu * t
     return (_lag_integrals(dp, x, t, dp.nu, exponent, 0.0),
             _lag_integrals(dp, x, t, -dp.eta, exponent, -(dp.eta + dp.nu) * t))
 
@@ -211,6 +321,7 @@ def _restart_lags(dp: DiffusionParams, x: np.ndarray, t: float) -> tuple:
 def _density(dp: DiffusionParams, x: np.ndarray, t: float, lags=None) -> np.ndarray:
     # operating density at time t > 0 for an array of abscissas, given their
     # _restart_lags or computing them
+    import numpy as np
     finite = np.isfinite(x)
     if not finite.all():
         check_level(float(x[~finite][0]))
@@ -242,13 +353,14 @@ def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, P
     check_time(t)
     if t == 0.0:
         return DIRAC_AT_ORIGIN
-    return float(_density(dp, np.array([float(x)]), t)[0])
+    return transient_densities(dp, [x], t)[0]
 
 
 def transient_densities(dp: DiffusionParams, xs: Sequence[float], t: float) -> list[float]:
     """The transient density at each abscissa of ``xs`` at one time t > 0,
     in one vectorised evaluation: element for element the values of
     :func:`transient_density`."""
+    import numpy as np
     check_time(t, positive=True)
     return _density(dp, np.array(xs, dtype=float), t).tolist()
 
@@ -278,6 +390,7 @@ def _tail_mass(dp: DiffusionParams, xs: np.ndarray, t: float, lags) -> float:
     through |x|, c x and (x - c t)^2, so both tails take the lags at
     x = (hi, lo), with the drift's sign carried alongside.
     """
+    import numpy as np
     c, nu, eta = dp.drift, dp.nu, dp.eta
     ends = [-1, 0]
     side = np.sign(xs[ends]) * [1.0, -1.0]
@@ -309,6 +422,7 @@ class DensitySlice:
     mass_tolerance: float
 
     def trapezoid_mass(self) -> float:
+        import numpy as np
         return float(np.trapezoid(self.values, self.abscissas)) + self.tail_mass
 
 
@@ -325,6 +439,7 @@ def density_slice(
     evaluation, and the mass outside the grid in closed form from the same
     lag integrals at its two ends (``_tail_mass``).
     """
+    import numpy as np
     check_time(t, positive=True)
     if not n_points >= 2:
         raise ValueError(f"n_points must be at least 2, got {n_points!r}")

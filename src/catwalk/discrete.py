@@ -29,40 +29,40 @@ out-of-window mass is at most ``WINDOW_TAIL_TARGET``.  A grid of times is
 inverted together (``transient_distributions``): every time keeps its own
 radii, groups and FFT lengths, but each step runs once for all of them.
 
-The parameters and the closed-form laws (failure mass, stationary law,
-moments, transforms) live in :mod:`catwalk.discrete_closed`, which needs no
-NumPy; they are re-exported here.
+The closed-form laws (failure mass, stationary law, moments, transforms)
+are elementary in the rates.  NumPy is imported only inside the functions of
+the transient law, so the closed forms load without it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .discrete_closed import (
-    DiscreteParams,
-    LaplaceRoots,
-    asymptotic_mean,
-    asymptotic_variance,
-    failure_probability,
-    laplace_pn,
-    laplace_transforms,
-    mean_peak_time,
-    mean_transient,
-    steady_failure,
-    steady_state,
-    variance_transient,
+from .failure_cycle import (
+    NoSteadyStateError,
+    asymptotic_moments,
+    check_rates,
+    check_state,
+    check_stationary,
+    check_time,
+    check_transform_variable,
+    failure_mass,
+    steady_failure_mass,
+    transform_amplitude,
+    truncated_moments,
 )
-from .failure_cycle import NoSteadyStateError, check_state, check_time
 from .special import QuadratureError
 
 # Not called here any more, but kept bound under these names: the traced
 # benchmark run (perfbench/spans.py) wraps them in this module by name.
 from .special import bessel_i_scaled, integrate_adaptive  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscreteParams",
@@ -98,11 +98,11 @@ _GRID_GAP = 0.5
 _STEP = 1e-20
 #: the mass the FFT folds onto a state is held below eps times its Chernoff
 #: bound, the rounding level, by a tilted Chernoff bound at these shifts
-_FOLD = math.log(np.finfo(float).eps)
-_SHIFTS = 2.0 ** np.arange(-14, 4, 2)
+_FOLD = math.log(sys.float_info.epsilon)
+_SHIFTS = tuple(2.0**k for k in range(-14, 4, 2))
 #: expected events (lam + mu + nu) t past which the exponent of G, formed in
 #: doubles, carries a rounding error above 1
-_MAX_EVENTS = 1.0 / np.finfo(float).eps
+_MAX_EVENTS = 1.0 / sys.float_info.epsilon
 #: most states of a window and most nodes of one FFT: past either the lattice
 #: law raises ``ValueError`` before it allocates.  An FFT's work arrays take
 #: up to about 160 bytes a node, 0.7 GB at the cap; the largest FFT of the
@@ -111,6 +111,127 @@ MAX_NODES = 1 << 22
 #: nodes one batch works on: FFT nodes of the radius groups evaluated
 #: together, and states of the times inverted together
 _BATCH_NODES = 1 << 18
+
+
+@dataclass(frozen=True)
+class DiscreteParams:
+    """Rates of the catastrophe-repair random walk (events per unit time).
+
+    lam: rate of unit steps to the right
+    mu:  rate of unit steps to the left
+    nu:  catastrophe rate (any state jumps to the failure state F)
+    eta: repair rate (Exp(eta) sojourn in F, then restart at 0)
+    """
+
+    lam: float
+    mu: float
+    nu: float
+    eta: float
+
+    def __post_init__(self) -> None:
+        check_rates(self.nu, lam=self.lam, mu=self.mu, eta=self.eta)
+
+    def swapped(self) -> "DiscreteParams":
+        """Mirror walk with left/right rates exchanged."""
+        return DiscreteParams(self.mu, self.lam, self.nu, self.eta)
+
+
+def failure_probability(p: DiscreteParams, t: float) -> float:
+    """Probability the system is under repair at time t."""
+    return failure_mass(p.nu, p.eta, t)
+
+
+def steady_failure(p: DiscreteParams) -> float:
+    """Long-run probability of being under repair."""
+    return steady_failure_mass(p.nu, p.eta)
+
+
+def steady_state(p: DiscreteParams, n: int) -> float:
+    """Long-run probability of state n; geometric on each side of the origin."""
+    check_stationary(p.nu)
+    return _scaled_transform(p, n, 0.0)
+
+
+def mean_transient(p: DiscreteParams, t: float) -> float:
+    """Mean of the state zeroed while under repair, E[N(t) 1{on}]."""
+    return truncated_moments(p.nu, p.eta, t, p.lam - p.mu, p.lam + p.mu)[0]
+
+
+def variance_transient(p: DiscreteParams, t: float) -> float:
+    """Variance of the state zeroed while under repair, Var[N(t) 1{on}]."""
+    return truncated_moments(p.nu, p.eta, t, p.lam - p.mu, p.lam + p.mu)[1]
+
+
+def asymptotic_mean(p: DiscreteParams) -> float:
+    """Long-run truncated mean, (lam-mu) eta / ((eta+nu) nu)."""
+    return asymptotic_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)[0]
+
+
+def asymptotic_variance(p: DiscreteParams) -> float:
+    """Long-run truncated variance."""
+    return asymptotic_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)[1]
+
+
+def mean_peak_time(p: DiscreteParams) -> Optional[float]:
+    """Interior extremum of the truncated mean, or None when it is monotone.
+
+    The mean has an interior peak only when repairs are slower than
+    catastrophes (eta < nu) and the walk actually drifts (lam != mu).
+    """
+    if p.lam == p.mu or p.eta >= p.nu:
+        return None
+    return math.log(p.nu / (p.nu - p.eta)) / p.eta
+
+
+@dataclass(frozen=True)
+class LaplaceRoots:
+    """Roots psi1 > psi2 of mu x^2 - (z + lam + mu + nu) x + lam = 0."""
+
+    psi1: float
+    psi2: float
+    z: float
+
+
+def _transform_root(p: DiscreteParams, z: float) -> float:
+    # sqrt((z+lam+mu+nu)^2 - 4 lam mu) rearranged to dodge the heavy-traffic
+    # cancellation: (lam-mu)^2 + s (s + 2 (lam+mu)) with s = z + nu
+    s = z + p.nu
+    return math.sqrt((p.lam - p.mu) ** 2 + s * (s + 2.0 * (p.lam + p.mu)))
+
+
+def _scaled_transform(p: DiscreteParams, n: int, z: float) -> float:
+    # z times the Laplace transform of P_n, for z >= 0: the cycle's amplitude
+    # times the catastrophe-free resolvent at z + nu, which is 1/root at the
+    # origin and falls geometrically on each side, by the small quadratic
+    # root 2 lam/(total + root) for n > 0 and 2 mu/(total + root) for n < 0
+    # (rationalized).  At z = 0 it is the stationary law.
+    n = check_state(n)
+    root = _transform_root(p, z)
+    origin = transform_amplitude(p.nu, p.eta, z) / root
+    if n == 0:
+        return origin
+    rate = p.lam if n > 0 else p.mu
+    return origin * (2.0 * rate / (z + p.lam + p.mu + p.nu + root)) ** abs(n)
+
+
+def laplace_transforms(p: DiscreteParams, z: float) -> tuple[float, LaplaceRoots]:
+    """Laplace transform of the origin probability P_0 and the geometric roots
+    that extend it to every other state."""
+    origin = laplace_pn(p, 0, z)
+    root = _transform_root(p, z)
+    total = z + p.lam + p.mu + p.nu
+    return origin, LaplaceRoots(
+        psi1=(total + root) / (2.0 * p.mu),
+        psi2=2.0 * p.lam / (total + root),
+        z=z,
+    )
+
+
+def laplace_pn(p: DiscreteParams, n: int, z: float) -> float:
+    """Laplace transform of P_n: the origin transform times psi2^n for n >= 1
+    and psi1^n for n <= -1."""
+    check_transform_variable(z)
+    return _scaled_transform(p, n, z) / z
 
 
 def _check_horizon(p: DiscreteParams, t: float) -> None:
@@ -126,6 +247,7 @@ def _restart_integral(x, rate_t, scale, t):
     # rate_t = r t: t [(e^x - 1) / x - (e^x - e^{-r t}) / (x + r t)], each
     # quotient (e^x - e^y) / (x - y) in its expm1 form near its pole x = y;
     # rate_t, scale and t are arrays that broadcast against x
+    import numpy as np
     y = rate_t[..., None] * np.array([0.0, -1.0])
     d = x[..., None] - y
     d = np.where(d == 0.0, 1e-300, d)  # expm1(d) / d -> 1
@@ -142,6 +264,7 @@ def _scaled_gf(p: DiscreteParams, t, s, theta):
     # circle, so nothing overflows; with catastrophes it is at least
     # min(0, log c), so G(e^s) e^{-K} >= c e^{-K} (restart integral) does not
     # underflow.
+    import numpy as np
     neg = -s
     up, down = p.lam * np.exp(s), p.mu * np.exp(neg)
     real = (p.lam * np.expm1(s) + p.mu * np.expm1(neg) - p.nu) * t
@@ -159,6 +282,7 @@ def _scaled_gf(p: DiscreteParams, t, s, theta):
 def _log_gf(p: DiscreteParams, t, s):
     # log G(e^s, t) and its slope in s, the mean of the law tilted by e^{ns},
     # from one complex step
+    import numpy as np
     scale, g = _scaled_gf(p, t, s, _STEP)
     return scale + np.log(g.real), g.imag / (g.real * _STEP)
 
@@ -170,6 +294,7 @@ def _radius_grid(p: DiscreteParams, times: np.ndarray, n_min: int, n_max: int) -
     # (lam rho - mu / rho) t = n.  Every time is refined at once but alone:
     # the nodes are columns (row of times, s, L), ascending in s within
     # each row.
+    import numpy as np
     t = times[:, None]
     n = np.array([n_min, n_max], dtype=float)
     root = np.log(np.abs(n) + np.sqrt(n * n + 4.0 * p.lam * p.mu * t * t))
@@ -206,6 +331,7 @@ def _transient_window(p: DiscreteParams, times, n_min: int, n_max: int) -> np.nd
     # P_n(t) for n_min <= n <= n_max, one row per time, computed with
     # lam >= mu and reflected otherwise, so swapping the rates mirrors the
     # law bit for bit
+    import numpy as np
     times = np.array([float(t) for t in times])
     for t in times.tolist():
         _check_horizon(p, t)
@@ -227,6 +353,7 @@ def _transient_window(p: DiscreteParams, times, n_min: int, n_max: int) -> np.nd
 
 def _invert(p: DiscreteParams, times: np.ndarray, orders: np.ndarray) -> np.ndarray:
     # the window's states at each time t > 0, from a few FFTs per time
+    import numpy as np
     nodes = _radius_grid(p, times, orders[0], orders[-1])
     row, s, log_g = nodes[0].astype(np.intp), nodes[1], nodes[2]
     # the radii as a (time, radius) table padded with L = inf
@@ -255,6 +382,7 @@ def _radius_groups(radius, level, orders, conjugate):
     # runs of consecutive states of one time that share a radius: (row of
     # times, radius index, first state, end state) per group, found for
     # every time at once
+    import numpy as np
     rows = np.arange(radius.shape[0])
     last, size = radius.shape[1] - 1, orders.size
     # one more state that no radius serves ends each time's last group
@@ -283,6 +411,7 @@ def _radius_groups(radius, level, orders, conjugate):
 def _fill(p: DiscreteParams, times, radius, level, orders, groups) -> np.ndarray:
     # each group's states by one FFT at its radius; the groups of one FFT
     # length are evaluated and transformed together
+    import numpy as np
     row, k, first, stop = groups
     s, t = radius[row, k], times[row]
     sizes = _fft_sizes(p, t, s, level[row, k], orders[first], orders[stop - 1])
@@ -324,10 +453,12 @@ def _fft_sizes(p: DiscreteParams, t, s, log_g, first, last) -> np.ndarray:
     # folded onto the states first..last at radius s are below
     # eps e^{f_n(s)}: for h > 0, the law tilted by e^{ns} / G(e^s) is below
     # e^{L(s +- h) - L(s) -+ h m} at m
-    rise = _log_gf(p, t[:, None], s[:, None] + np.concatenate([_SHIFTS, -_SHIFTS]))[0]
+    import numpy as np
+    shifts = np.array(_SHIFTS)
+    rise = _log_gf(p, t[:, None], s[:, None] + np.concatenate([shifts, -shifts]))[0]
     rise -= log_g[:, None]
-    right = np.min((rise[:, :_SHIFTS.size] - first[:, None] * _SHIFTS - _FOLD) / _SHIFTS, axis=1)
-    left = np.min((rise[:, _SHIFTS.size:] + last[:, None] * _SHIFTS - _FOLD) / _SHIFTS, axis=1)
+    right = np.min((rise[:, :shifts.size] - first[:, None] * shifts - _FOLD) / shifts, axis=1)
+    left = np.min((rise[:, shifts.size:] + last[:, None] * shifts - _FOLD) / shifts, axis=1)
     sizes = [1 << max(4, math.ceil(math.log2(max(need))))
              for need in zip(right.tolist(), left.tolist(), (last - first + 1).tolist())]
     for time, size in zip(t.tolist(), sizes):

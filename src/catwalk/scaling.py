@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import diffusion_closed
-from .diffusion_closed import DiffusionParams
-from .discrete_closed import DiscreteParams, asymptotic_variance, laplace_pn, steady_state
+from . import diffusion
+from .diffusion import DiffusionParams
+from .discrete import DiscreteParams, asymptotic_variance, laplace_pn, steady_state
 
 __all__ = [
     "ComparisonRow",
@@ -69,7 +69,7 @@ def steady_comparison(
     rows = []
     for n in n_range:
         pi = steady_state(p, n)
-        w = diffusion_closed.steady_density(dp, n * epsilon)
+        w = diffusion.steady_density(dp, n * epsilon)
         rows.append(
             ComparisonRow(n=n, scaled_pi=pi / epsilon, w_value=w, delta=(w * epsilon - pi) / pi)
         )
@@ -84,7 +84,7 @@ def laplace_convergence(
 ) -> list[tuple[float, float]]:
     """Per-epsilon gaps |P_n*(z)/eps - f*(x,z)| with n the lattice site nearest
     x/eps (round half to even).  The gaps shrink as eps does."""
-    target = diffusion_closed.laplace_density(dp, x, z)
+    target = diffusion.laplace_density(dp, x, z)
     gaps = []
     for epsilon in eps_list:
         p = scale_params(dp, epsilon)
@@ -102,7 +102,7 @@ def asymptotic_variance_gap(dp: DiffusionParams, epsilon: float) -> tuple[float,
     the diffusion carries sigma2, so the limits agree only as eps -> 0.
     """
     p = scale_params(dp, epsilon)
-    _, diffusion_limit = diffusion_closed.asymptotic_moments(dp)
+    _, diffusion_limit = diffusion.asymptotic_moments(dp)
     gap = epsilon * epsilon * asymptotic_variance(p) - diffusion_limit
     predicted = (dp.lam_hat + dp.mu_hat) * epsilon * dp.eta / ((dp.eta + dp.nu) * dp.nu)
     return gap, predicted

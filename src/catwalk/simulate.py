@@ -33,8 +33,8 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .discrete_closed import DiscreteParams
-from .diffusion_closed import DiffusionParams
+from .diffusion import DiffusionParams
+from .discrete import DiscreteParams
 from .failure_cycle import check_state
 
 __all__ = [

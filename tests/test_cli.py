@@ -479,6 +479,21 @@ class TestErrors:
         assert run(argv) == 3
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "convergence"
 
+    @pytest.mark.parametrize("x_grid", [[], ["--x-grid", "0,1"]], ids=["default-x", "given-x"])
+    @pytest.mark.parametrize("time", ["inf", "nan"])
+    def test_diffusion_time_is_checked_before_the_grid(self, capsys, x_grid, time):
+        argv = ["transient", "--model", "diffusion", *DIFFUSION, "--t-grid", f"1,{time}", *x_grid]
+        assert run(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "validation"
+        assert error["message"] == f"time must be finite and positive, got {time}"
+
+    def test_diffusion_at_a_huge_time_does_not_overflow(self, capsys):
+        # RuntimeWarning is an error in this suite
+        argv = ["transient", "--model", "diffusion", *DIFFUSION, "--t-grid", "1,1e300"]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestGridParsing:
     def test_range_and_list_forms(self):
@@ -571,6 +586,23 @@ CLOSED_FORM_RUNS = ["table1", "steady-discrete", "steady-diffusion", "moments-di
                     "moments-diffusion", "compare"]
 
 
+#: every closed-form law of both models, through the model modules and scaling
+_CLOSED_FORM_LAWS = """
+import catwalk.diffusion as f, catwalk.discrete as d, catwalk.scaling as s
+p = d.DiscreteParams(2.0, 1.0, 1.0, 2.0)
+d.failure_probability(p, 1.0), d.steady_failure(p), d.steady_state(p, -2)
+d.mean_transient(p, 1.0), d.variance_transient(p, 1.0), d.mean_peak_time(p)
+d.asymptotic_mean(p), d.asymptotic_variance(p)
+d.laplace_transforms(p, 0.5), d.laplace_pn(p, 3, 0.5)
+dp = f.DiffusionParams(1.0, 2.0, 9.0, 1.0, 0.25)
+f.failure_probability(dp, 1.0), f.steady_density(dp, -0.5), f.steady_decay_length(dp)
+f.mean_x(dp, 1.0), f.variance_x(dp, 1.0), f.asymptotic_moments(dp)
+f.laplace_density(dp, 0.5, 0.5), f.laplace_roots(dp, 0.5)
+s.steady_comparison(dp, 0.05, range(-6, 7)), s.laplace_convergence(dp, 0.5, 0.5, [0.1, 0.01])
+s.asymptotic_variance_gap(dp, 0.05)
+"""
+
+
 class TestColdStart:
     """The closed-form commands never load NumPy; they, the simulator and the
     lattice transient law never load SciPy; the diffusion transient kernels
@@ -591,6 +623,11 @@ class TestColdStart:
         loaded, _ = _cold_start(DEFAULT_RUNS[name])
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
+
+    def test_closed_form_laws_do_not_load_numpy(self):
+        loaded, numpy = _cold_start([], _CLOSED_FORM_LAWS)
+        assert loaded == set()
+        assert numpy is False
 
     def test_slice_and_operating_mass_do_not_integrate(self):
         loaded, _ = _cold_start([], "from catwalk import diffusion as f\n"

@@ -189,6 +189,20 @@ class TestHardRegimes:
         value = f.transient_density(dp, x, t)
         assert math.isfinite(value) and value >= 0.0
 
+    @pytest.mark.parametrize("dp", [FIG4, TABLE], ids=["fig4", "table"])
+    def test_huge_times_do_not_overflow(self, dp):
+        # the suite turns RuntimeWarning into an error, so an overflow in the
+        # Gaussian exponent fails here; at t = 1e300 the density is the
+        # stationary one near the origin and 0 at the failure-free mean
+        xs = [-1.0, 0.0, 1.0]
+        steady = [f.steady_density(dp, x) for x in xs]
+        assert f.transient_densities(dp, xs, 1e300) == pytest.approx(steady, rel=1e-12)
+        assert f.transient_densities(dp, [-1e300, dp.drift * 1e300], 1e300) == [0.0, 0.0]
+        assert f.transient_densities(dp, [-1e300, 1e300], 1.0) == [0.0, 0.0]
+        assert f.wiener_density(dp, dp.drift * 1e300, 1.0) == 0.0
+        piece = f.density_slice(dp, 1e300)
+        assert piece.trapezoid_mass() + piece.failure_mass == pytest.approx(1.0, abs=1e-12)
+
 
 class TestLagBrackets:
     """erfcx(alpha - beta) -/+ erfcx(alpha + beta) far out, where beta / alpha
