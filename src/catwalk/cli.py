@@ -21,7 +21,7 @@ from operator import is_not
 from typing import Iterable, Optional, Sequence
 
 from . import diffusion, discrete, scaling
-from .failure_cycle import check_time, steady_failure_mass
+from .failure_cycle import check_time, check_window, steady_failure_mass
 from .special import QuadratureError
 
 __all__ = ["main", "entrypoint", "read_table", "rebuild_argv"]
@@ -61,6 +61,8 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
     if count > MAX_GRID_POINTS:
         raise _GridError(f"grid range {text!r} has more than {MAX_GRID_POINTS} points")
     count = math.ceil(max(count, 0.0))
+    if not count:
+        raise _GridError(f"grid range {text!r} has no points")
     d = (start + step) - start
     return (start, start + step, *(start + i * d for i in range(2, count)))[:count]
 
@@ -245,6 +247,12 @@ def _discrete_params(options: dict) -> discrete.DiscreteParams:
     return discrete.DiscreteParams(
         options["lam"], options["mu"], options["nu"], options["eta"]
     )
+
+
+def _states(options: dict) -> range:
+    """The lattice states from --n-min to --n-max; ``ValueError`` if none."""
+    n_min, n_max = check_window((options["n_min"], options["n_max"]))
+    return range(n_min, n_max + 1)
 
 
 def _diffusion_params(options: dict) -> diffusion.DiffusionParams:
@@ -477,8 +485,7 @@ def cmd_steady(options: dict) -> int:
     if options["model"] == "discrete":
         p = _discrete_params(options)
         q = discrete.steady_failure(p)
-        states = range(options["n_min"], options["n_max"] + 1)
-        rows = [[n, discrete.steady_state(p, n), q] for n in states]
+        rows = [[n, discrete.steady_state(p, n), q] for n in _states(options)]
         write_table(["n", "probability", "failure_mass"], rows, _provenance(options), options)
         return 0
     dp = _diffusion_params(options)
@@ -545,7 +552,7 @@ def cmd_simulate(options: dict) -> int:
 def cmd_compare(options: dict) -> int:
     dp = _diffusion_params(options)
     eps_list = [eps for grid in options["epsilon"] for eps in grid]
-    states = range(options["n_min"], options["n_max"] + 1)
+    states = _states(options)
     rows = []
     for eps in eps_list:
         for row in scaling.steady_comparison(dp, eps, states):

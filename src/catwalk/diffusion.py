@@ -14,6 +14,7 @@ functions of the transient density, so the closed forms load without them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -277,10 +278,15 @@ def _lag_integrals(
         odd, even = 0.0, 0.0
         odd_term = even_term = 1.0
         for k in range(_SERIES_TERMS):
-            odd -= odd_term * ys[2 * k + 1]
-            odd_term *= beta2 / ((2 * k + 2) * (2 * k + 3))
-            even += even_term * ys[2 * k]
-            even_term *= beta2 / ((2 * k + 1) * (2 * k + 2))
+            # past beta^2 ~ 1e53 a term factor overflows; the derivative it
+            # multiplies has underflowed to 0, and the terms from there on are
+            # below (beta / alpha)^{2k} <= 0.01^k of the first, so the sum stops
+            if odd_term < math.inf:
+                odd -= odd_term * ys[2 * k + 1]
+                odd_term *= beta2 / ((2 * k + 2) * (2 * k + 3))
+            if even_term < math.inf:
+                even += even_term * ys[2 * k]
+                even_term *= beta2 / ((2 * k + 1) * (2 * k + 2))
         kernel[series] = growth[series] * (t / scale) * odd
         passage[series] = growth[series] * even
         if cutoff < 1.0:
@@ -437,17 +443,24 @@ def density_slice(
 
     The grid values come from the closed-form density in one vectorised
     evaluation, and the mass outside the grid in closed form from the same
-    lag integrals at its two ends (``_tail_mass``).
+    lag integrals at its two ends (``_tail_mass``).  ``n_points`` is an
+    integer from 2 to the lattice's ``MAX_NODES``, checked before any
+    array is allocated.
     """
     import numpy as np
+    from .discrete import MAX_NODES
     check_time(t, positive=True)
-    if not n_points >= 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
+    try:
+        count = operator.index(n_points)
+    except TypeError:
+        count = 0
+    if not 2 <= count <= MAX_NODES:
+        raise ValueError(f"n_points must be an integer from 2 to {MAX_NODES}, got {n_points!r}")
     if not (math.isfinite(span_sds) and span_sds > 0.0):
         raise ValueError(f"span_sds must be finite and positive, got {span_sds!r}")
     sd = math.sqrt(dp.sigma2 * t)
     center = dp.drift * t
-    xs = np.linspace(center - span_sds * sd, center + span_sds * sd, n_points)
+    xs = np.linspace(center - span_sds * sd, center + span_sds * sd, count)
     lags = _restart_lags(dp, xs, t)
     return DensitySlice(
         time=t,

@@ -50,6 +50,7 @@ from .failure_cycle import (
     check_stationary,
     check_time,
     check_transform_variable,
+    check_window,
     failure_mass,
     steady_failure_mass,
     transform_amplitude,
@@ -597,9 +598,7 @@ def transient_distributions(
     Every time has its own mass check; the first time, in order, that fails
     it raises the :class:`QuadratureError`.
     """
-    n_min, n_max = window = tuple(map(check_state, window))
-    if n_min > n_max:
-        raise ValueError(f"window must be nonempty, got {window}")
+    n_min, n_max = window = check_window(window)
     times = [float(t) for t in times]
     slices = []
     for t, values in zip(times, _transient_window(p, times, n_min, n_max)):

@@ -25,8 +25,9 @@ motion at the origin.
 
 The argument rules of both models' public laws live here too, one per kind
 of argument: ``check_rates``, ``check_time``, ``check_state`` (a lattice
-state), ``check_level`` (a diffusion level), ``check_transform_variable`` (z)
-and ``check_stationary`` (nu > 0, for the laws that need catastrophes).
+state), ``check_window`` (a lattice window), ``check_level`` (a diffusion
+level), ``check_transform_variable`` (z) and ``check_stationary`` (nu > 0,
+for the laws that need catastrophes).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "check_rates",
     "check_time",
     "check_state",
+    "check_window",
     "check_level",
     "check_transform_variable",
     "check_stationary",
@@ -76,6 +78,15 @@ def check_state(n: float) -> int:
     if not float(n).is_integer():
         raise ValueError(f"expected an integer state, got {n!r}")
     return int(n)
+
+
+def check_window(window: tuple[float, float]) -> tuple[int, int]:
+    """The lattice window (n_min, n_max) as ``int`` states; ``ValueError``
+    unless both are integral and n_min <= n_max."""
+    n_min, n_max = window = tuple(map(check_state, window))
+    if n_min > n_max:
+        raise ValueError(f"window must be nonempty, got {window}")
+    return window
 
 
 def check_level(x: float) -> None:

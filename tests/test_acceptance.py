@@ -189,6 +189,8 @@ def test_criterion_8_monte_carlo_agreement():
          d.failure_probability(SYMMETRIC, 1.0)),
         ("mean(1)", sim.estimate(traces, 1.0, "truncated-mean"),
          d.mean_transient(SYMMETRIC, 1.0)),
+        ("variance(1)", sim.estimate(traces, 1.0, "truncated-variance"),
+         d.variance_transient(SYMMETRIC, 1.0)),
     ]
     for n in range(-4, 5):
         checks.append(

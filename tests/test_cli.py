@@ -479,6 +479,13 @@ class TestErrors:
         assert run(argv) == 3
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "convergence"
 
+    @pytest.mark.parametrize("command", [["steady", "--model", "discrete", *LATTICE],
+                                         ["compare", *DIFFUSION]], ids=["steady", "compare"])
+    def test_empty_window_exit_code(self, capsys, command):
+        assert run([*command, "--n-min", "3", "--n-max", "-3"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "validation", "message": "window must be nonempty, got (3, -3)"}
+
     @pytest.mark.parametrize("x_grid", [[], ["--x-grid", "0,1"]], ids=["default-x", "given-x"])
     @pytest.mark.parametrize("time", ["inf", "nan"])
     def test_diffusion_time_is_checked_before_the_grid(self, capsys, x_grid, time):
@@ -520,7 +527,8 @@ class TestGridParsing:
     @pytest.mark.parametrize("spec,fault", [("0:1e12:1e-3", "more than 1000000 points"),
                                             ("0:-inf:1", "must be finite"),
                                             ("nan:1:1", "must be finite"),
-                                            ("0:1:-1", "step must be positive")])
+                                            ("0:1:-1", "step must be positive"),
+                                            ("5:1:1", "no points")])
     def test_bad_range_exits_2(self, spec, fault, tmp_path, capsys):
         # the parser's own message reaches stderr and the config record
         with pytest.raises(SystemExit) as done:

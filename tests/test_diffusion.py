@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catwalk import diffusion as f
+from catwalk.discrete import MAX_NODES
 from catwalk.special import QuadratureSpec, integrate_adaptive
 from identities import operating_mass_by_quadrature, renewal_check
 from oracles import (
@@ -203,19 +205,35 @@ class TestHardRegimes:
         piece = f.density_slice(dp, 1e300)
         assert piece.trapezoid_mass() + piece.failure_mass == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("params,x,t", [
+        ((3.0, 1.0, 1.0, 1.0, 1.0), 1e200, 1e120),
+        ((3.0, 1.0, 1.0, 1.0, 1.0), 1e303, 1e300),
+        ((1.0, 1.0, 1e-6, 1e-3, 1e3), 1e300, 1e300),
+    ])
+    def test_series_lanes_at_huge_beta(self, params, x, t):
+        # the lag integrals take their series here with beta^2 above 1e53,
+        # where an inf * 0 product would be NaN and a RuntimeWarning
+        assert f.transient_densities(f.DiffusionParams(*params), [x], t) == [0.0]
+
 
 class TestLagBrackets:
     """erfcx(alpha - beta) -/+ erfcx(alpha + beta) far out, where beta / alpha
-    is small and the difference cancels, against 50-digit mpmath."""
+    is small and the difference cancels, against 120-digit mpmath.  Forming
+    exp(z^2) erfc(z) costs mpmath about 2 log10(alpha) digits, so 50 digits
+    give inf at alpha = 1e30.  Past beta^2 ~ 1e53 the series' term factors
+    overflow while the erfcx derivatives they multiply underflow to 0."""
 
-    @pytest.mark.parametrize("beta2", [0.01, 0.1, -0.1])
-    @pytest.mark.parametrize("alpha", [1e3, 1e6])
+    @pytest.mark.parametrize(
+        "alpha,beta2",
+        [(alpha, beta2) for alpha in (1e3, 1e6) for beta2 in (0.01, 0.1, -0.1)]
+        + [(1e30, 1e56), (1e40, 1e70)],
+    )
     def test_scaled_brackets(self, alpha, beta2):
         # sigma2 = 1 and t = 1/2 make alpha = |x| and beta^2 = r^2 / 4
         drift, a = (2.0 * math.sqrt(beta2), 0.0) if beta2 > 0 else (0.0, 2.0 * beta2)
         dp = f.DiffusionParams(1.0 + drift, 1.0, 1.0, 1.0, 1.0)
         kernel, passage = f._lag_integrals(dp, np.array([alpha]), 0.5, a, np.zeros(1), 0.0)
-        with mpmath.workdps(50):
+        with mpmath.workdps(120):
             r = mpmath.sqrt(mpmath.mpf(4 * beta2))
             beta = r / 2
             lower, upper = (mpmath.exp(z * z) * mpmath.erfc(z) for z in (alpha - beta, alpha + beta))
@@ -423,6 +441,22 @@ class TestDensitySlice:
     def test_rejects_fewer_than_two_points(self, n_points):
         with pytest.raises(ValueError, match="n_points"):
             f.density_slice(FIG4, 1.0, n_points=n_points)
+
+    @pytest.mark.parametrize("n_points", [2.5, "801"])
+    def test_rejects_a_count_that_is_not_an_integer(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            f.density_slice(FIG4, 1.0, n_points=n_points)
+
+    def test_rejects_more_points_than_max_nodes_before_allocating(self):
+        # NumPy reports its buffers to tracemalloc; the grid alone would be 32 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"from 2 to {MAX_NODES}"):
+                f.density_slice(FIG4, 1.0, n_points=MAX_NODES + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("span_sds", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_a_span_that_is_not_finite_and_positive(self, span_sds):
