@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import random
 import types
@@ -137,6 +138,55 @@ class TestGenerator:
             assert chunked == whole
         simulate = sim.simulate_discrete if isinstance(params, d.DiscreteParams) else sim.simulate_diffusion
         assert list(simulate(params, cfg)) == whole
+
+
+class TestPathStreamDigests:
+    """sha256 of the events and observations of fixed batches, and of one
+    trace export.  The chunking and order tests compare the sampler with
+    itself; these hold it to the stream it drew when they were written, so a
+    change that alters every path alike shows here.  The digests are never
+    regenerated to make a change pass."""
+
+    CASES = {
+        "symmetric": (SYMMETRIC, dict(seed=51, reps=4000, horizon=1.0, times=(1.0,))),
+        "heavy": (HEAVY, dict(seed=52, reps=200, horizon=1.0, times=(1.0,))),
+        "no-catastrophes": (d.DiscreteParams(2.0, 1.0, 0.0, 1.0),
+                            dict(seed=53, reps=500, horizon=2.0, times=(1.0, 2.0))),
+        "five-times": (d.DiscreteParams(2.0, 1.0, 2.0, 3.0),
+                       dict(seed=54, reps=600, horizon=4.0, times=(0.5, 1.0, 2.0, 3.0, 4.0))),
+        "tiny-horizon": (SYMMETRIC, dict(seed=55, reps=4000, horizon=1e-12, times=(1e-12,))),
+        "fig4": (FIG4, dict(seed=56, reps=4000, horizon=2.0, times=(0.5, 1.0, 2.0))),
+    }
+    DIGESTS = {
+        "symmetric": "085a10f221db5d43cc01fab7a54755c0e66c27d4ed193d06f3c4f95ca6246cc8",
+        "heavy": "d5873730b3896d34e73f249005549c89dad88b66a32293beff1b5d2b2a1f0eb5",
+        "no-catastrophes": "e5f0680f73e0ed5f64a6136a2329eca926dfa895f731015c381247e50bd0181c",
+        "five-times": "654fe31c0039620126838ab9bcdba040b6ecf6af701fbc1940a65d7c21cbccce",
+        "tiny-horizon": "e06960a4cd628dbfc7c1c7a3f7fa7cec3d3a573e6fbb45495bd9c47d3d8c6aa0",
+        "fig4": "0a2400d1ada97966f0af1bea6abb08af17edfcf9f0f0b4bcf874adb659093109",
+    }
+    EXPORT_DIGEST = "9b2d2ae8e6c23fd158d25a2043eb42fddb627c3c225f371bf7c0e2acd22927d1"
+
+    @staticmethod
+    def _traces(name):
+        params, plan = TestPathStreamDigests.CASES[name]
+        simulate = sim.simulate_discrete if isinstance(params, d.DiscreteParams) else sim.simulate_diffusion
+        cfg = _config(**plan)
+        return list(simulate(params, cfg)), cfg
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_paths_match_the_pinned_stream(self, name):
+        traces, _ = self._traces(name)
+        digest = hashlib.sha256()
+        for trace in traces:
+            digest.update(repr((trace.replication, trace.events, trace.observations)).encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
+
+    def test_export_matches_the_pinned_file(self, tmp_path):
+        traces, cfg = self._traces("five-times")
+        target = tmp_path / "traces.log"
+        sim.export_traces(traces, str(target), {"model": "discrete"}, cfg)
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == self.EXPORT_DIGEST
 
 
 class TestObservationTypes:
