@@ -477,7 +477,9 @@ def cmd_transient(options: dict) -> int:
     for t in t_grid:
         q = diffusion.failure_probability(dp, t)
         rows += zip(repeat(t), xs, diffusion.transient_densities(dp, xs, t), repeat(q))
-    write_table(["t", "x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)
+    # the diffusion reads no lattice window, so its table records none
+    params = _provenance(options, x_grid=xs, n_min=None, n_max=None)
+    write_table(["t", "x", "density", "failure_mass"], rows, params, options)
     return 0
 
 
@@ -495,7 +497,8 @@ def cmd_steady(options: dict) -> int:
         length = diffusion.steady_decay_length(dp)
         xs = _linspace(-12.0 * length, 12.0 * length, 161)
     rows = [[x, diffusion.steady_density(dp, x), q] for x in xs]
-    write_table(["x", "density", "failure_mass"], rows, _provenance(options, x_grid=xs), options)
+    params = _provenance(options, x_grid=xs, n_min=None, n_max=None)
+    write_table(["x", "density", "failure_mass"], rows, params, options)
     return 0
 
 
@@ -535,10 +538,11 @@ def cmd_simulate(options: dict) -> int:
     params = _provenance(options, t_grid=t_grid)
     if options["trace_out"]:
         sim.export_traces(traces, options["trace_out"], params, cfg)
+    estimate = sim._estimator(traces)
     rows = []
     for t in t_grid:
         for name, arg in parsed_stats:
-            est = sim.estimate(traces, t, name, arg)
+            est = estimate(t, name, arg)
             rows.append([t, name, arg, est.value, est.standard_error, est.replications])
     write_table(
         ["t", "statistic", "arg", "estimate", "standard_error", "replications"],

@@ -4,7 +4,9 @@ Both models share one catastrophe/repair skeleton: alternating Exp(nu)
 operating and Exp(eta) repair durations.  Lattice moves are a rate-(lam + mu)
 Poisson stream of up/down marks on the operating clock, which is exact in law
 by superposition; a move at operating time s happens at real time s plus the
-repair time completed before it.  Diffusion paths chain exact Gaussian
+repair time completed before it.  Events are placed by counting, not by
+sorting: catastrophe j follows the moves at or before its operating time, and
+a move follows the catastrophes strictly before it.  Diffusion paths chain exact Gaussian
 increments between the observation times of each operating period and restart
 at 0 after every repair, so observed marginals carry no discretization bias.
 
@@ -192,19 +194,18 @@ class EmpiricalEstimate:
     replications: int
 
 
-# Philox4x32-10 multipliers and Weyl key increments
-_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
-_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+# Philox4x32-10 multipliers of the words c0 and c2, and Weyl key increments
+_PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B9, 0xBB67AE85], dtype=np.uint64)
 _WORD = np.uint64(0xFFFFFFFF)
 
 # streams of the counter's second word
 _SKELETON, _MOVES, _NORMALS = 0, 1, 2
 
-# event codes, in the order a catastrophe and its repair sort
+# event codes; a catastrophe comes right before its repair
 _UP, _DOWN, _CATASTROPHE, _REPAIR = 0, 1, 2, 3
 _KINDS = ("up", "down", "catastrophe", "repair_done")
 _KIND_LINE_ENDS = np.array([f"\t{kind}\n" for kind in _KINDS], dtype=object)
-_STEPS = np.array([1, -1, 0, 0])
 
 # uniform draws per chunk of replications, which bounds the sampler's
 # temporaries: a 4000-path lattice batch peaks at about 2 MB of arrays at 8k
@@ -218,38 +219,67 @@ _BLOCK_CHUNKS = 32
 
 def _philox(counter, key):
     """Philox4x32-10 of four broadcastable arrays of 32-bit counter words under
-    two 32-bit key words.  Words are held in uint64, so each product is exact."""
-    c0, c1, c2, c3 = (np.asarray(word, dtype=np.uint64) for word in counter)
-    k0, k1 = key
-    for _ in range(10):
-        p0 = c0 * _PHILOX_M[0]
-        p1 = c2 * _PHILOX_M[1]
-        c0, c1, c2, c3 = (
-            (p1 >> 32) ^ c1 ^ np.uint64(k0),
-            p1 & _WORD,
-            (p0 >> 32) ^ c3 ^ np.uint64(k1),
-            p0 & _WORD,
-        )
-        k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF
-        k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
-    return c0, c1, c2, c3
+    two 32-bit key words: one (4, ...) array of the output words.
+
+    Words are held in uint64, so each product is exact.  Each round works in
+    place on the pairs (c0, c2) and (c1, c3) of a buffer of the broadcast
+    shape, so no round allocates.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, counter))
+    words = np.empty((4, *shape), dtype=np.uint64)
+    for index, value in enumerate(counter):
+        words[index] = value
+    even, odd = words[0::2], words[1::2]
+    product = np.empty(even.shape, dtype=np.uint64)
+    crossed = product[::-1]  # (c2 * M1, c0 * M0): each product feeds the other pair
+    pair = (2,) + (1,) * len(shape)
+    multipliers = _PHILOX_M.reshape(pair)
+    keys = np.array(key, dtype=np.uint64) + np.arange(10, dtype=np.uint64)[:, None] * _PHILOX_W
+    for round_key in (keys & _WORD).reshape(10, *pair):
+        np.multiply(even, multipliers, out=product)
+        np.right_shift(crossed, 32, out=even)
+        even ^= odd
+        even ^= round_key
+        np.bitwise_and(crossed, _WORD, out=odd)
+    return words
 
 
-def _unit(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    # 53 bits from two words, mapped to (0, 1] so that log never sees 0
-    bits = ((high >> 5) << 26) + (low >> 6) + np.uint64(1)
-    return bits.astype(np.float64) * 2.0**-53
-
-
-def _uniforms(seed: int, replications: np.ndarray, stream: int, draws: int):
-    """Draws 0..draws-1 of ``stream``: two (replications, draws) arrays of
-    uniforms on (0, 1], both from the one Philox block of each draw."""
+def _uniforms(seed: int, replications: np.ndarray, stream: int, draws: int) -> np.ndarray:
+    """Draws 0..draws-1 of ``stream``: a (2, replications, draws) array of
+    uniforms on (0, 1], the two of a draw from its one Philox block."""
     rows = replications.astype(np.uint64)[:, None]
     index = np.arange(draws, dtype=np.uint64)[None, :]
     words = _philox(
         (index, stream, rows & _WORD, rows >> 32), (seed & 0xFFFFFFFF, seed >> 32)
     )
-    return _unit(words[0], words[1]), _unit(words[2], words[3])
+    # 53 bits from the words (c0, c1) and from (c2, c3), mapped to (0, 1] so
+    # that log never sees 0
+    high, low = words[0::2], words[1::2]
+    high >>= 5
+    high <<= 26
+    low >>= 6
+    high += low
+    high += 1
+    uniforms = high.astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
+
+
+def _arrivals(uniforms: np.ndarray, rate) -> np.ndarray:
+    """Arrival times at ``rate`` from the uniforms along the last axis,
+    written over them: partial sums of the exponential gaps -log(u), over
+    the rate."""
+    # cumsum(log u) / -rate has the bits of cumsum(-log u) / rate, since
+    # rounding is symmetric in sign, and saves a pass
+    np.log(uniforms, out=uniforms)
+    np.cumsum(uniforms, axis=-1, out=uniforms)
+    uniforms /= -rate
+    return uniforms
+
+
+def _cycle_budget(nu: float, horizon: float) -> int:
+    """Catastrophe/repair cycles first drawn per path."""
+    return int(nu * horizon + 4.0 * math.sqrt(nu * horizon)) + 2
 
 
 def _skeleton(seed: int, replications: np.ndarray, nu: float, eta: float, horizon: float):
@@ -263,26 +293,46 @@ def _skeleton(seed: int, replications: np.ndarray, nu: float, eta: float, horizo
     if nu == 0.0:
         none = np.empty((len(replications), 0))
         return none, none, none, none
-    cycles = int(nu * horizon + 4.0 * math.sqrt(nu * horizon)) + 2
+    cycles = _cycle_budget(nu, horizon)
     while True:
-        u, v = _uniforms(seed, replications, _SKELETON, cycles)
-        clock = np.cumsum(-np.log(u), axis=1) / nu
-        downtime = np.cumsum(-np.log(v), axis=1) / eta
+        durations = _uniforms(seed, replications, _SKELETON, cycles)
+        clock, downtime = _arrivals(durations[0], nu), _arrivals(durations[1], eta)
         before = np.concatenate([np.zeros((len(replications), 1)), downtime[:, :-1]], axis=1)
         fail = clock + before
         if (fail[:, -1] >= horizon).all():
             break
         cycles *= 2
     used = int((fail < horizon).sum(axis=1).max())
-    return clock[:, :used], downtime[:, :used], fail[:, :used], (clock + downtime)[:, :used]
+    clock, downtime = clock[:, :used], downtime[:, :used]
+    return clock, downtime, fail[:, :used], clock + downtime
 
 
-def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray):
-    """Events and observed states of a chunk of lattice paths: (times, codes)
-    sorted per row in real time, then (values, failed) with one row per
-    observation time and one column per path."""
+def _ranks(entries: np.ndarray, probes: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(entries[r], probes[r], side) for each row r of the
+    entries, which are sorted along rows; ``probes`` holds sorted values per
+    row, or one row of them for all.  The searches are one search over
+    (row, value) pairs held as complex numbers, which NumPy orders
+    lexicographically."""
+    if probes.shape[-1] == 1:
+        # with one probe a row, comparing costs less than building the keys
+        below = entries < probes if side == "left" else entries <= probes
+        return below.sum(axis=1, keepdims=True)
+    rows, width = entries.shape
+    row = np.arange(rows)[:, None]
+    keys = np.empty(entries.shape, dtype=complex)
+    keys.real, keys.imag = row, entries
+    marks = np.empty(np.broadcast_shapes(probes.shape, row.shape), dtype=complex)
+    marks.real, marks.imag = row, probes
+    return np.searchsorted(keys.ravel(), marks.ravel(), side).reshape(marks.shape) - row * width
+
+
+def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, skeleton):
+    """A chunk of lattice paths on their skeleton: the times and codes of the
+    events before the horizon, row after row in real time, the number of them
+    per row, then (values, failed) with one row per observation time and one
+    column per path."""
     horizon, rows = cfg.horizon, len(replications)
-    clock, downtime, fail, back = _skeleton(cfg.seed, replications, p.nu, p.eta, horizon)
+    clock, downtime, fail, back = skeleton
     # operating time elapsed by the horizon, with a margin against rounding
     operating = horizon - np.clip(np.minimum(back, horizon) - fail, 0.0, None).sum(axis=1)
     need = operating + 1e-9 * horizon
@@ -290,53 +340,68 @@ def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray):
     mean = rate * float(need.max())
     draws = int(mean + 5.0 * math.sqrt(mean)) + 4
     while True:
-        u, v = _uniforms(cfg.seed, replications, _MOVES, draws)
-        moves = np.cumsum(-np.log(u), axis=1) / rate
+        uniforms = _uniforms(cfg.seed, replications, _MOVES, draws)
+        moves = _arrivals(uniforms[0], rate)
         if (moves[:, -1] >= need).all():
             break
         draws *= 2
     draws = int((moves < need[:, None]).sum(axis=1).max())
     moves = moves[:, :draws]
-    marks = np.where(v[:, :draws] * rate <= p.lam, _UP, _DOWN)
+    down = uniforms[1, :, :draws] * rate > p.lam
 
-    cycles = clock.shape[1]
-    times = np.concatenate([moves, fail, back], axis=1)
-    codes = np.concatenate(
-        [marks, np.full((rows, cycles), _CATASTROPHE), np.full((rows, cycles), _REPAIR)], axis=1
-    )
-    if cycles:
-        # each repair takes no operating time, so it sorts right after its catastrophe
-        order = np.argsort(np.concatenate([moves, clock, clock], axis=1), axis=1, kind="stable")
-        times = np.take_along_axis(times, order, axis=1)
-        codes = np.take_along_axis(codes, order, axis=1)
-        # a move after j catastrophes happens once their j repairs are done
-        after = np.cumsum(codes == _CATASTROPHE, axis=1)
+    # catastrophe j comes after the ahead[:, j] moves at or before its clock;
+    # a move after j catastrophes is shifted by the downtime of their repairs
+    ahead = _ranks(moves, clock, "right")
+    times = moves
+    if clock.shape[1]:
+        between = np.diff(ahead, axis=1, prepend=0, append=draws)
         shift = np.concatenate([np.zeros((rows, 1)), downtime], axis=1)
-        times = times + np.where(codes <= _DOWN, np.take_along_axis(shift, after, axis=1), 0.0)
+        times = moves + np.repeat(shift, between.ravel()).reshape(moves.shape)
 
-    # history[:, p] is the p-th event, the path's start counting as a restart
-    history = np.concatenate([np.full((rows, 1), _REPAIR), codes], axis=1)
-    level = np.cumsum(_STEPS[history], axis=1)
-    restart = np.where(history == _REPAIR, np.arange(history.shape[1]), 0)
-    state = level - np.take_along_axis(level, np.maximum.accumulate(restart, axis=1), axis=1)
+    # the events before the horizon, rows laid end to end: catastrophe j and
+    # then its repair go in after the ahead[:, j] moves of their row, which
+    # are all kept, so among the kept moves they go in at first + ahead
+    kept = times < horizon
+    moved = kept.sum(axis=1)
+    first = np.cumsum(moved) - moved
+    marks = np.stack([fail, back], axis=2)
+    marked = marks < horizon
+    inserted = np.broadcast_to((first[:, None] + ahead)[:, :, None], marks.shape)[marked]
+    inserted += np.arange(len(inserted))
+    is_move = np.ones(len(inserted) + moved.sum(), dtype=bool)
+    is_move[inserted] = False
+    event_times = np.empty(len(is_move))
+    event_times[is_move] = times[kept]
+    event_times[inserted] = marks[marked]
+    codes = np.empty(len(is_move), dtype=np.int8)
+    codes[is_move] = down[kept]  # _UP is 0 and _DOWN is 1
+    codes[inserted] = np.broadcast_to([_CATASTROPHE, _REPAIR], marks.shape)[marked]
 
-    values = np.empty((len(cfg.observation_times), rows))
-    failed = np.empty(values.shape, dtype=bool)
-    for column, when in enumerate(cfg.observation_times):
-        # events strictly before an observation time form a prefix of each row
-        seen = (times < when).sum(axis=1)[:, None]
-        values[column] = np.take_along_axis(state, seen, axis=1)[:, 0]
-        failed[column] = np.take_along_axis(history, seen, axis=1)[:, 0] == _CATASTROPHE
-    return times, codes, values, failed
+    # the state at w is the sum of the steps of the moves from the last
+    # repair before w, where the path restarted, up to w: their number less
+    # twice the downs among them.  w falls in a repair where more
+    # catastrophes than repairs precede it.
+    grid = np.array(cfg.observation_times)[None, :]
+    seen = _ranks(times, grid, "left")
+    repaired = _ranks(back, grid, "left")
+    row = np.arange(rows)[:, None]
+    start = np.concatenate([np.zeros((rows, 1), dtype=np.intp), ahead], axis=1)[row, repaired]
+    downs = np.zeros((rows, draws + 1), dtype=np.intp)
+    np.cumsum(down, axis=1, out=downs[:, 1:])
+    states = seen - start - 2 * (downs[row, seen] - downs[row, start])
+    failed = _ranks(fail, grid, "left") > repaired
+    counts = moved + marked.sum(axis=(1, 2))
+    return event_times, codes, counts, states.T.astype(np.float64), failed.T
 
 
-def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray):
-    """Events and observed values of a chunk of diffusion paths, laid out as
-    in :func:`_lattice`."""
+def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, skeleton):
+    """A chunk of diffusion paths on their skeleton, laid out as in
+    :func:`_lattice`."""
     rows = len(replications)
-    _, _, fail, back = _skeleton(cfg.seed, replications, dp.nu, dp.eta, cfg.horizon)
+    _, _, fail, back = skeleton
     times = np.stack([fail, back], axis=2).reshape(rows, -1)
-    codes = np.broadcast_to(np.tile([_CATASTROPHE, _REPAIR], fail.shape[1]), times.shape)
+    kept = times < cfg.horizon
+    codes = np.broadcast_to(np.tile(np.int8([_CATASTROPHE, _REPAIR]), fail.shape[1]), times.shape)
 
     u, v = _uniforms(cfg.seed, replications, _NORMALS, len(cfg.observation_times))
     normals = np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * math.pi * v)
@@ -354,27 +419,29 @@ def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray):
         values[column] = x
         failed[column] = ((fail < when) & (back >= when)).any(axis=1)
         previous = when
-    return times, codes, values, failed
-
-
-def _draw(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
-          replications: np.ndarray):
-    """One chunk: the times and codes of the events before the horizon, the
-    number of them per path, and the observed values and failure flags."""
-    sample = _lattice if isinstance(params, DiscreteParams) else _diffusion
-    times, codes, values, failed = sample(params, cfg, replications)
-    kept = times < cfg.horizon
-    return times[kept], codes[kept].astype(np.int8), kept.sum(axis=1), values, failed
+    return times[kept], codes[kept], kept.sum(axis=1), values, failed
 
 
 def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
            replications: np.ndarray, chunk: Optional[int] = None) -> list[PathTrace]:
     """The paths of the given replication indices, in that order, drawn in
     chunks of ``chunk`` replications (all at once by default) and kept as one
-    block."""
+    block.  The skeleton is drawn for as many whole chunks at once as keep its
+    first budget within _CHUNK_DRAWS draws, so that it holds no more than a
+    chunk does, and is sliced per chunk."""
     chunk = chunk or len(replications)
-    parts = [_draw(params, cfg, replications[first:first + chunk])
-             for first in range(0, len(replications), chunk)]
+    sample = _lattice if isinstance(params, DiscreteParams) else _diffusion
+    span = chunk * max(1, _CHUNK_DRAWS // (chunk * _cycle_budget(params.nu, cfg.horizon)))
+    parts = []
+    for first in range(0, len(replications), chunk):
+        if first % span == 0:
+            skeleton = _skeleton(cfg.seed, replications[first:first + span],
+                                 params.nu, params.eta, cfg.horizon)
+        # the chunk's rows, up to the last catastrophe before the horizon in any of them
+        rows = slice(first % span, first % span + chunk)
+        used = int((skeleton[2][rows] < cfg.horizon).sum(axis=1).max(initial=0))
+        parts.append(sample(params, cfg, replications[first:first + chunk],
+                            [part[rows, :used] for part in skeleton]))
     times, codes, counts, values, failed = (np.concatenate(part, axis=-1) for part in zip(*parts))
     bounds = np.zeros(len(replications) + 1, dtype=np.intp)
     np.cumsum(counts, out=bounds[1:])
@@ -467,6 +534,61 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _estimator(traces: Iterable[PathTrace]):
+    """:func:`estimate` over fixed traces, as a function of (t, statistic,
+    arg).  The traces are gathered once, by the first call that reads an
+    observation, so a table of estimates walks them once, not once a cell."""
+    traces = list(traces)
+    count = len(traces)
+    gathered = []
+
+    def estimate_at(t: float, statistic: str, arg: Optional[float] = None) -> EmpiricalEstimate:
+        arg = _statistic(statistic, arg)
+        if count == 0:
+            raise ValueError("no traces to estimate from")
+        if t == 0.0:
+            return EmpiricalEstimate(_initial_value(statistic, arg), 0.0 if count > 1 else None,
+                                     count)
+        if not gathered:
+            gathered.extend(_gather(traces))
+        blocks, at = gathered
+        columns = [block.column(t) for block in blocks]
+        states = _stacked([b.values[column] for b, column in zip(blocks, columns)])[at]
+        failed = _stacked([b.failed[column] for b, column in zip(blocks, columns)])[at]
+        if statistic == "state-probability":
+            if not all(block.lattice for block in blocks):
+                raise ValueError(
+                    "state-probability is undefined for continuous-state traces; use cdf"
+                )
+            values = (~failed & (states == arg)).astype(np.float64)
+        elif statistic == "failure-probability":
+            values = failed.astype(np.float64)
+        elif statistic == "cdf":
+            values = (~failed & (states <= arg)).astype(np.float64)
+        else:
+            values = np.where(failed, 0.0, states)
+
+        if count == 1:
+            return EmpiricalEstimate(
+                0.0 if statistic == "truncated-variance" else float(values[0]), None, count
+            )
+        if statistic == "truncated-variance":
+            point = float(np.var(values, ddof=1))
+            centered = values - values.mean()
+            fourth = float(np.mean(centered**4))
+            return EmpiricalEstimate(point, math.sqrt(max(fourth - point * point, 0.0) / count),
+                                     count)
+        # values.mean() and values.std(ddof=1) bit for bit, from the same two
+        # sums without the Python layers of those methods, which cost more
+        # than the sums on a batch of a few hundred paths
+        point = float(np.add.reduce(values) / count)
+        centered = values - point
+        spread = math.sqrt(float(np.add.reduce(centered * centered)) / (count - 1))
+        return EmpiricalEstimate(point, spread / math.sqrt(count), count)
+
+    return estimate_at
+
+
 def estimate(
     traces: Iterable[PathTrace],
     t: float,
@@ -480,46 +602,7 @@ def estimate(
     refers to the known initial condition and needs no observation.  No
     traces, a non-integral state or a NaN threshold raise ``ValueError``.
     """
-    arg = _statistic(statistic, arg)
-    traces = list(traces)
-    count = len(traces)
-    if count == 0:
-        raise ValueError("no traces to estimate from")
-    if t == 0.0:
-        return EmpiricalEstimate(_initial_value(statistic, arg), 0.0 if count > 1 else None, count)
-
-    blocks, at = _gather(traces)
-    columns = [block.column(t) for block in blocks]
-    states = _stacked([b.values[column] for b, column in zip(blocks, columns)])[at]
-    failed = _stacked([b.failed[column] for b, column in zip(blocks, columns)])[at]
-    if statistic == "state-probability":
-        if not all(block.lattice for block in blocks):
-            raise ValueError(
-                "state-probability is undefined for continuous-state traces; use cdf"
-            )
-        values = (~failed & (states == arg)).astype(np.float64)
-    elif statistic == "failure-probability":
-        values = failed.astype(np.float64)
-    elif statistic == "cdf":
-        values = (~failed & (states <= arg)).astype(np.float64)
-    else:
-        values = np.where(failed, 0.0, states)
-
-    if count == 1:
-        return EmpiricalEstimate(0.0 if statistic == "truncated-variance" else float(values[0]),
-                                 None, count)
-    if statistic == "truncated-variance":
-        point = float(np.var(values, ddof=1))
-        centered = values - values.mean()
-        fourth = float(np.mean(centered**4))
-        return EmpiricalEstimate(point, math.sqrt(max(fourth - point * point, 0.0) / count), count)
-    # values.mean() and values.std(ddof=1) bit for bit, from the same two sums
-    # without the Python layers of those methods, which cost more than the
-    # sums on a batch of a few hundred paths
-    point = float(np.add.reduce(values) / count)
-    centered = values - point
-    spread = math.sqrt(float(np.add.reduce(centered * centered)) / (count - 1))
-    return EmpiricalEstimate(point, spread / math.sqrt(count), count)
+    return _estimator(traces)(t, statistic, arg)
 
 
 def _observation_text(block: _Block) -> np.ndarray:

@@ -100,6 +100,18 @@ class TestRoundTrip:
         assert run(cli.rebuild_argv(table["params"]) + ["--out", str(second)]) == 0
         assert second.read_text() == first.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["transient", "--model", "diffusion", *DIFFUSION, "--t", "1"],
+        ["steady", "--model", "diffusion", *DIFFUSION, "--n-min", "3", "--n-max", "-3"],
+    ], ids=["transient", "steady-with-an-inverted-window"])
+    def test_diffusion_tables_record_no_lattice_window(self, tmp_path, argv):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(argv + ["--out", str(first)]) == 0
+        params = cli.read_table(str(first))["params"]
+        assert "n_min" not in params and "n_max" not in params
+        assert run(cli.rebuild_argv(params) + ["--out", str(second)]) == 0
+        assert second.read_text() == first.read_text()
+
     def test_replay_skips_keys_the_subcommand_has_no_flag_for(self):
         # table1 headers written before it lost its epsilon key
         params = {"command": "table1", "epsilon": [0.1, 0.05, 0.01], "nu": 1.0, "format": "csv"}
@@ -329,6 +341,30 @@ class TestSimulate:
         assert record["error"]["type"] == "validation"
         assert "nan" in record["error"]["message"]
         assert not log.exists()
+
+    def test_the_table_gathers_its_paths_once(self, tmp_path, monkeypatch):
+        from catwalk import discrete
+        from catwalk import simulate as sim
+
+        gather, sizes = sim._gather, []
+
+        def counted(traces):
+            sizes.append(len(traces))
+            return gather(traces)
+
+        monkeypatch.setattr(sim, "_gather", counted)
+        out = tmp_path / "sim.json"
+        argv = ["simulate", *LATTICE, "--seed", "9", "--reps", "300", "--t-grid", "0.5,1,2",
+                "--stat", "truncated-mean", "--stat", "cdf:1", "--format", "json",
+                "--out", str(out)]
+        assert run(argv) == 0
+        rows = cli.read_table(str(out))["rows"]
+        assert len(rows) == 6 and sizes == [300]
+        cfg = sim.SimConfig(seed=9, replications=300, horizon=2.0, observation_times=(0.5, 1, 2))
+        traces = list(sim.simulate_discrete(discrete.DiscreteParams(2.0, 1.0, 1.0, 1.0), cfg))
+        for t, name, arg, value, error, count in rows:
+            est = sim.estimate(traces, t, name, arg)
+            assert (value, error, count) == (est.value, est.standard_error, est.replications)
 
     def test_rows_and_trace_export(self, tmp_path):
         out = tmp_path / "sim.json"

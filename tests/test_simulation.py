@@ -122,6 +122,27 @@ class TestGenerator:
         # Random123 known-answer vectors of Philox4x32-10
         assert tuple(int(word) for word in sim._philox(counter, key)) == expected
 
+    def test_philox_on_broadcast_counters(self):
+        # _uniforms passes a (1, D) index, a scalar stream and (R, 1) row
+        # words; each (row, draw) must get the words of its counter alone,
+        # and its two uniforms must be made from those words
+        seed, stream, draws = 0x0123456789ABCDEF, sim._MOVES, 5
+        replications = np.array([0, 1, 2**32 - 1, 2**32 + 5, 2**64 - 1], dtype=np.uint64)
+        rows = replications[:, None]
+        index = np.arange(draws, dtype=np.uint64)[None, :]
+        key = (seed & 0xFFFFFFFF, seed >> 32)
+        counters = (index, stream, rows & sim._WORD, rows >> 32)
+        words = [np.asarray(word) for word in sim._philox(counters, key)]
+        u, v = sim._uniforms(seed, replications, stream, draws)
+        for r, replication in enumerate(replications.tolist()):
+            for k in range(draws):
+                counter = (k, stream, replication & 0xFFFFFFFF, replication >> 32)
+                alone = [int(word) for word in sim._philox(counter, key)]
+                assert [int(word[r, k]) for word in words] == alone
+                c0, c1, c2, c3 = alone
+                assert u[r, k] == (((c0 >> 5) << 26) + (c1 >> 6) + 1) * 2.0**-53
+                assert v[r, k] == (((c2 >> 5) << 26) + (c3 >> 6) + 1) * 2.0**-53
+
     @pytest.mark.parametrize(
         "params",
         [d.DiscreteParams(3.0, 2.0, 1.0, 2.0), f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 2.0)],
