@@ -529,6 +529,8 @@ def cmd_simulate(options: dict) -> int:
         observation_times=t_grid,
     )
     parsed_stats = [_parse_stat(s) for s in options["stats"]]
+    for name, _ in parsed_stats:
+        sim._check_model(name, options["model"] == "discrete")
     if options["model"] == "discrete":
         p = _discrete_params(options)
         traces = list(sim.simulate_discrete(p, cfg))

@@ -6,9 +6,10 @@ Poisson stream of up/down marks on the operating clock, which is exact in law
 by superposition; a move at operating time s happens at real time s plus the
 repair time completed before it.  Events are placed by counting, not by
 sorting: catastrophe j follows the moves at or before its operating time, and
-a move follows the catastrophes strictly before it.  Diffusion paths chain exact Gaussian
-increments between the observation times of each operating period and restart
-at 0 after every repair, so observed marginals carry no discretization bias.
+a move follows the catastrophes strictly before it.  Diffusion paths restart
+at 0 after every repair and chain exact Gaussian increments, built for all
+observation times at once, so observed marginals carry no discretization
+bias.  Both models are observed by one count of the skeleton's events.
 
 Paths are drawn as arrays over bounded chunks of replications from a NumPy
 Philox4x32-10 (Salmon et al. 2011).  Its key is the seed (two 32-bit words)
@@ -80,8 +81,8 @@ class SimConfig:
         replications = _integral("replications", self.replications)
         if replications < 1:
             raise ValueError("replications must be >= 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         times = tuple(float(t) for t in self.observation_times)
@@ -326,11 +327,11 @@ def _ranks(entries: np.ndarray, probes: np.ndarray, side: str) -> np.ndarray:
     return np.searchsorted(keys.ravel(), marks.ravel(), side).reshape(marks.shape) - row * width
 
 
-def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, skeleton):
-    """A chunk of lattice paths on their skeleton: the times and codes of the
-    events before the horizon, row after row in real time, the number of them
-    per row, then (values, failed) with one row per observation time and one
-    column per path."""
+def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, skeleton, repaired):
+    """A chunk of lattice paths on their skeleton and its ``repaired`` counts:
+    the times and codes of the events before the horizon, row after row in
+    real time, the number of them per row, then the values with one row per
+    observation time and one column per path."""
     horizon, rows = cfg.horizon, len(replications)
     clock, downtime, fail, back = skeleton
     # operating time elapsed by the horizon, with a margin against rounding
@@ -379,22 +380,18 @@ def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, skelet
 
     # the state at w is the sum of the steps of the moves from the last
     # repair before w, where the path restarted, up to w: their number less
-    # twice the downs among them.  w falls in a repair where more
-    # catastrophes than repairs precede it.
-    grid = np.array(cfg.observation_times)[None, :]
-    seen = _ranks(times, grid, "left")
-    repaired = _ranks(back, grid, "left")
+    # twice the downs among them
+    seen = _ranks(times, np.array(cfg.observation_times)[None, :], "left")
     row = np.arange(rows)[:, None]
     start = np.concatenate([np.zeros((rows, 1), dtype=np.intp), ahead], axis=1)[row, repaired]
     downs = np.zeros((rows, draws + 1), dtype=np.intp)
     np.cumsum(down, axis=1, out=downs[:, 1:])
     states = seen - start - 2 * (downs[row, seen] - downs[row, start])
-    failed = _ranks(fail, grid, "left") > repaired
     counts = moved + marked.sum(axis=(1, 2))
-    return event_times, codes, counts, states.T.astype(np.float64), failed.T
+    return event_times, codes, counts, states.T.astype(np.float64)
 
 
-def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, skeleton):
+def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, skeleton, repaired):
     """A chunk of diffusion paths on their skeleton, laid out as in
     :func:`_lattice`."""
     rows = len(replications)
@@ -403,23 +400,20 @@ def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, sk
     kept = times < cfg.horizon
     codes = np.broadcast_to(np.tile(np.int8([_CATASTROPHE, _REPAIR]), fail.shape[1]), times.shape)
 
-    u, v = _uniforms(cfg.seed, replications, _NORMALS, len(cfg.observation_times))
+    # (time, path) arrays from time 0, where every path is at 0: an increment
+    # runs from the path's restart or the time before, whichever is later
+    grid = np.array([0.0, *cfg.observation_times])[:, None]
+    restart = np.concatenate([np.zeros((1, rows)), back.T])[repaired.T, np.arange(rows)]
+    chained = restart < grid[:-1]
+    gap = grid[1:] - np.where(chained, grid[:-1], restart)
+    u, v = _uniforms(cfg.seed, replications, _NORMALS, len(gap))
     normals = np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * math.pi * v)
-    sigma = math.sqrt(dp.sigma2)
-    values = np.empty((len(cfg.observation_times), rows))
-    failed = np.empty(values.shape, dtype=bool)
-    x = np.zeros(rows)
-    previous = 0.0
-    for column, when in enumerate(cfg.observation_times):
-        # chain from the previous observation if no repair came in between
-        restart = np.where(back < when, back, 0.0).max(axis=1, initial=0.0)
-        chained = restart < previous
-        gap = when - np.where(chained, previous, restart)
-        x = np.where(chained, x, 0.0) + dp.drift * gap + sigma * np.sqrt(gap) * normals[:, column]
-        values[column] = x
-        failed[column] = ((fail < when) & (back >= when)).any(axis=1)
-        previous = when
-    return times[kept], codes[kept], kept.sum(axis=1), values, failed
+    step, noise = dp.drift * gap, math.sqrt(dp.sigma2) * np.sqrt(gap) * normals.T
+    values = np.zeros((len(grid), rows))
+    # not a cumsum, which would add x + (step + noise) and round otherwise
+    for c in range(len(gap)):
+        values[c + 1] = np.where(chained[c], values[c], 0.0) + step[c] + noise[c]
+    return times[kept], codes[kept], kept.sum(axis=1), values[1:]
 
 
 def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
@@ -432,6 +426,7 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
     chunk = chunk or len(replications)
     sample = _lattice if isinstance(params, DiscreteParams) else _diffusion
     span = chunk * max(1, _CHUNK_DRAWS // (chunk * _cycle_budget(params.nu, cfg.horizon)))
+    grid = np.array(cfg.observation_times)[None, :]
     parts = []
     for first in range(0, len(replications), chunk):
         if first % span == 0:
@@ -440,8 +435,12 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
         # the chunk's rows, up to the last catastrophe before the horizon in any of them
         rows = slice(first % span, first % span + chunk)
         used = int((skeleton[2][rows] < cfg.horizon).sum(axis=1).max(initial=0))
-        parts.append(sample(params, cfg, replications[first:first + chunk],
-                            [part[rows, :used] for part in skeleton]))
+        _, _, fail, back = sliced = [part[rows, :used] for part in skeleton]
+        # a path at w last restarted at the last repair before w, and w falls
+        # in a repair where more catastrophes than repairs come before it
+        repaired = _ranks(back, grid, "left")
+        parts.append((*sample(params, cfg, replications[first:first + chunk], sliced, repaired),
+                      (_ranks(fail, grid, "left") > repaired).T))
     times, codes, counts, values, failed = (np.concatenate(part, axis=-1) for part in zip(*parts))
     bounds = np.zeros(len(replications) + 1, dtype=np.intp)
     np.cumsum(counts, out=bounds[1:])
@@ -495,6 +494,12 @@ def _statistic(statistic: str, arg: Optional[float]) -> Optional[float]:
     if statistic == "cdf" and math.isnan(arg):
         raise ValueError("the cdf threshold must be a number, got nan")
     return arg
+
+
+def _check_model(statistic: str, lattice: bool) -> None:
+    """Reject a statistic that the model of the paths does not define."""
+    if statistic == "state-probability" and not lattice:
+        raise ValueError("state-probability is undefined for continuous-state traces; use cdf")
 
 
 def _initial_value(statistic: str, arg: Optional[float]) -> float:
@@ -555,11 +560,8 @@ def _estimator(traces: Iterable[PathTrace]):
         columns = [block.column(t) for block in blocks]
         states = _stacked([b.values[column] for b, column in zip(blocks, columns)])[at]
         failed = _stacked([b.failed[column] for b, column in zip(blocks, columns)])[at]
+        _check_model(statistic, all(block.lattice for block in blocks))
         if statistic == "state-probability":
-            if not all(block.lattice for block in blocks):
-                raise ValueError(
-                    "state-probability is undefined for continuous-state traces; use cdf"
-                )
             values = (~failed & (states == arg)).astype(np.float64)
         elif statistic == "failure-probability":
             values = failed.astype(np.float64)

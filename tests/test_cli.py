@@ -342,6 +342,34 @@ class TestSimulate:
         assert "nan" in record["error"]["message"]
         assert not log.exists()
 
+    def test_infinite_horizon_is_a_validation_error(self, capsys):
+        # it used to exit 1 with an OverflowError traceback
+        argv = ["simulate", "--lambda", "2", "--mu", "2", "--nu", "0.1", "--eta", "1",
+                "--seed", "1", "--reps", "10", "--t", "inf"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [{"error": {
+            "type": "validation", "message": "horizon must be finite and positive, got inf"}}]
+
+    def test_state_probability_on_the_diffusion_fails_before_any_path(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        from catwalk import simulate as sim
+
+        def unexpected(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(sim, "_paths", unexpected)
+        out, log = tmp_path / "sim.csv", tmp_path / "traces.log"
+        argv = ["simulate", "--model", "diffusion", *DIFFUSION, "--seed", "1", "--reps", "200",
+                "--t-grid", "0.5:4:0.5", "--stat", "state-probability:1",
+                "--trace-out", str(log), "--out", str(out)]
+        assert run(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": {
+            "type": "validation",
+            "message": "state-probability is undefined for continuous-state traces; use cdf"}}
+        assert not out.exists() and not log.exists()
+
     def test_the_table_gathers_its_paths_once(self, tmp_path, monkeypatch):
         from catwalk import discrete
         from catwalk import simulate as sim

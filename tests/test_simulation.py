@@ -82,6 +82,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             _config(times=(0.8, 0.4))
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+    def test_rejects_a_horizon_that_is_not_finite_and_positive(self, horizon):
+        # an infinite horizon used to reach the cycle budget and overflow there
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            _config(horizon=horizon)
+
     def test_rejects_empty_observations(self):
         with pytest.raises(ValueError):
             _config(times=())
@@ -177,6 +183,13 @@ class TestPathStreamDigests:
                        dict(seed=54, reps=600, horizon=4.0, times=(0.5, 1.0, 2.0, 3.0, 4.0))),
         "tiny-horizon": (SYMMETRIC, dict(seed=55, reps=4000, horizon=1e-12, times=(1e-12,))),
         "fig4": (FIG4, dict(seed=56, reps=4000, horizon=2.0, times=(0.5, 1.0, 2.0))),
+        # frequent restarts between 40 observation times, over several chunks
+        "restarts": (f.DiffusionParams(3.0, 1.0, 1.0, 4.0, 4.0),
+                     dict(seed=57, reps=500, horizon=4.0, times=tuple(k / 10 for k in range(1, 41)))),
+        # an empty skeleton: every observation chains from the one before
+        "diffusion-no-catastrophes": (f.DiffusionParams(3.0, 1.0, 1.0, 0.0, 1.0),
+                                      dict(seed=58, reps=500, horizon=3.0,
+                                           times=(0.25, 0.5, 1.0, 2.0, 3.0))),
     }
     DIGESTS = {
         "symmetric": "085a10f221db5d43cc01fab7a54755c0e66c27d4ed193d06f3c4f95ca6246cc8",
@@ -185,6 +198,8 @@ class TestPathStreamDigests:
         "five-times": "654fe31c0039620126838ab9bcdba040b6ecf6af701fbc1940a65d7c21cbccce",
         "tiny-horizon": "e06960a4cd628dbfc7c1c7a3f7fa7cec3d3a573e6fbb45495bd9c47d3d8c6aa0",
         "fig4": "0a2400d1ada97966f0af1bea6abb08af17edfcf9f0f0b4bcf874adb659093109",
+        "restarts": "0f61c3510396c7f0e622dd23a589240cd669b96a786b5dd494a236f0ac0a56e5",
+        "diffusion-no-catastrophes": "c97e59f1bfee639296df39a5c81261308d2e2081a8ff7f53a72b75a4e7b4a336",
     }
     EXPORT_DIGEST = "9b2d2ae8e6c23fd158d25a2043eb42fddb627c3c225f371bf7c0e2acd22927d1"
 
@@ -259,12 +274,19 @@ class TestTraceLegality:
                 elif kind == "catastrophe":
                     failed = True
 
-    def test_state_restarts_at_zero_after_repair(self):
-        p = d.DiscreteParams(2.0, 1.0, 1.0, 2.0)
+    @pytest.mark.parametrize(
+        "params",
+        [d.DiscreteParams(2.0, 1.0, 1.0, 2.0), f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 2.0)],
+        ids=["lattice", "diffusion"],
+    )
+    def test_state_restarts_at_zero_after_repair(self, params):
+        # a diffusion level is not replayed from the events, only its failure flag
+        lattice = isinstance(params, d.DiscreteParams)
+        simulate = sim.simulate_discrete if lattice else sim.simulate_diffusion
         cfg = _config(reps=300, horizon=2.0, times=(0.5, 1.0, 1.5, 2.0))
-        for trace in sim.simulate_discrete(p, cfg):
+        flags = set()
+        for trace in simulate(params, cfg):
             state, failed = 0, False
-            events = iter(trace.events)
             position = 0
             log = list(trace.events)
             for when, observed in trace.observations:
@@ -279,7 +301,12 @@ class TestTraceLegality:
                     else:
                         failed, state = False, 0
                     position += 1
-                assert observed == (sim.FAILED if failed else state)
+                flags.add(failed)
+                if lattice or failed:
+                    assert observed == (sim.FAILED if failed else state)
+                else:
+                    assert type(observed) is float
+        assert flags == {False, True}
 
     def test_no_catastrophes_without_rate(self):
         p = d.DiscreteParams(2.0, 1.0, 0.0, 1.0)
