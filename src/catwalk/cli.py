@@ -80,12 +80,12 @@ def _parse_time(text: str) -> tuple[float]:
     return (float(text),)
 
 
-def _parse_stat(text: str) -> tuple[str, Optional[float]]:
+def _parse_stat(text: str, lattice: bool) -> tuple[str, Optional[float]]:
     from . import simulate as sim
 
     name, _, arg = text.partition(":")
     name = name.strip()
-    return name, sim._statistic(name, float(arg) if arg else None)
+    return name, sim._statistic(name, float(arg) if arg else None, lattice)
 
 
 class _Repeated(argparse.Action):
@@ -528,9 +528,7 @@ def cmd_simulate(options: dict) -> int:
         horizon=max(t_grid),
         observation_times=t_grid,
     )
-    parsed_stats = [_parse_stat(s) for s in options["stats"]]
-    for name, _ in parsed_stats:
-        sim._check_model(name, options["model"] == "discrete")
+    parsed_stats = [_parse_stat(s, options["model"] == "discrete") for s in options["stats"]]
     if options["model"] == "discrete":
         p = _discrete_params(options)
         traces = list(sim.simulate_discrete(p, cfg))

@@ -108,12 +108,21 @@ def _decay_root(dp: DiffusionParams, rate: float) -> float:
     return math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * rate)
 
 
+def _drift_side_rate(dp: DiffusionParams, rate: float, root: float) -> float:
+    # (r - |drift|) / sigma2, the decay rate on the drift's side, as
+    # 2 rate / (r + |drift|): the difference cancels once 2 sigma2 rate is
+    # small against drift^2, as rate -> 0 (steady_decay_length is its inverse)
+    return 2.0 * rate / (root + abs(dp.drift))
+
+
 def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
     """Roots w1 > 0 > w2 of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0, the decay
     exponents of the transform density on each side of the origin."""
     check_transform_variable(z)
     root = _decay_root(dp, z + dp.nu)
-    return (dp.drift + root) / dp.sigma2, (dp.drift - root) / dp.sigma2
+    far = (abs(dp.drift) + root) / dp.sigma2
+    near = _drift_side_rate(dp, z + dp.nu, root)
+    return (near, -far) if dp.drift < 0.0 else (far, -near)
 
 
 def _scaled_transform(dp: DiffusionParams, x: float, z: float) -> float:
@@ -122,7 +131,11 @@ def _scaled_transform(dp: DiffusionParams, x: float, z: float) -> float:
     # it is the stationary density.
     root = _decay_root(dp, z + dp.nu)
     amplitude = transform_amplitude(dp.nu, dp.eta, z)
-    return amplitude / root * math.exp((dp.drift * x - root * abs(x)) / dp.sigma2)
+    if dp.drift * x > 0.0:
+        exponent = -_drift_side_rate(dp, z + dp.nu, root) * abs(x)
+    else:
+        exponent = (dp.drift * x - root * abs(x)) / dp.sigma2
+    return amplitude / root * math.exp(exponent)
 
 
 def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
@@ -143,7 +156,7 @@ def steady_decay_length(dp: DiffusionParams) -> float:
     """Decay length of the stationary density on the drift's side, the longer
     of its two: there it falls off as exp(-|x| / length)."""
     check_stationary(dp.nu)
-    return dp.sigma2 / (_decay_root(dp, dp.nu) - abs(dp.drift))
+    return (_decay_root(dp, dp.nu) + abs(dp.drift)) / (2.0 * dp.nu)
 
 
 def mean_x(dp: DiffusionParams, t: float) -> float:

@@ -105,7 +105,8 @@ class _Block:
     Row r is replication ``replications[r]``.  Its events before the horizon
     are ``times[bounds[r]:bounds[r + 1]]`` with their ``codes``, and its state
     at ``grid[c]`` is ``values[c, r]``, or the failure state where
-    ``failed[c, r]``.  Lattice states are integers held as float64.
+    ``failed[c, r]``.  Lattice states are held as integers and diffusion
+    levels as floats, so the dtype of ``values`` is the model of the paths.
     """
 
     times: np.ndarray
@@ -115,7 +116,6 @@ class _Block:
     grid: tuple[float, ...]
     values: np.ndarray
     failed: np.ndarray
-    lattice: bool
 
     def column(self, t: float) -> int:
         """The index of observation time t in the grid, to rounding."""
@@ -160,8 +160,6 @@ class PathTrace:
         a ``float`` diffusion level, or :data:`FAILED`."""
         block = self._block
         values = block.values[:, self._row].tolist()
-        if block.lattice:
-            values = map(int, values)
         failed = block.failed[:, self._row].tolist()
         return tuple(zip(block.grid, [FAILED if down else v for v, down in zip(values, failed)]))
 
@@ -388,7 +386,7 @@ def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, skelet
     np.cumsum(down, axis=1, out=downs[:, 1:])
     states = seen - start - 2 * (downs[row, seen] - downs[row, start])
     counts = moved + marked.sum(axis=(1, 2))
-    return event_times, codes, counts, states.T.astype(np.float64)
+    return event_times, codes, counts, states.T
 
 
 def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, skeleton, repaired):
@@ -444,8 +442,7 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
     times, codes, counts, values, failed = (np.concatenate(part, axis=-1) for part in zip(*parts))
     bounds = np.zeros(len(replications) + 1, dtype=np.intp)
     np.cumsum(counts, out=bounds[1:])
-    block = _Block(times, codes, bounds, replications, cfg.observation_times, values, failed,
-                   isinstance(params, DiscreteParams))
+    block = _Block(times, codes, bounds, replications, cfg.observation_times, values, failed)
     return list(map(PathTrace, repeat(block), range(len(replications))))
 
 
@@ -481,34 +478,22 @@ _STATISTICS = (
 )
 
 
-def _statistic(statistic: str, arg: Optional[float]) -> Optional[float]:
-    """The argument of a statistic, checked: ``state-probability`` takes an
-    integral state, returned as ``int``, and ``cdf`` a threshold that is not
-    NaN; the other statistics take none."""
+def _statistic(statistic: str, arg: Optional[float], lattice: bool) -> Optional[float]:
+    """The argument of a statistic on paths of the lattice model or of the
+    diffusion, checked: ``state-probability`` is defined on lattice paths
+    only and takes an integral state, returned as ``int``, and ``cdf`` takes a
+    threshold that is not NaN; the other statistics take none."""
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}, expected one of {_STATISTICS}")
     if statistic in ("state-probability", "cdf") and arg is None:
         raise ValueError(f"statistic {statistic!r} requires an argument")
     if statistic == "state-probability":
+        if not lattice:
+            raise ValueError("state-probability is undefined for continuous-state traces; use cdf")
         return check_state(arg)
     if statistic == "cdf" and math.isnan(arg):
         raise ValueError("the cdf threshold must be a number, got nan")
     return arg
-
-
-def _check_model(statistic: str, lattice: bool) -> None:
-    """Reject a statistic that the model of the paths does not define."""
-    if statistic == "state-probability" and not lattice:
-        raise ValueError("state-probability is undefined for continuous-state traces; use cdf")
-
-
-def _initial_value(statistic: str, arg: Optional[float]) -> float:
-    # at t = 0 the state is 0 and operating by construction
-    if statistic == "state-probability":
-        return 1.0 if arg == 0 else 0.0
-    if statistic == "cdf":
-        return 1.0 if arg >= 0.0 else 0.0
-    return 0.0
 
 
 def _gather(traces: list[PathTrace]) -> tuple[list[_Block], Union[slice, np.ndarray]]:
@@ -541,26 +526,24 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
 
 def _estimator(traces: Iterable[PathTrace]):
     """:func:`estimate` over fixed traces, as a function of (t, statistic,
-    arg).  The traces are gathered once, by the first call that reads an
-    observation, so a table of estimates walks them once, not once a cell."""
+    arg).  The traces are gathered once, so a table of estimates walks them
+    once, not once a cell."""
     traces = list(traces)
     count = len(traces)
-    gathered = []
+    blocks, at = _gather(traces)
+    lattice = all(block.values.dtype.kind == "i" for block in blocks)
 
     def estimate_at(t: float, statistic: str, arg: Optional[float] = None) -> EmpiricalEstimate:
-        arg = _statistic(statistic, arg)
+        arg = _statistic(statistic, arg, lattice)
         if count == 0:
             raise ValueError("no traces to estimate from")
         if t == 0.0:
-            return EmpiricalEstimate(_initial_value(statistic, arg), 0.0 if count > 1 else None,
-                                     count)
-        if not gathered:
-            gathered.extend(_gather(traces))
-        blocks, at = gathered
-        columns = [block.column(t) for block in blocks]
-        states = _stacked([b.values[column] for b, column in zip(blocks, columns)])[at]
-        failed = _stacked([b.failed[column] for b, column in zip(blocks, columns)])[at]
-        _check_model(statistic, all(block.lattice for block in blocks))
+            # the known start: every path is operating at 0
+            states, failed = np.zeros(count), np.zeros(count, dtype=bool)
+        else:
+            columns = [block.column(t) for block in blocks]
+            states = _stacked([b.values[column] for b, column in zip(blocks, columns)])[at]
+            failed = _stacked([b.failed[column] for b, column in zip(blocks, columns)])[at]
         if statistic == "state-probability":
             values = (~failed & (states == arg)).astype(np.float64)
         elif statistic == "failure-probability":
@@ -601,15 +584,17 @@ def estimate(
 
     ``arg`` is the state n for ``state-probability`` and the threshold x for
     ``cdf``; truncated statistics zero the state while under repair.  t = 0
-    refers to the known initial condition and needs no observation.  No
-    traces, a non-integral state or a NaN threshold raise ``ValueError``.
+    reads the known start, every path operating at 0, through the same
+    statistics and model rule as an observed time.  No traces, a
+    non-integral state, a NaN threshold or ``state-probability`` on
+    diffusion paths raise ``ValueError``.
     """
     return _estimator(traces)(t, statistic, arg)
 
 
 def _observation_text(block: _Block) -> np.ndarray:
     """The text "<time>\t<state>\n" of each observation, path by path."""
-    states = (block.values.astype(np.int64) if block.lattice else block.values).T.astype(object)
+    states = block.values.T.astype(object)
     states[block.failed.T] = FAILED
     grid = cycle([f"{when!r}\t" for when in block.grid])
     return np.array([f"{when}{state!r}\n" for when, state in zip(grid, states.ravel().tolist())],

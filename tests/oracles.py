@@ -5,12 +5,14 @@ oracle is a high-precision power series, integrals are brute-force midpoint
 sums or scipy.quad over analytically rewritten integrands, the lattice law
 is a restart convolution over Skellam laws convolved from Poisson masses,
 the diffusion density and the mass outside a density slice are restart
-convolutions integrated in mpmath, the truncated moments integrate the law
-of the age of the operating period in mpmath, the diffusion's truncated
-variance is also available in the paper's expanded closed form, and the
-hitting probability comes from an absorbing-chain linear solve.  The CLI's
-tables are checked against a writer that formats them cell by cell through
-the csv module and the pure-Python JSON encoder.
+convolutions integrated in mpmath, the diffusion's stationary density and
+transform roots come from its characteristic quadratic in 50-digit mpmath,
+the truncated moments integrate the law of the age of the operating period
+in mpmath, the diffusion's truncated variance is also available in the
+paper's expanded closed form, and the hitting probability comes from an
+absorbing-chain linear solve.  The CLI's tables are checked against a writer
+that formats them cell by cell through the csv module and the pure-Python
+JSON encoder.
 """
 
 from __future__ import annotations
@@ -204,6 +206,32 @@ def density_by_mpmath(
             return float(base)
         integral = peak * mpmath.quad(lambda u: integrand(u) / peak, grid)
         return float(base + eta_ * integral)
+
+
+def laplace_roots_by_mpmath(lam_hat: float, mu_hat: float, sigma2: float, rate: float,
+                            dps: int = 50) -> tuple:
+    """The roots w1 > 0 > w2 of sigma2 w^2 - 2 (lam_hat - mu_hat) w - 2 rate = 0
+    by the quadratic formula in ``dps`` digits, as mpmath numbers.  The root
+    on the drift's side loses about log10(drift^2 / rate) digits to
+    cancellation, which 50 digits leave to spare down to rate ~ 1e-30."""
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(lam_hat) - mpmath.mpf(mu_hat)
+        s2 = mpmath.mpf(sigma2)
+        root = mpmath.sqrt(c * c + 2 * s2 * mpmath.mpf(rate))
+        return (c + root) / s2, (c - root) / s2
+
+
+def steady_density_by_mpmath(lam_hat: float, mu_hat: float, sigma2: float, nu: float,
+                             eta: float, x: float, dps: int = 50) -> float:
+    """Stationary density of the jump-diffusion as the two-sided exponential
+    that decays at the roots of its characteristic equation at rate nu,
+    e^{w1 x} below 0 and e^{w2 x} above, normalised to the operating mass
+    eta / (eta + nu), in ``dps`` digits."""
+    with mpmath.workdps(dps):
+        w1, w2 = laplace_roots_by_mpmath(lam_hat, mu_hat, sigma2, nu, dps)
+        eta_, xm = mpmath.mpf(eta), mpmath.mpf(x)
+        scale = eta_ / (eta_ + mpmath.mpf(nu)) / (1 / w1 - 1 / w2)
+        return float(scale * mpmath.exp((w2 if xm > 0 else w1) * xm))
 
 
 def slice_tail_by_mpmath(

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -320,8 +321,8 @@ class TestSimulate:
 
     def test_non_integral_state_is_a_validation_error(self, capsys):
         with pytest.raises(ValueError):
-            cli._parse_stat("state-probability:2.7")
-        assert cli._parse_stat("state-probability:-2.0") == ("state-probability", -2)
+            cli._parse_stat("state-probability:2.7", True)
+        assert cli._parse_stat("state-probability:-2.0", True) == ("state-probability", -2)
         argv = ["simulate", *LATTICE, "--seed", "7", "--reps", "10", "--t", "1",
                 "--stat", "state-probability:2.7"]
         assert run(argv) == 2
@@ -708,3 +709,25 @@ class TestColdStart:
                                     "f.on_mass(dp, 1.0)\n")
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``catwalk`` line of README.md's sh blocks, with
+    continued lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        for line in block.split("```")[0].replace("\\\n", " ").splitlines():
+            if line.startswith("catwalk "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadme:
+    def test_every_command_runs(self, tmp_path, monkeypatch, capsys):
+        commands = _readme_commands()
+        assert len(commands) >= 8
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert run(argv) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()

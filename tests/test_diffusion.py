@@ -14,15 +14,21 @@ from catwalk.special import QuadratureSpec, integrate_adaptive
 from identities import operating_mass_by_quadrature, renewal_check
 from oracles import (
     density_by_mpmath,
+    laplace_roots_by_mpmath,
     printed_variance,
     second_moment_by_quadrature,
     slice_tail_by_mpmath,
+    steady_density_by_mpmath,
 )
 
 # parameters behind the reference density plots: drift 2, unit variance
 FIG4 = f.DiffusionParams(lam_hat=3.0, mu_hat=1.0, sigma2=1.0, nu=1.0, eta=1.0)
 # parameters behind the stationary comparison table: drift -1, sigma2 9
 TABLE = f.DiffusionParams(lam_hat=1.0, mu_hat=2.0, sigma2=9.0, nu=1.0, eta=0.25)
+# nu -> 0 against drift 2 and its mirror: 2 sigma2 nu rounds away next to
+# drift^2, and the drift's side decays over a length of 1e17
+RARE = f.DiffusionParams(lam_hat=2.0, mu_hat=1.0, sigma2=1.0, nu=1e-17, eta=1.0)
+RARE_MIRROR = f.DiffusionParams(lam_hat=1.0, mu_hat=2.0, sigma2=1.0, nu=1e-17, eta=1.0)
 
 positive = st.floats(min_value=0.05, max_value=20.0)
 
@@ -245,13 +251,18 @@ class TestLagBrackets:
 
 class TestLaplaceDensity:
     def test_roots_straddle_zero(self):
-        w1, w2 = f.laplace_roots(FIG4, 1.0)
-        assert w2 < 0.0 < w1
-        # roots of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0
-        for w in (w1, w2):
-            assert FIG4.sigma2 * w * w - 2.0 * FIG4.drift * w - 2.0 * 2.0 == pytest.approx(
-                0.0, abs=1e-10
-            )
+        for dp, z in ((FIG4, 1.0), (RARE, 1e-18), (RARE_MIRROR, 1e-18)):
+            w1, w2 = f.laplace_roots(dp, z)
+            assert w2 < 0.0 < w1
+            # roots of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0; at nu -> 0 the
+            # drift's side used to cancel to 0
+            rate = z + dp.nu
+            for w, want in zip((w1, w2), laplace_roots_by_mpmath(dp.lam_hat, dp.mu_hat,
+                                                                 dp.sigma2, rate)):
+                assert dp.sigma2 * w * w - 2.0 * dp.drift * w - 2.0 * rate == pytest.approx(
+                    0.0, abs=1e-10
+                )
+                assert w == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("z", [0.3, 1.0, 4.0])
     def test_space_integral_closed_form(self, z):
@@ -305,15 +316,22 @@ class TestSteadyDensity:
         with pytest.raises(f.NoSteadyStateError):
             f.steady_decay_length(dp)
 
-    @pytest.mark.parametrize("dp", [FIG4, TABLE])
+    @pytest.mark.parametrize("dp", [FIG4, TABLE, RARE, RARE_MIRROR])
     def test_decay_length_is_the_slower_tail(self, dp):
+        # at nu -> 0 the length used to divide by zero, and the density to
+        # stay flat on the drift's side
         length = f.steady_decay_length(dp)
         for side in (1.0, -1.0):
-            ratio = f.steady_density(dp, side * 2.0 * length) / f.steady_density(dp, side * length)
             if side * dp.drift > 0.0:
-                assert ratio == pytest.approx(math.exp(-1.0), rel=1e-12)
+                far, near = (f.steady_density(dp, side * k * length) for k in (2.0, 1.0))
+                assert far / near == pytest.approx(math.exp(-1.0), rel=1e-12)
             else:
-                assert ratio < math.exp(-1.0)
+                # the other side falls off faster, by x = length to 0 as nu -> 0
+                far, near = (f.steady_density(dp, side * k) for k in (2.0, 1.0))
+                assert far / near < math.exp(-1.0 / length)
+            for x in (side * length, side * 5.0 * length, side):
+                want = steady_density_by_mpmath(dp.lam_hat, dp.mu_hat, dp.sigma2, dp.nu, dp.eta, x)
+                assert f.steady_density(dp, x) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestMoments:

@@ -202,10 +202,20 @@ class TestPathStreamDigests:
         "diffusion-no-catastrophes": "c97e59f1bfee639296df39a5c81261308d2e2081a8ff7f53a72b75a4e7b4a336",
     }
     EXPORT_DIGEST = "9b2d2ae8e6c23fd158d25a2043eb42fddb627c3c225f371bf7c0e2acd22927d1"
+    #: every statistic at t = 0 and at each observed time of "five-times",
+    #: "fig4", "restarts" and a one-path batch of each model
+    ESTIMATE_DIGEST = "d29ef6f22f9291d9c83d4a68bb0d0f0bf97f2050eb2115d5f42856adcecc2095"
+    ESTIMATE_CASES = {
+        "five-times": CASES["five-times"],
+        "fig4": CASES["fig4"],
+        "restarts": CASES["restarts"],
+        "one-lattice-path": (CASES["five-times"][0], {**CASES["five-times"][1], "reps": 1}),
+        "one-diffusion-path": (FIG4, {**CASES["fig4"][1], "reps": 1}),
+    }
 
     @staticmethod
-    def _traces(name):
-        params, plan = TestPathStreamDigests.CASES[name]
+    def _traces(name, cases=CASES):
+        params, plan = cases[name]
         simulate = sim.simulate_discrete if isinstance(params, d.DiscreteParams) else sim.simulate_diffusion
         cfg = _config(**plan)
         return list(simulate(params, cfg)), cfg
@@ -223,6 +233,21 @@ class TestPathStreamDigests:
         target = tmp_path / "traces.log"
         sim.export_traces(traces, str(target), {"model": "discrete"}, cfg)
         assert hashlib.sha256(target.read_bytes()).hexdigest() == self.EXPORT_DIGEST
+
+    def test_estimates_match_the_pinned_values(self):
+        digest = hashlib.sha256()
+        for name, (params, _) in self.ESTIMATE_CASES.items():
+            traces, cfg = self._traces(name, self.ESTIMATE_CASES)
+            statistics = [("failure-probability", None), ("truncated-mean", None),
+                          ("truncated-variance", None), ("cdf", 0.0), ("cdf", 0.5), ("cdf", -1.5)]
+            if isinstance(params, d.DiscreteParams):
+                statistics += [("state-probability", n) for n in (-1, 0, 1, 2)]
+            for t in (0.0, *cfg.observation_times):
+                for statistic, arg in statistics:
+                    est = sim.estimate(traces, t, statistic, arg)
+                    digest.update(repr((t, statistic, arg, est.value, est.standard_error,
+                                        est.replications)).encode())
+        assert digest.hexdigest() == self.ESTIMATE_DIGEST
 
 
 class TestObservationTypes:
@@ -583,15 +608,30 @@ class TestEstimate:
         assert est.replications == 1
 
     def test_time_zero_is_exact(self):
-        traces = list(sim.simulate_discrete(SYMMETRIC, _config(reps=5)))
-        assert sim.estimate(traces, 0.0, "failure-probability").value == 0.0
-        assert sim.estimate(traces, 0.0, "state-probability", 0).value == 1.0
-        assert sim.estimate(traces, 0.0, "truncated-mean").value == 0.0
+        # every path starts operating at 0, on either model; one path has no
+        # standard error
+        cases = [("failure-probability", None, 0.0), ("truncated-mean", None, 0.0),
+                 ("truncated-variance", None, 0.0), ("cdf", 0.0, 1.0), ("cdf", 0.5, 1.0),
+                 ("cdf", -0.5, 0.0)]
+        lattice_cases = [("state-probability", 0, 1.0), ("state-probability", 1, 0.0),
+                         ("state-probability", -1, 0.0)]
+        for reps, error in ((5, 0.0), (1, None)):
+            cfg = _config(reps=reps)
+            runs = [(sim.simulate_discrete(SYMMETRIC, cfg), cases + lattice_cases),
+                    (sim.simulate_diffusion(FIG4, cfg), cases)]
+            for traces, statistics in runs:
+                traces = list(traces)
+                for statistic, arg, value in statistics:
+                    assert (sim.estimate(traces, 0.0, statistic, arg)
+                            == sim.EmpiricalEstimate(value, error, reps))
 
     def test_state_probability_rejected_on_diffusion_traces(self):
+        # at t = 0 this used to return 1.0, and at an unobserved time it
+        # reported the missing time
         traces = list(sim.simulate_diffusion(FIG4, _config(reps=10)))
-        with pytest.raises(ValueError):
-            sim.estimate(traces, 1.0, "state-probability", 0)
+        for t in (1.0, 0.0, 0.25):
+            with pytest.raises(ValueError, match="undefined for continuous-state traces"):
+                sim.estimate(traces, t, "state-probability", 0)
 
     def test_unknown_statistic_rejected(self):
         traces = list(sim.simulate_discrete(SYMMETRIC, _config(reps=5)))
