@@ -6,7 +6,7 @@ convergence checks."""
 from importlib import import_module
 
 from .discrete import DiscreteParams, DistributionSlice, LaplaceRoots
-from .diffusion import DIRAC_AT_ORIGIN, DensitySlice, DiffusionParams, PointMass
+from .diffusion import DensitySlice, DiffusionParams
 from .failure_cycle import NoSteadyStateError
 from .scaling import ComparisonRow, scale_params
 from .special import QuadratureError
@@ -18,8 +18,6 @@ __all__ = [
     "NoSteadyStateError",
     "DiffusionParams",
     "DensitySlice",
-    "PointMass",
-    "DIRAC_AT_ORIGIN",
     "ComparisonRow",
     "scale_params",
     "SimConfig",

@@ -28,6 +28,9 @@ __all__ = ["main", "entrypoint", "read_table", "rebuild_argv"]
 
 TABLE1_EPSILONS = (0.1, 0.05, 0.01)
 TABLE1_RANGE = range(-6, 7)
+#: the fixed decimals of a subcommand's floats; the others take %.6g or,
+#: under --full-precision, repr
+DECIMALS = {"table1": 5}
 DEFAULT_STATS = ("failure-probability", "truncated-mean", "truncated-variance")
 #: most points a start:stop:step grid may have
 MAX_GRID_POINTS = 1_000_000
@@ -381,19 +384,17 @@ def read_table(path: str) -> dict:
     if text.lstrip().startswith("{"):
         return json.loads(text)
     params = {}
-    lines = text.splitlines()
     body = []
-    for line in lines:
+    for line in text.splitlines():
         if line.startswith("# params "):
             params = json.loads(line[len("# params "):])
-        elif not line.startswith("#"):
+        elif line and not line.startswith("#"):
+            # a blank line is no record, before the header row or after it
             body.append(line)
     reader = csv.reader(body)
     schema = next(reader)
     rows = []
     for record in reader:
-        if not record:
-            continue
         parsed = []
         for cell in record:
             if cell == "":
@@ -444,9 +445,13 @@ def _provenance(options: dict, **resolved) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each builds its table from the run's options and returns its columns, its
+# rows and the options it resolved (a default grid, a sorted time grid), which
+# the table's provenance records at their resolved values.
 
 
-def cmd_transient(options: dict) -> int:
+def cmd_transient(options: dict) -> tuple:
     _require(options, "t_grid")
     t_grid = options["t_grid"]
     if options["model"] == "discrete":
@@ -459,12 +464,9 @@ def cmd_transient(options: dict) -> int:
             else:
                 states = law.probabilities
                 rows += zip(repeat(t), states, states.values(), repeat(law.failure_mass))
-        write_table(["t", "n", "probability", "failure_mass"], rows, _provenance(options), options)
-        return 0
+        return ["t", "n", "probability", "failure_mass"], rows, {}
     dp = _diffusion_params(options)
     for t in t_grid:
-        if t <= 0.0:
-            raise ValueError("the diffusion density needs t > 0 (t = 0 is a point mass at 0)")
         check_time(t, positive=True)
     xs = options["x_grid"]
     if xs is None:
@@ -478,18 +480,15 @@ def cmd_transient(options: dict) -> int:
         q = diffusion.failure_probability(dp, t)
         rows += zip(repeat(t), xs, diffusion.transient_densities(dp, xs, t), repeat(q))
     # the diffusion reads no lattice window, so its table records none
-    params = _provenance(options, x_grid=xs, n_min=None, n_max=None)
-    write_table(["t", "x", "density", "failure_mass"], rows, params, options)
-    return 0
+    return ["t", "x", "density", "failure_mass"], rows, dict(x_grid=xs, n_min=None, n_max=None)
 
 
-def cmd_steady(options: dict) -> int:
+def cmd_steady(options: dict) -> tuple:
     if options["model"] == "discrete":
         p = _discrete_params(options)
         q = discrete.steady_failure(p)
         rows = [[n, discrete.steady_state(p, n), q] for n in _states(options)]
-        write_table(["n", "probability", "failure_mass"], rows, _provenance(options), options)
-        return 0
+        return ["n", "probability", "failure_mass"], rows, {}
     dp = _diffusion_params(options)
     q = steady_failure_mass(dp.nu, dp.eta)
     xs = options["x_grid"]
@@ -497,12 +496,10 @@ def cmd_steady(options: dict) -> int:
         length = diffusion.steady_decay_length(dp)
         xs = _linspace(-12.0 * length, 12.0 * length, 161)
     rows = [[x, diffusion.steady_density(dp, x), q] for x in xs]
-    params = _provenance(options, x_grid=xs, n_min=None, n_max=None)
-    write_table(["x", "density", "failure_mass"], rows, params, options)
-    return 0
+    return ["x", "density", "failure_mass"], rows, dict(x_grid=xs, n_min=None, n_max=None)
 
 
-def cmd_moments(options: dict) -> int:
+def cmd_moments(options: dict) -> tuple:
     _require(options, "t_grid")
     t_grid = options["t_grid"]
     if options["model"] == "discrete":
@@ -513,11 +510,10 @@ def cmd_moments(options: dict) -> int:
         dp = _diffusion_params(options)
         rows = [[t, diffusion.mean_x(dp, t), diffusion.variance_x(dp, t)]
                 for t in t_grid]
-    write_table(["t", "mean", "variance"], rows, _provenance(options), options)
-    return 0
+    return ["t", "mean", "variance"], rows, {}
 
 
-def cmd_simulate(options: dict) -> int:
+def cmd_simulate(options: dict) -> tuple:
     from . import simulate as sim
 
     _require(options, "seed", "reps", "t_grid")
@@ -535,25 +531,19 @@ def cmd_simulate(options: dict) -> int:
     else:
         dp = _diffusion_params(options)
         traces = list(sim.simulate_diffusion(dp, cfg))
-    params = _provenance(options, t_grid=t_grid)
     if options["trace_out"]:
-        sim.export_traces(traces, options["trace_out"], params, cfg)
+        sim.export_traces(traces, options["trace_out"], _provenance(options, t_grid=t_grid), cfg)
     estimate = sim._estimator(traces)
     rows = []
     for t in t_grid:
         for name, arg in parsed_stats:
             est = estimate(t, name, arg)
             rows.append([t, name, arg, est.value, est.standard_error, est.replications])
-    write_table(
-        ["t", "statistic", "arg", "estimate", "standard_error", "replications"],
-        rows,
-        params,
-        options,
-    )
-    return 0
+    columns = ["t", "statistic", "arg", "estimate", "standard_error", "replications"]
+    return columns, rows, dict(t_grid=t_grid)
 
 
-def cmd_compare(options: dict) -> int:
+def cmd_compare(options: dict) -> tuple:
     dp = _diffusion_params(options)
     eps_list = [eps for grid in options["epsilon"] for eps in grid]
     states = _states(options)
@@ -561,12 +551,10 @@ def cmd_compare(options: dict) -> int:
     for eps in eps_list:
         for row in scaling.steady_comparison(dp, eps, states):
             rows.append([eps, row.n, row.scaled_pi, row.w_value, row.delta])
-    params = _provenance(options, epsilon=eps_list)
-    write_table(["epsilon", "n", "pi_over_eps", "w_value", "delta"], rows, params, options)
-    return 0
+    return ["epsilon", "n", "pi_over_eps", "w_value", "delta"], rows, dict(epsilon=eps_list)
 
 
-def cmd_table1(options: dict) -> int:
+def cmd_table1(options: dict) -> tuple:
     dp = _diffusion_params(options)
     columns = ["n"]
     per_eps = {}
@@ -580,8 +568,7 @@ def cmd_table1(options: dict) -> int:
             cell = per_eps[eps][n]
             row += [cell.scaled_pi, cell.w_value, cell.delta]
         rows.append(row)
-    write_table(columns, rows, _provenance(options), options, decimals=5)
-    return 0
+    return columns, rows, {}
 
 
 DISPATCH = {
@@ -609,7 +596,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sub = _subcommand(args.command)
             config = argparse.Namespace(command=args.command, **_load_config(sub, args.config))
             args = sub.parse_args(argv[argv.index(args.command) + 1:], namespace=config)
-        return DISPATCH[args.command](vars(args))
+        options = vars(args)
+        columns, rows, resolved = DISPATCH[args.command](options)
+        write_table(columns, rows, _provenance(options, **resolved), options,
+                    DECIMALS.get(args.command))
+        return 0
     except QuadratureError as exc:
         _emit_error("convergence", exc)
         return 3

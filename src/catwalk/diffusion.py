@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 from .failure_cycle import (
     NoSteadyStateError,
@@ -41,8 +41,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DiffusionParams",
     "DensitySlice",
-    "PointMass",
-    "DIRAC_AT_ORIGIN",
     "NoSteadyStateError",
     "failure_probability",
     "wiener_density",
@@ -85,16 +83,6 @@ class DiffusionParams:
     @property
     def drift(self) -> float:
         return self.lam_hat - self.mu_hat
-
-
-@dataclass(frozen=True)
-class PointMass:
-    """Degenerate law concentrated at one point (the t = 0 initial condition)."""
-
-    location: float
-
-
-DIRAC_AT_ORIGIN = PointMass(0.0)
 
 
 def failure_probability(dp: DiffusionParams, t: float) -> float:
@@ -352,11 +340,12 @@ def _density(dp: DiffusionParams, x: np.ndarray, t: float, lags=None) -> np.ndar
     return base + weight * (catastrophe - repair)
 
 
-def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, PointMass]:
-    """Density of the operating state at time t, started at 0.
+def transient_density(dp: DiffusionParams, x: float, t: float) -> float:
+    """Density of the operating state at time t > 0, started at 0.
 
-    At t = 0 the law is a unit point mass at the origin, returned as the
-    tagged :data:`DIRAC_AT_ORIGIN` value instead of a number.  Otherwise
+    At t = 0 the law is a unit point mass at the origin, which has no
+    density, so t = 0 raises ``ValueError`` as it does for every density of
+    this module.  For t > 0
 
         f(x,t) = e^{-nu t} w(x,t) + eta nu/(eta+nu) [K_nu - e^{-(eta+nu) t} K_{-eta}],
         K_a = int_0^t e^{-a s} w(x,s) ds
@@ -369,16 +358,12 @@ def transient_density(dp: DiffusionParams, x: float, t: float) -> Union[float, P
     closed form (scaled complementary error function, and the Faddeeva
     function where r^2 < 0), with no quadrature.
     """
-    check_time(t)
-    if t == 0.0:
-        return DIRAC_AT_ORIGIN
     return transient_densities(dp, [x], t)[0]
 
 
 def transient_densities(dp: DiffusionParams, xs: Sequence[float], t: float) -> list[float]:
     """The transient density at each abscissa of ``xs`` at one time t > 0,
-    in one vectorised evaluation: element for element the values of
-    :func:`transient_density`."""
+    in one vectorised evaluation."""
     import numpy as np
     check_time(t, positive=True)
     return _density(dp, np.array(xs, dtype=float), t).tolist()

@@ -113,6 +113,15 @@ class TestRoundTrip:
         assert run(cli.rebuild_argv(params) + ["--out", str(second)]) == 0
         assert second.read_text() == first.read_text()
 
+    def test_read_table_skips_blank_records(self, tmp_path):
+        # a blank line before the header row used to be read as an empty
+        # schema, and the header as the first row
+        first, spaced = tmp_path / "first.csv", tmp_path / "spaced.csv"
+        assert run(DEFAULT_RUNS["steady-discrete"] + ["--out", str(first)]) == 0
+        lines = first.read_text().splitlines(keepends=True)
+        spaced.write_text("".join(line + "\n" for line in lines))
+        assert cli.read_table(str(spaced)) == cli.read_table(str(first))
+
     def test_replay_skips_keys_the_subcommand_has_no_flag_for(self):
         # table1 headers written before it lost its epsilon key
         params = {"command": "table1", "epsilon": [0.1, 0.05, 0.01], "nu": 1.0, "format": "csv"}
@@ -480,6 +489,15 @@ class TestConfigFile:
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["type"] == "validation"
 
+    def test_a_file_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(["--lambda", 2.0]))
+        assert run(["steady", "--config", str(path), *LATTICE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {
+            "type": "validation", "message": "config file must hold a JSON object of options"}
+
     def test_values_convert_like_their_flags(self, tmp_path, capsys):
         flags = ["steady", "--model", "discrete", "--lambda", "2", "--mu", "1", "--nu", "1",
                  "--eta", "0.5", "--n-min", "-2", "--n-max", "2", "--full-precision"]
@@ -532,6 +550,15 @@ class TestErrors:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "--lambda" in message
 
+    @pytest.mark.parametrize("argv,code", [(["table1"], 0), (["steady", "--model", "discrete"], 2)],
+                             ids=["success", "validation"])
+    def test_entrypoint_exits_with_the_code_of_main(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["catwalk", *argv])
+        with pytest.raises(SystemExit) as caught:
+            cli.entrypoint()
+        assert caught.value.code == code
+        capsys.readouterr()
+
     def test_convergence_failure_exit_code(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise QuadratureError("did not converge", best_estimate=0.1, error_bound=1.0)
@@ -552,7 +579,7 @@ class TestErrors:
         assert error == {"type": "validation", "message": "window must be nonempty, got (3, -3)"}
 
     @pytest.mark.parametrize("x_grid", [[], ["--x-grid", "0,1"]], ids=["default-x", "given-x"])
-    @pytest.mark.parametrize("time", ["inf", "nan"])
+    @pytest.mark.parametrize("time", ["inf", "nan", "0.0", "-1.0"])
     def test_diffusion_time_is_checked_before_the_grid(self, capsys, x_grid, time):
         argv = ["transient", "--model", "diffusion", *DIFFUSION, "--t-grid", f"1,{time}", *x_grid]
         assert run(argv) == 2
@@ -724,6 +751,11 @@ def _readme_commands() -> list[list[str]]:
 
 
 class TestReadme:
+    def test_the_library_example_runs(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (example,) = [block.split("```")[0] for block in text.split("```python\n")[1:]]
+        exec(compile(example, "README.md", "exec"), {})
+
     def test_every_command_runs(self, tmp_path, monkeypatch, capsys):
         commands = _readme_commands()
         assert len(commands) >= 8

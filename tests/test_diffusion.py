@@ -78,9 +78,9 @@ class TestWienerDensity:
 
 class TestTransientDensity:
     def test_time_zero_is_a_point_mass(self):
-        value = f.transient_density(FIG4, 0.3, 0.0)
-        assert value is f.DIRAC_AT_ORIGIN
-        assert value == f.PointMass(0.0)
+        # which has no density
+        with pytest.raises(ValueError, match="time must be finite and positive"):
+            f.transient_density(FIG4, 0.3, 0.0)
 
     def test_no_catastrophes_is_pure_gaussian(self):
         dp = f.DiffusionParams(3.0, 1.0, 1.0, 0.0, 1.0)

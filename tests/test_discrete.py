@@ -248,6 +248,16 @@ class TestTransientDistribution:
         # the defect is the dropped state's mass
         assert err.error_bound == pytest.approx(mode, rel=1e-9)
 
+    def test_a_window_without_the_origin_bounds_its_tail_by_one(self):
+        # every path starts at 0, outside the window: the Chernoff bound of
+        # the side that holds the origin is 1, and the mass check passes
+        slice_ = d.transient_distribution(SYMMETRIC, 1.0, (3, 5))
+        assert slice_.tail_bound == 1.0
+        for n in range(3, 6):
+            assert slice_.probabilities[n] == pytest.approx(
+                d.transient_probability(SYMMETRIC, n, 1.0), rel=1e-10)
+        assert slice_.total_mass() < 1.0
+
     def test_explicit_window_is_honoured(self):
         slice_ = d.transient_distribution(DRIFTING, 2.0, window=(-3, 7))
         assert slice_.window == (-3, 7)

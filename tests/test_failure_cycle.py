@@ -126,7 +126,7 @@ TIMED = {
     "discrete.variance_transient": (lambda t: d.variance_transient(LATTICE, t), False),
     "discrete.first_passage_density": (lambda t: d.first_passage_density(LATTICE, 1, t), True),
     "diffusion.failure_probability": (lambda t: f.failure_probability(DIFFUSION, t), False),
-    "diffusion.transient_density": (lambda t: f.transient_density(DIFFUSION, 0.5, t), False),
+    "diffusion.transient_density": (lambda t: f.transient_density(DIFFUSION, 0.5, t), True),
     "diffusion.transient_densities": (lambda t: f.transient_densities(DIFFUSION, [0.5], t), True),
     "diffusion.mean_x": (lambda t: f.mean_x(DIFFUSION, t), False),
     "diffusion.variance_x": (lambda t: f.variance_x(DIFFUSION, t), False),

@@ -4,10 +4,14 @@ their modules."""
 import pytest
 
 import catwalk
-from catwalk import diffusion, discrete
+from catwalk import cli, diffusion, discrete, failure_cycle, scaling, simulate, special
 
 
-@pytest.mark.parametrize("module", [catwalk, discrete, diffusion], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module",
+    [catwalk, discrete, diffusion, failure_cycle, scaling, simulate, special, cli],
+    ids=lambda m: m.__name__,
+)
 def test_every_public_name_resolves(module):
     for name in module.__all__:
         assert getattr(module, name) is not None, name

@@ -97,6 +97,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             _config(seed=1.5)
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_rejects_a_seed_outside_64_unsigned_bits(self, seed):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            _config(seed=seed)
+
     def test_rejects_boolean_replications(self):
         with pytest.raises(ValueError):
             _config(reps=True)
@@ -414,6 +419,12 @@ class TestPathTraceView:
             assert len(set(traces)) == 40
             assert all(a != b for a, b in zip(traces, traces[1:]))
 
+    def test_equality_and_repr(self):
+        trace = _one_path(SYMMETRIC, _config(reps=10), 3)
+        assert trace == trace
+        assert (trace == 5) is False and trace != 5
+        assert repr(trace).startswith("PathTrace(replication=3, events=")
+
     def test_repeated_reads_give_equal_tuples(self):
         for trace in sim.simulate_discrete(SYMMETRIC, _config(reps=30, horizon=3.0, times=(1.0, 3.0))):
             events, observations = trace.events, trace.observations
@@ -638,6 +649,12 @@ class TestEstimate:
         with pytest.raises(ValueError):
             sim.estimate(traces, 1.0, "median")
 
+    @pytest.mark.parametrize("statistic", ["cdf", "state-probability"])
+    def test_missing_argument_rejected(self, statistic):
+        traces = list(sim.simulate_discrete(SYMMETRIC, _config(reps=5)))
+        with pytest.raises(ValueError, match="requires an argument"):
+            sim.estimate(traces, 1.0, statistic)
+
     def test_missing_time_rejected(self):
         traces = list(sim.simulate_discrete(SYMMETRIC, _config(reps=5)))
         with pytest.raises(ValueError):
@@ -700,3 +717,13 @@ class TestExport:
         records = _exported_records([alone], tmp_path, cfg)
         assert records == _reference_export([traces[7]])
         assert {line.split("\t")[0] for line in records} == {"7"}
+
+    def test_no_traces_write_the_header_only(self, tmp_path):
+        cfg = _config(reps=4)
+        target = tmp_path / "traces.log"
+        sim.export_traces([], str(target), {"model": "discrete"}, cfg)
+        assert target.read_text().splitlines() == [
+            "# catwalk-traces v1",
+            '# params {"model": "discrete"}',
+            "# seed 1234 replications 4 horizon 1.0",
+        ]
