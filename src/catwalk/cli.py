@@ -28,9 +28,6 @@ __all__ = ["main", "entrypoint", "read_table", "rebuild_argv"]
 
 TABLE1_EPSILONS = (0.1, 0.05, 0.01)
 TABLE1_RANGE = range(-6, 7)
-#: the fixed decimals of a subcommand's floats; the others take %.6g or,
-#: under --full-precision, repr
-DECIMALS = {"table1": 5}
 DEFAULT_STATS = ("failure-probability", "truncated-mean", "truncated-variance")
 #: most points a start:stop:step grid may have
 MAX_GRID_POINTS = 1_000_000
@@ -135,41 +132,6 @@ _OPTIONS = {
 _RATES = ("--lambda", "--mu", "--nu", "--eta", "--lambda-hat", "--mu-hat", "--sigma2")
 _OUTPUT = ("--format", "--out", "--full-precision", "--config")
 
-#: subcommand: its help, its options and the defaults it sets for them
-_SUBCOMMANDS = {
-    "transient": (
-        "state probabilities or density over a grid",
-        ("--model", *_RATES, "--t", "--t-grid", "--n-min", "--n-max", "--x-grid"),
-        dict(n_min=-5, n_max=5),
-    ),
-    "steady": (
-        "stationary law",
-        ("--model", *_RATES, "--n-min", "--n-max", "--x-grid"),
-        dict(n_min=-6, n_max=6),
-    ),
-    "moments": (
-        "truncated mean and variance over a time grid",
-        ("--model", *_RATES, "--t-grid"),
-        {},
-    ),
-    "simulate": (
-        "Monte Carlo estimates with standard errors",
-        ("--model", *_RATES, "--t", "--t-grid", "--seed", "--reps", "--stat", "--trace-out"),
-        {},
-    ),
-    "compare": (
-        "stationary lattice law against the diffusion density",
-        (*_RATES, "--epsilon", "--n-min", "--n-max"),
-        dict(n_min=-6, n_max=6),
-    ),
-    "table1": (
-        "13x9 stationary comparison grid at the reference parameters",
-        _RATES,
-        dict(lam_hat=1.0, mu_hat=2.0, sigma2=9.0, nu=1.0, eta=0.25),
-    ),
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  Nothing may change it: a config
@@ -180,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "catastrophes and repairs, and of its jump-diffusion limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, flags, defaults) in _SUBCOMMANDS.items():
+    for name, (text, flags, defaults, _, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=text)
         for flag in flags + _OUTPUT:
             sp.add_argument(flag, **_OPTIONS[flag])
@@ -571,13 +533,28 @@ def cmd_table1(options: dict) -> tuple:
     return columns, rows, {}
 
 
-DISPATCH = {
-    "transient": cmd_transient,
-    "steady": cmd_steady,
-    "moments": cmd_moments,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "table1": cmd_table1,
+#: each subcommand, declared once: its help, its options, the defaults it
+#: sets for them, its table builder and the fixed decimals of its floats
+#: (None: %.6g, or repr under --full-precision)
+_SUBCOMMANDS = {
+    "transient": ("state probabilities or density over a grid",
+                  ("--model", *_RATES, "--t", "--t-grid", "--n-min", "--n-max", "--x-grid"),
+                  dict(n_min=-5, n_max=5), cmd_transient, None),
+    "steady": ("stationary law",
+               ("--model", *_RATES, "--n-min", "--n-max", "--x-grid"),
+               dict(n_min=-6, n_max=6), cmd_steady, None),
+    "moments": ("truncated mean and variance over a time grid",
+                ("--model", *_RATES, "--t-grid"),
+                {}, cmd_moments, None),
+    "simulate": ("Monte Carlo estimates with standard errors",
+                 ("--model", *_RATES, "--t", "--t-grid", "--seed", "--reps", "--stat", "--trace-out"),
+                 {}, cmd_simulate, None),
+    "compare": ("stationary lattice law against the diffusion density",
+                (*_RATES, "--epsilon", "--n-min", "--n-max"),
+                dict(n_min=-6, n_max=6), cmd_compare, None),
+    "table1": ("13x9 stationary comparison grid at the reference parameters",
+               _RATES,
+               dict(lam_hat=1.0, mu_hat=2.0, sigma2=9.0, nu=1.0, eta=0.25), cmd_table1, 5),
 }
 
 
@@ -597,9 +574,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = argparse.Namespace(command=args.command, **_load_config(sub, args.config))
             args = sub.parse_args(argv[argv.index(args.command) + 1:], namespace=config)
         options = vars(args)
-        columns, rows, resolved = DISPATCH[args.command](options)
-        write_table(columns, rows, _provenance(options, **resolved), options,
-                    DECIMALS.get(args.command))
+        *_, build, decimals = _SUBCOMMANDS[args.command]
+        columns, rows, resolved = build(options)
+        write_table(columns, rows, _provenance(options, **resolved), options, decimals)
         return 0
     except QuadratureError as exc:
         _emit_error("convergence", exc)

@@ -280,11 +280,21 @@ def _scaled_gf(p: DiscreteParams, t, s, theta):
     return scale, np.exp(x - scale) + weight * restarts
 
 
+class _OutOfReach(ArithmeticError):
+    """e^{-K} G came out 0, negative or NaN at the time it carries, so log G
+    is out of reach: the restart quotients cancel where (eta + nu) t is
+    tiny, or the complex step's phase is not small where the tilted mean is
+    about 1 / _STEP."""
+
+
 def _log_gf(p: DiscreteParams, t, s):
     # log G(e^s, t) and its slope in s, the mean of the law tilted by e^{ns},
     # from one complex step
     import numpy as np
     scale, g = _scaled_gf(p, t, s, _STEP)
+    lost = ~(g.real > 0.0)
+    if lost.any():
+        raise _OutOfReach(float(np.broadcast_to(t, lost.shape)[lost][0]))
     return scale + np.log(g.real), g.imag / (g.real * _STEP)
 
 
@@ -338,18 +348,23 @@ def _transient_window(p: DiscreteParams, times, n_min: int, n_max: int) -> np.nd
         _check_horizon(p, t)
     if n_max - n_min >= MAX_NODES:
         raise ValueError(f"window [{n_min}, {n_max}] has more than MAX_NODES = {MAX_NODES} states")
-    if p.lam < p.mu or (p.lam == p.mu and n_min + n_max < 0):
-        return _transient_window(p.swapped(), times, -n_max, -n_min)[:, ::-1]
-    orders = np.arange(n_min, n_max + 1)
+    mirror = p.lam < p.mu or (p.lam == p.mu and n_min + n_max < 0)
+    walk, orders = ((p.swapped(), np.arange(-n_max, 1 - n_min)) if mirror
+                    else (p, np.arange(n_min, n_max + 1)))
     out = np.zeros((times.size, orders.size))
     out[:, orders == 0] = 1.0
     live = np.flatnonzero(times > 0.0)
     # a time costs its window's states, but at least a few hundred nodes for
     # its radius grid and groups
     step = max(1, _BATCH_NODES // max(orders.size, 256))
-    for batch in (live[i:i + step] for i in range(0, live.size, step)):
-        out[batch] = _invert(p, times[batch], orders)
-    return out
+    try:
+        for batch in (live[i:i + step] for i in range(0, live.size, step)):
+            out[batch] = _invert(walk, times[batch], orders)
+    except _OutOfReach as lost:
+        raise ValueError(f"the lattice law at t = {lost.args[0]} over the window [{n_min}, "
+                         f"{n_max}] is out of reach: its generating function rounds to 0 or "
+                         "below at a radius the inversion needs") from None
+    return out[:, ::-1] if mirror else out
 
 
 def _invert(p: DiscreteParams, times: np.ndarray, orders: np.ndarray) -> np.ndarray:

@@ -64,11 +64,15 @@ def steady_comparison(
     dp: DiffusionParams, epsilon: float, n_range: Iterable[int]
 ) -> list[ComparisonRow]:
     """Stationary lattice probabilities over eps against the stationary
-    density at the matching points."""
+    density at the matching points.  ``ValueError`` where pi_n underflows
+    to 0, which leaves delta undefined."""
     p = scale_params(dp, epsilon)
     rows = []
     for n in n_range:
         pi = steady_state(p, n)
+        if pi == 0.0:
+            raise ValueError(f"the lattice pi_{n} underflows to 0 at epsilon = {epsilon}, "
+                             "so delta = (w eps - pi) / pi is undefined")
         w = diffusion.steady_density(dp, n * epsilon)
         rows.append(
             ComparisonRow(n=n, scaled_pi=pi / epsilon, w_value=w, delta=(w * epsilon - pi) / pi)

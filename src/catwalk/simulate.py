@@ -31,7 +31,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, groupby, repeat
+from itertools import chain, cycle, groupby, repeat
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -519,11 +519,6 @@ def _gather(traces: list[PathTrace]) -> tuple[list[_Block], Union[slice, np.ndar
     return list(start), np.repeat(offsets, lengths) + np.array(rows, dtype=np.intp)
 
 
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays laid end to end, without a copy when there is one."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _estimator(traces: Iterable[PathTrace]):
     """:func:`estimate` over fixed traces, as a function of (t, statistic,
     arg).  The traces are gathered once, so a table of estimates walks them
@@ -542,8 +537,8 @@ def _estimator(traces: Iterable[PathTrace]):
             states, failed = np.zeros(count), np.zeros(count, dtype=bool)
         else:
             columns = [block.column(t) for block in blocks]
-            states = _stacked([b.values[column] for b, column in zip(blocks, columns)])[at]
-            failed = _stacked([b.failed[column] for b, column in zip(blocks, columns)])[at]
+            states = np.concatenate([b.values[c] for b, c in zip(blocks, columns)])[at]
+            failed = np.concatenate([b.failed[c] for b, c in zip(blocks, columns)])[at]
         if statistic == "state-probability":
             values = (~failed & (states == arg)).astype(np.float64)
         elif statistic == "failure-probability":
@@ -592,13 +587,12 @@ def estimate(
     return _estimator(traces)(t, statistic, arg)
 
 
-def _observation_text(block: _Block) -> np.ndarray:
-    """The text "<time>\t<state>\n" of each observation, path by path."""
-    states = block.values.T.astype(object)
-    states[block.failed.T] = FAILED
+def _observation_text(block: _Block, rows: np.ndarray) -> list[str]:
+    """The text "<time>\t<state>\n" of each observation of the rows, row by row."""
+    states = block.values[:, rows].T.astype(object)
+    states[block.failed[:, rows].T] = FAILED
     grid = cycle([f"{when!r}\t" for when in block.grid])
-    return np.array([f"{when}{state!r}\n" for when, state in zip(grid, states.ravel().tolist())],
-                    dtype=object)
+    return [f"{when}{state!r}\n" for when, state in zip(grid, states.ravel().tolist())]
 
 
 def _ragged(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -636,21 +630,36 @@ def export_traces(
         if not traces:
             return
         blocks, at = _gather(traces)
-        # the blocks laid end to end: each trace's name, the first and the
-        # number of its events, and the same of its observations
-        names = np.array(list(map(str, _stacked([b.replications for b in blocks])[at].tolist())),
-                         dtype=object)
-        event_at = accumulate([len(b.times) for b in blocks], initial=0)
-        event_first = _stacked([b.bounds[:-1] + s for b, s in zip(blocks, event_at)])[at]
-        event_count = _stacked([np.diff(b.bounds) for b in blocks])[at]
-        obs_at = accumulate([b.values.size for b in blocks], initial=0)
-        obs_first = _stacked(
-            [np.arange(s, s + b.values.size, len(b.grid)) for b, s in zip(blocks, obs_at)]
-        )[at]
-        obs_count = _stacked([np.full(len(b.replications), len(b.grid)) for b in blocks])[at]
-        times = _stacked([b.times for b in blocks])
-        kinds = _KIND_LINE_ENDS[_stacked([b.codes for b in blocks])]
-        observed = _stacked([_observation_text(b) for b in blocks])
+        # each trace's block and its row there, from where its row lies when
+        # the rows of the blocks are laid end to end
+        start = np.cumsum([0, *(len(b.replications) for b in blocks)])
+        at = np.arange(start[-1])[at]
+        which = np.searchsorted(start, at, side="right") - 1
+        rows = at - start[which]
+        # each trace's name and the number of its events and observations,
+        # then its events and the text of its observations in trace order,
+        # taken from its block's rows only
+        names = np.empty(len(traces), dtype=object)
+        event_count = np.empty(len(traces), dtype=np.intp)
+        obs_count = np.empty(len(traces), dtype=np.intp)
+        picks = []
+        for k, block in enumerate(blocks):
+            mine = np.flatnonzero(which == k)
+            picked = rows[mine]
+            names[mine] = list(map(str, block.replications[picked].tolist()))
+            event_count[mine] = np.diff(block.bounds)[picked]
+            obs_count[mine] = len(block.grid)
+            picks.append((mine, picked))
+        event_at = np.cumsum(np.append(0, event_count))
+        obs_at = np.cumsum(np.append(0, obs_count))
+        times = np.empty(event_at[-1])
+        codes = np.empty(event_at[-1], dtype=np.int8)
+        observed = np.empty(obs_at[-1], dtype=object)
+        for block, (mine, picked) in zip(blocks, picks):
+            events = _ragged(block.bounds[picked], event_count[mine])
+            into = _ragged(event_at[mine], event_count[mine])
+            times[into], codes[into] = block.times[events], block.codes[events]
+            observed[_ragged(obs_at[mine], obs_count[mine])] = _observation_text(block, picked)
         event_prefix, obs_prefix = names + "\tevent\t", names + "\tobs\t"
 
         # one write per run of traces holding about _EXPORT_RECORDS lines,
@@ -659,15 +668,16 @@ def export_traces(
         edges = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(traces)]
         for lo, hi in zip(edges, edges[1:]):
             ev_count, ob_count = event_count[lo:hi], obs_count[lo:hi]
-            events = _ragged(event_first[lo:hi], ev_count)
-            pieces = np.empty((len(events) + ob_count.sum(), 3), dtype=object)
+            events = slice(event_at[lo], event_at[hi])
+            size = event_at[hi] - event_at[lo]
+            pieces = np.empty((size + obs_at[hi] - obs_at[lo], 3), dtype=object)
             # a trace's events follow the observations of the traces before it
-            line = np.arange(len(events)) + np.repeat(np.cumsum(ob_count) - ob_count, ev_count)
+            line = np.arange(size) + np.repeat(np.cumsum(ob_count) - ob_count, ev_count)
             pieces[line, 0] = np.repeat(event_prefix[lo:hi], ev_count)
             pieces[line, 1] = list(map(repr, times[events].tolist()))
-            pieces[line, 2] = kinds[events]
-            line = np.arange(len(pieces) - len(events)) + np.repeat(np.cumsum(ev_count), ob_count)
+            pieces[line, 2] = _KIND_LINE_ENDS[codes[events]]
+            line = np.arange(len(pieces) - size) + np.repeat(np.cumsum(ev_count), ob_count)
             pieces[line, 0] = np.repeat(obs_prefix[lo:hi], ob_count)
-            pieces[line, 1] = observed[_ragged(obs_first[lo:hi], ob_count)]
+            pieces[line, 1] = observed[obs_at[lo]:obs_at[hi]]
             pieces[line, 2] = ""
             sink.write("".join(pieces.ravel().tolist()))

@@ -587,6 +587,26 @@ class TestErrors:
         assert error["type"] == "validation"
         assert error["message"] == f"time must be finite and positive, got {time}"
 
+    def test_compare_where_the_lattice_law_underflows(self, capsys):
+        argv = ["compare", "--lambda-hat", "1e-60", "--mu-hat", "1e60", "--sigma2", "1",
+                "--nu", "1", "--eta", "1", "--epsilon", "0.1"]
+        assert run(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "validation"
+        assert "pi_5 underflows to 0 at epsilon = 0.1" in error["message"]
+
+    def test_lattice_window_whose_generating_function_cancels(self, capsys):
+        # RuntimeWarning is an error in this suite
+        argv = ["transient", "--model", "discrete", "--lambda", "0.018277820501748192",
+                "--mu", "326673717452475.56", "--nu", "9.549922805363571e-27",
+                "--eta", "6.123332436345979e-12",
+                "--t-grid", "0.012406393297907846,4.260004300365086e-06"]
+        assert run(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "validation"
+        assert error["message"].startswith(
+            "the lattice law at t = 4.260004300365086e-06 over the window [-5, 5]")
+
     def test_diffusion_at_a_huge_time_does_not_overflow(self, capsys):
         # RuntimeWarning is an error in this suite
         argv = ["transient", "--model", "diffusion", *DIFFUSION, "--t-grid", "1,1e300"]
@@ -758,8 +778,11 @@ class TestReadme:
 
     def test_every_command_runs(self, tmp_path, monkeypatch, capsys):
         commands = _readme_commands()
-        assert len(commands) >= 8
+        assert len(commands) == 24
         monkeypatch.chdir(tmp_path)
         for argv in commands:
             assert run(argv) == 0, (argv, capsys.readouterr().err)
+            if "--out" in argv:
+                table = cli.read_table(argv[argv.index("--out") + 1])
+                assert table["rows"], argv
         capsys.readouterr()
