@@ -11,7 +11,6 @@ convergence failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -231,44 +230,24 @@ def _diffusion_params(options: dict) -> diffusion.DiffusionParams:
 # table output
 
 
-class _Echo:
-    """A file whose ``write`` hands its text back, so that a csv writer's
-    ``writerow`` returns the row as csv writes it."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
-_csv_line = csv.writer(_Echo(), lineterminator="\n").writerow
-
-
-def _csv_text(value, alone: bool) -> str:
-    """A cell as csv writes it: quoted where its text needs quotes, and ""
-    when it is empty and ``alone`` in its row."""
-    return _csv_line((str(value),))[:-1] if alone else _csv_line((str(value), ""))[:-2]
+#: each cell type's format code, a float's aside: every cell of a catwalk
+#: table is a float, an int, None or a statistic name, and none needs quoting
+_CSV_CODES = {int: "%d", type(None): "", str: "%s"}
 
 
 def _csv_body(rows: list, width: int, float_code: str) -> str:
     """Every row at once.  Each cell type has one format code (``float_code``
-    for a float, %d for an int, the empty field for None, csv's quoted text
-    for anything else); the codes make one template, and one
-    ``template % cells`` fills it."""
+    for a float, else its ``_CSV_CODES`` entry; text is written as it is); the
+    codes make one template, and one ``template % cells`` fills it.  A cell
+    of any other type, a bool among them, is a ``ValueError``."""
     cells = tuple(chain.from_iterable(rows))
     columns = [cells[j::width] for j in range(width)]
     kinds = [set(map(type, column)) for column in columns]
-    alone = width == 1
-    codes, texts = {}, set()
+    codes = {}
     for kind in set().union(*kinds):
-        if issubclass(kind, float):
-            codes[kind] = float_code
-        elif kind is int:
-            codes[kind] = "%d"
-        elif kind is type(None):
-            codes[kind] = _csv_text("", alone)
-        else:
-            codes[kind] = "%s"
-            texts.add(kind)
+        codes[kind] = float_code if issubclass(kind, float) else _CSV_CODES.get(kind)
+        if codes[kind] is None:
+            raise ValueError(f"a table cell cannot be of type {kind.__name__}")
     # each cell's code, then a comma, or a newline after a row's last cell;
     # a column of one type takes its code once
     parts = [","] * (2 * len(cells))
@@ -280,8 +259,6 @@ def _csv_body(rows: list, width: int, float_code: str) -> str:
             parts[2 * j::2 * width] = map(codes.__getitem__, map(type, column))
     if type(None) in codes:
         cells = tuple(compress(cells, map(is_not, cells, repeat(None))))
-    if texts:
-        cells = tuple(_csv_text(v, alone) if type(v) in texts else v for v in cells)
     return "".join(parts) % cells
 
 
@@ -310,15 +287,18 @@ def write_table(
     decimals: Optional[int] = None,
 ) -> None:
     """Write a table in one pass over its cells.  ``rows`` may be any
-    iterable of rows of one cell per column, such as a ``zip`` of columns.
-    CSV writes floats with %.6g, or repr under --full-precision, or with
-    ``decimals`` fixed decimals; JSON writes them in full, or rounded to
-    ``decimals``."""
+    iterable of rows of one cell per column, such as a ``zip`` of columns,
+    and there are two columns or more.  A cell is a float, an int, None or a
+    statistic name.  CSV writes floats with %.6g, or repr under
+    --full-precision, or with ``decimals`` fixed decimals, None as the empty
+    field and text as it is, quoting nothing, and refuses a cell of any other
+    type; JSON writes floats in full, or rounded to ``decimals``."""
     out = options["out"]
     width = len(columns)
     rows = list(rows)
-    if not width or set(map(len, rows)) - {width}:
-        raise ValueError(f"each row needs one cell for each of {width} columns")
+    if width < 2 or set(map(len, rows)) - {width}:
+        raise ValueError(f"a table needs two or more columns and each row one cell for each "
+                         f"of them; got {width} columns")
     if options["format"] == "json":
         if decimals is not None:
             rows = [[round(v, decimals) if isinstance(v, float) else v for v in row]
@@ -331,7 +311,7 @@ def write_table(
         else:
             float_code = "%r" if options["full_precision"] else "%.6g"
         text = (f"# catwalk-table v1\n# params {json.dumps(params, sort_keys=True)}\n"
-                f"{_csv_line(columns)}{_csv_body(rows, width, float_code)}")
+                f"{','.join(columns)}\n{_csv_body(rows, width, float_code)}")
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -339,8 +319,20 @@ def write_table(
             sink.write(text)
 
 
+def _read_cell(text: str):
+    """A CSV cell's value: None for the empty field, else a float if it
+    reads as one, else the text."""
+    if not text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def read_table(path: str) -> dict:
-    """Parse a table written by this CLI back into params/schema/rows."""
+    """Parse a table written by this CLI back into params/schema/rows.  A CSV
+    record is split at its commas; a quoted cell is a ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -353,20 +345,10 @@ def read_table(path: str) -> dict:
         elif line and not line.startswith("#"):
             # a blank line is no record, before the header row or after it
             body.append(line)
-    reader = csv.reader(body)
-    schema = next(reader)
-    rows = []
-    for record in reader:
-        parsed = []
-        for cell in record:
-            if cell == "":
-                parsed.append(None)
-                continue
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                parsed.append(cell)
-        rows.append(parsed)
+    if any('"' in line for line in body):
+        raise ValueError(f"{path} holds a quoted cell, which no catwalk table does")
+    schema, *records = (line.split(",") for line in body)
+    rows = [[_read_cell(cell) for cell in record] for record in records]
     return {"params": params, "schema": schema, "rows": rows}
 
 

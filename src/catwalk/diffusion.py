@@ -20,14 +20,17 @@ from typing import TYPE_CHECKING, Sequence
 
 from .failure_cycle import (
     NoSteadyStateError,
+    amplitude_over,
     asymptotic_moments as _cycle_asymptotic_moments,
+    check_finite,
     check_level,
     check_rates,
     check_stationary,
     check_time,
     check_transform_variable,
     failure_mass,
-    transform_amplitude,
+    rescaled,
+    root_sum,
     truncated_moments,
 )
 
@@ -90,61 +93,75 @@ def failure_probability(dp: DiffusionParams, t: float) -> float:
     return failure_mass(dp.nu, dp.eta, t)
 
 
-def _decay_root(dp: DiffusionParams, rate: float) -> float:
+def _rescaled(dp: DiffusionParams, z: float, law: str) -> tuple[float, ...]:
+    # (eta, drift, sigma2, nu, z) in the time unit of failure_cycle.rescaled
+    eta, lam_hat, mu_hat, sigma2, nu, z = rescaled(
+        law, dp.eta, dp.lam_hat, dp.mu_hat, dp.sigma2, dp.nu, z
+    )
+    return eta, lam_hat - mu_hat, sigma2, nu, z
+
+
+def _decay_root(drift: float, sigma2: float, rate: float) -> float:
     # r = sqrt(drift^2 + 2 sigma2 rate): at catastrophe rate plus transform
     # variable ``rate``, densities fall off as exp((drift x - r |x|) / sigma2)
-    return math.sqrt(dp.drift**2 + 2.0 * dp.sigma2 * rate)
+    return root_sum(drift, 2.0 * sigma2, rate)
 
 
-def _drift_side_rate(dp: DiffusionParams, rate: float, root: float) -> float:
+def _drift_side_rate(drift: float, rate: float, root: float) -> float:
     # (r - |drift|) / sigma2, the decay rate on the drift's side, as
     # 2 rate / (r + |drift|): the difference cancels once 2 sigma2 rate is
     # small against drift^2, as rate -> 0 (steady_decay_length is its inverse)
-    return 2.0 * rate / (root + abs(dp.drift))
+    return 2.0 * rate / (root + abs(drift))
 
 
 def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
     """Roots w1 > 0 > w2 of sigma2 w^2 - 2 drift w - 2 (z + nu) = 0, the decay
     exponents of the transform density on each side of the origin."""
     check_transform_variable(z)
-    root = _decay_root(dp, z + dp.nu)
-    far = (abs(dp.drift) + root) / dp.sigma2
-    near = _drift_side_rate(dp, z + dp.nu, root)
-    return (near, -far) if dp.drift < 0.0 else (far, -near)
+    law = "the diffusion's decay exponents"
+    _, drift, sigma2, nu, z = _rescaled(dp, z, law)
+    root = _decay_root(drift, sigma2, z + nu)
+    far = check_finite((abs(drift) + root) / sigma2, law)
+    near = _drift_side_rate(drift, z + nu, root)
+    return (near, -far) if drift < 0.0 else (far, -near)
 
 
-def _scaled_transform(dp: DiffusionParams, x: float, z: float) -> float:
+def _scaled_transform(dp: DiffusionParams, x: float, z: float, law: str) -> float:
     # z times the Laplace transform of the density at x, for z >= 0: the
     # failure-free resolvent at z + nu times the cycle's amplitude.  At z = 0
     # it is the stationary density.
-    root = _decay_root(dp, z + dp.nu)
-    amplitude = transform_amplitude(dp.nu, dp.eta, z)
-    if dp.drift * x > 0.0:
-        exponent = -_drift_side_rate(dp, z + dp.nu, root) * abs(x)
+    eta, drift, sigma2, nu, z = _rescaled(dp, z, law)
+    root = _decay_root(drift, sigma2, z + nu)
+    if drift * x > 0.0:
+        exponent = -_drift_side_rate(drift, z + nu, root) * abs(x)
     else:
-        exponent = (dp.drift * x - root * abs(x)) / dp.sigma2
-    return amplitude / root * math.exp(exponent)
+        exponent = (drift * x - root * abs(x)) / sigma2
+    return amplitude_over(root, nu, eta, z) * math.exp(exponent)
 
 
 def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
     """Laplace transform in time of the transient density, in closed form."""
     check_transform_variable(z)
     check_level(x)
-    return _scaled_transform(dp, x, z) / z
+    law = f"the Laplace transform of the density at x = {x}"
+    return check_finite(_scaled_transform(dp, x, z, law) / z, law)
 
 
 def steady_density(dp: DiffusionParams, x: float) -> float:
     """Long-run density: bilateral asymmetric exponential around the origin."""
     check_stationary(dp.nu)
     check_level(x)
-    return _scaled_transform(dp, x, 0.0)
+    law = f"the stationary density at x = {x}"
+    return check_finite(_scaled_transform(dp, x, 0.0, law), law)
 
 
 def steady_decay_length(dp: DiffusionParams) -> float:
     """Decay length of the stationary density on the drift's side, the longer
     of its two: there it falls off as exp(-|x| / length)."""
     check_stationary(dp.nu)
-    return (_decay_root(dp, dp.nu) + abs(dp.drift)) / (2.0 * dp.nu)
+    law = "the stationary decay length"
+    _, drift, sigma2, nu, _ = _rescaled(dp, 0.0, law)
+    return check_finite((_decay_root(drift, sigma2, nu) + abs(drift)) / (2.0 * nu), law)
 
 
 def mean_x(dp: DiffusionParams, t: float) -> float:
@@ -434,9 +451,8 @@ def density_slice(
     dp: DiffusionParams,
     t: float,
     n_points: int = 801,
-    span_sds: float = 8.0,
 ) -> DensitySlice:
-    """Uniform grid over the failure-free mean +- span_sds standard deviations,
+    """Uniform grid over the failure-free mean +- 8 standard deviations,
     with analytic closure of the two exponential-type tails.
 
     The grid values come from the closed-form density in one vectorised
@@ -454,11 +470,9 @@ def density_slice(
         count = 0
     if not 2 <= count <= MAX_NODES:
         raise ValueError(f"n_points must be an integer from 2 to {MAX_NODES}, got {n_points!r}")
-    if not (math.isfinite(span_sds) and span_sds > 0.0):
-        raise ValueError(f"span_sds must be finite and positive, got {span_sds!r}")
     sd = math.sqrt(dp.sigma2 * t)
     center = dp.drift * t
-    xs = np.linspace(center - span_sds * sd, center + span_sds * sd, count)
+    xs = np.linspace(center - 8.0 * sd, center + 8.0 * sd, count)
     lags = _restart_lags(dp, xs, t)
     return DensitySlice(
         time=t,

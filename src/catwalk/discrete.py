@@ -44,7 +44,9 @@ from typing import TYPE_CHECKING, Optional
 
 from .failure_cycle import (
     NoSteadyStateError,
+    amplitude_over,
     asymptotic_moments,
+    check_finite,
     check_rates,
     check_state,
     check_stationary,
@@ -52,8 +54,9 @@ from .failure_cycle import (
     check_transform_variable,
     check_window,
     failure_mass,
+    rescaled,
+    root_sum,
     steady_failure_mass,
-    transform_amplitude,
     truncated_moments,
 )
 from .special import QuadratureError
@@ -150,7 +153,7 @@ def steady_failure(p: DiscreteParams) -> float:
 def steady_state(p: DiscreteParams, n: int) -> float:
     """Long-run probability of state n; geometric on each side of the origin."""
     check_stationary(p.nu)
-    return _scaled_transform(p, n, 0.0)
+    return _scaled_transform(p, n, 0.0, f"the stationary probability of state {n}")
 
 
 def mean_transient(p: DiscreteParams, t: float) -> float:
@@ -193,37 +196,40 @@ class LaplaceRoots:
     z: float
 
 
-def _transform_root(p: DiscreteParams, z: float) -> float:
+def _transform_root(lam: float, mu: float, nu: float, z: float) -> float:
     # sqrt((z+lam+mu+nu)^2 - 4 lam mu) rearranged to dodge the heavy-traffic
     # cancellation: (lam-mu)^2 + s (s + 2 (lam+mu)) with s = z + nu
-    s = z + p.nu
-    return math.sqrt((p.lam - p.mu) ** 2 + s * (s + 2.0 * (p.lam + p.mu)))
+    s = z + nu
+    return root_sum(lam - mu, s, s + 2.0 * (lam + mu))
 
 
-def _scaled_transform(p: DiscreteParams, n: int, z: float) -> float:
+def _scaled_transform(p: DiscreteParams, n: int, z: float, law: str) -> float:
     # z times the Laplace transform of P_n, for z >= 0: the cycle's amplitude
     # times the catastrophe-free resolvent at z + nu, which is 1/root at the
     # origin and falls geometrically on each side, by the small quadratic
     # root 2 lam/(total + root) for n > 0 and 2 mu/(total + root) for n < 0
-    # (rationalized).  At z = 0 it is the stationary law.
+    # (rationalized).  At z = 0 it is the stationary law.  Both factors are
+    # at most 1.
     n = check_state(n)
-    root = _transform_root(p, z)
-    origin = transform_amplitude(p.nu, p.eta, z) / root
+    eta, lam, mu, nu, z = rescaled(law, p.eta, p.lam, p.mu, p.nu, z)
+    root = _transform_root(lam, mu, nu, z)
+    origin = amplitude_over(root, nu, eta, z)
     if n == 0:
         return origin
-    rate = p.lam if n > 0 else p.mu
-    return origin * (2.0 * rate / (z + p.lam + p.mu + p.nu + root)) ** abs(n)
+    rate = lam if n > 0 else mu
+    return origin * (2.0 * rate / (z + lam + mu + nu + root)) ** abs(n)
 
 
 def laplace_transforms(p: DiscreteParams, z: float) -> tuple[float, LaplaceRoots]:
     """Laplace transform of the origin probability P_0 and the geometric roots
     that extend it to every other state."""
     origin = laplace_pn(p, 0, z)
-    root = _transform_root(p, z)
-    total = z + p.lam + p.mu + p.nu
+    law = "the lattice walk's geometric roots"
+    _, lam, mu, nu, z_unit = rescaled(law, p.eta, p.lam, p.mu, p.nu, z)
+    total = z_unit + lam + mu + nu + _transform_root(lam, mu, nu, z_unit)
     return origin, LaplaceRoots(
-        psi1=(total + root) / (2.0 * p.mu),
-        psi2=2.0 * p.lam / (total + root),
+        psi1=check_finite(total / (2.0 * mu), law),
+        psi2=2.0 * lam / total,
         z=z,
     )
 
@@ -232,7 +238,8 @@ def laplace_pn(p: DiscreteParams, n: int, z: float) -> float:
     """Laplace transform of P_n: the origin transform times psi2^n for n >= 1
     and psi1^n for n <= -1."""
     check_transform_variable(z)
-    return _scaled_transform(p, n, z) / z
+    law = f"the Laplace transform of P_{n}"
+    return check_finite(_scaled_transform(p, n, z, law) / z, law)
 
 
 def _check_horizon(p: DiscreteParams, t: float) -> None:

@@ -21,18 +21,22 @@ motion at the origin.
 - In Laplace space the restart convolution is a product: z times the
   transform of the operating law is the catastrophe-free resolvent at
   z + nu times ``transform_amplitude``.  At z = 0 that product is the
-  stationary law (the final-value theorem).
+  stationary law (the final-value theorem).  Both are the same in any time
+  unit, so both models evaluate them at ``rescaled`` rates, where no sum
+  overflows, and take their decay roots by ``root_sum``.
 
 The argument rules of both models' public laws live here too, one per kind
 of argument: ``check_rates``, ``check_time``, ``check_state`` (a lattice
 state), ``check_window`` (a lattice window), ``check_level`` (a diffusion
 level), ``check_transform_variable`` (z) and ``check_stationary`` (nu > 0,
-for the laws that need catastrophes).
+for the laws that need catastrophes); ``check_finite`` refuses a value that
+float64 cannot hold.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "NoSteadyStateError",
@@ -43,6 +47,7 @@ __all__ = [
     "check_level",
     "check_transform_variable",
     "check_stationary",
+    "check_finite",
     "failure_mass",
     "steady_failure_mass",
     "truncated_moments",
@@ -209,4 +214,56 @@ def transform_amplitude(nu: float, eta: float, z: float) -> float:
     catastrophe-free resolvent at z + nu.  At z = 0 it is eta nu / (eta + nu)."""
     check_rates(nu, eta=eta)
     check_transform_variable(z, positive=False)
-    return (z + nu) * (z + eta) / (z + eta + nu)
+    return amplitude_over(1.0, nu, eta, z)
+
+
+def amplitude_over(root: float, nu: float, eta: float, z: float) -> float:
+    """transform_amplitude(nu, eta, z) / root for root > 0, unchecked, with
+    eta allowed its limits 0 and inf.  Where (z + nu)(z + eta) leaves the
+    normal range, the smaller of z + nu and z + eta goes over root first and
+    then over one plus a ratio of at most 1, so that nothing is rounded
+    below the normal range before the division."""
+    s, e = z + nu, z + eta
+    product = s * e
+    if sys.float_info.min <= product < math.inf:
+        return product / (e + nu) / root
+    return s / root / (1.0 + nu / e) if e >= s else e / root / (1.0 + eta / s)
+
+
+def check_finite(value: float, law: str) -> float:
+    """``value``, or ``ValueError`` naming ``law`` where it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{law} is {value} in float64 at these arguments")
+    return value
+
+
+def rescaled(law: str, eta: float, *rates: float) -> tuple[float, ...]:
+    """eta and the rates (a transform variable among them) times 2^-k, where
+    k brings the largest rate down to 2^1018 if it is larger and up into
+    [1/2, 1) if it is smaller, and is 0 otherwise.  Stationary laws, z times
+    the transforms and lengths in space are the same in any time unit.  In
+    this one no sum of a few rates overflows, and small rates lie as far
+    above underflow as that allows.  eta takes no part in choosing k: it
+    enters only through ``amplitude_over``, which takes its limits 0 and
+    inf.  ``ValueError`` naming ``law`` where a positive rate would scale
+    to 0."""
+    _, k = math.frexp(max(rates))
+    k = k - 1018 if k > 1018 else min(k, 0)
+    if not k:
+        return (eta, *rates)
+    scaled = tuple(math.ldexp(rate, -k) for rate in rates)
+    if any(rate and not s for rate, s in zip(rates, scaled)):
+        raise ValueError(f"{law}: the rates {rates} span more than float64 can hold")
+    return (math.ldexp(eta, -k) if math.frexp(eta)[1] - k <= 1024 else math.inf, *scaled)
+
+
+def root_sum(gap: float, a: float, b: float) -> float:
+    """sqrt(gap^2 + a b) for a, b >= 0: as written where the sum is a normal
+    float, else as hypot(gap, sqrt(a) sqrt(b)), which cannot overflow before
+    the result does and whose square roots lift subnormal factors back into
+    the normal range."""
+    if abs(gap) < 2.0**511:  # gap**2 raises OverflowError past 2^512
+        square = gap**2 + a * b
+        if sys.float_info.min <= square < math.inf:
+            return math.sqrt(square)
+    return math.hypot(gap, math.sqrt(a) * math.sqrt(b))

@@ -214,6 +214,10 @@ _CHUNK_DRAWS = 1 << 13
 # chunks per block, the unit in which paths are kept: reading paths costs a
 # few NumPy calls per block, so a block spans many chunks of long paths
 _BLOCK_CHUNKS = 32
+#: most draws (rows x draws per row) one array of uniforms may hold, at about
+#: 56 bytes a draw while it is made: 240 times the 17,406 that the largest
+#: array of the tests, README commands and benchmark asks for
+MAX_DRAWS = 1 << 22
 
 
 def _philox(counter, key):
@@ -245,7 +249,12 @@ def _philox(counter, key):
 
 def _uniforms(seed: int, replications: np.ndarray, stream: int, draws: int) -> np.ndarray:
     """Draws 0..draws-1 of ``stream``: a (2, replications, draws) array of
-    uniforms on (0, 1], the two of a draw from its one Philox block."""
+    uniforms on (0, 1], the two of a draw from its one Philox block.  More
+    than MAX_DRAWS draws in all are a ``ValueError``, before any array is made."""
+    if len(replications) * draws > MAX_DRAWS:
+        raise ValueError(f"the simulation needs {len(replications)} x {draws:.3g} draws in one "
+                         f"array, more than the {MAX_DRAWS} allowed; shorten the horizon or "
+                         "lower the rates")
     rows = replications.astype(np.uint64)[:, None]
     index = np.arange(draws, dtype=np.uint64)[None, :]
     words = _philox(
@@ -451,6 +460,10 @@ def _simulate(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig) ->
     per_path = 2.0 * mean_cycles + 4.0 * math.sqrt(mean_cycles) + len(cfg.observation_times) + 2.0
     if isinstance(params, DiscreteParams):
         per_path += (params.lam + params.mu) * cfg.horizon
+    if per_path == math.inf:
+        # no budget of such a path can be counted, let alone drawn
+        raise ValueError(f"the rates times the horizon overflow: a path would need more than "
+                         f"the {MAX_DRAWS} draws one array may hold")
     chunk = max(1, int(_CHUNK_DRAWS // per_path))
     size = chunk * _BLOCK_CHUNKS
     blocks = (np.arange(first, min(first + size, cfg.replications), dtype=np.uint64)

@@ -226,12 +226,32 @@ def steady_density_by_mpmath(lam_hat: float, mu_hat: float, sigma2: float, nu: f
     """Stationary density of the jump-diffusion as the two-sided exponential
     that decays at the roots of its characteristic equation at rate nu,
     e^{w1 x} below 0 and e^{w2 x} above, normalised to the operating mass
-    eta / (eta + nu), in ``dps`` digits."""
+    eta / (eta + nu), in ``dps`` digits.  The root on the drift's side,
+    (drift -+ r) / sigma2 with r = sqrt(drift^2 + 2 sigma2 nu), is taken as
+    -+2 nu / (r + |drift|), which cancels nothing."""
     with mpmath.workdps(dps):
-        w1, w2 = laplace_roots_by_mpmath(lam_hat, mu_hat, sigma2, nu, dps)
+        c = mpmath.mpf(lam_hat) - mpmath.mpf(mu_hat)
+        s2, nu_ = mpmath.mpf(sigma2), mpmath.mpf(nu)
+        root = mpmath.sqrt(c * c + 2 * s2 * nu_)
+        near, far = 2 * nu_ / (root + abs(c)), (root + abs(c)) / s2
+        w1, w2 = (near, -far) if c < 0 else (far, -near)
         eta_, xm = mpmath.mpf(eta), mpmath.mpf(x)
         scale = eta_ / (eta_ + mpmath.mpf(nu)) / (1 / w1 - 1 / w2)
         return float(scale * mpmath.exp((w2 if xm > 0 else w1) * xm))
+
+
+def steady_state_by_mpmath(lam: float, mu: float, nu: float, eta: float, n: int,
+                           dps: int = 50) -> float:
+    """Stationary probability of lattice state n in ``dps`` digits: the
+    cycle's amplitude eta nu / (eta + nu) over R = sqrt((lam + mu + nu)^2 -
+    4 lam mu), times (2 rate / (lam + mu + nu + R))^|n| with rate lam above
+    the origin and mu below.  R^2 is summed as (lam - mu)^2 +
+    nu (nu + 2 (lam + mu)), which cancels nothing."""
+    with mpmath.workdps(dps):
+        lam_, mu_, nu_, eta_ = map(mpmath.mpf, (lam, mu, nu, eta))
+        root = mpmath.sqrt((lam_ - mu_) ** 2 + nu_ * (nu_ + 2 * (lam_ + mu_)))
+        ratio = 2 * (lam_ if n > 0 else mu_) / (lam_ + mu_ + nu_ + root)
+        return float(eta_ * nu_ / (eta_ + nu_) / root * ratio ** abs(n))
 
 
 def slice_tail_by_mpmath(

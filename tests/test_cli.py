@@ -5,14 +5,17 @@ import random
 import shlex
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import catwalk
-from catwalk import cli
+from catwalk import cli, scaling
+from catwalk.diffusion import DiffusionParams
 from catwalk.special import QuadratureError
-from oracles import table_by_cells
+from catwalk.simulate import _STATISTICS
+from oracles import steady_density_by_mpmath, steady_state_by_mpmath, table_by_cells
 
 TABLE1_ROW0 = (0.04516, 0.04588, 0.01593, 0.04552, 0.04588, 0.00793, 0.04581, 0.04588, 0.00158)
 LATTICE = ["--lambda", "2", "--mu", "1", "--nu", "1", "--eta", "1"]
@@ -148,11 +151,11 @@ LARGE_LATTICE = ["transient", "--lambda", "5000", "--mu", "5000", "--nu", "0.1",
 RENDERINGS = [(fmt, full, decimals) for fmt in ("csv", "json")
               for full, decimals in ((False, None), (True, None), (False, 5))]
 
-#: cells of every type a table may hold, floats at the edges of %.6g and repr
+#: cells of every type a table may hold, floats at the edges of %.6g and repr:
+#: floats, ints, None and the statistic names, the one text a table holds
 CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 123456.5, 999999.5, 1 / 3,
-         -2.5e-7, 0, -7, 2**70, -(10**20), None, True, False, "", "plain", "a,b", 'say "x"',
-         "two\nlines", "cr\rlf", "50%", "%s%d"]
-NAMES = ["t", "n", "", "x,y", 'q"', "two\nlines"]
+         -2.5e-7, 0, -7, 2**70, -(10**20), None, *_STATISTICS]
+NAMES = ["t", "n", "x", "pi_over_eps_0.1", "standard_error"]
 
 
 def _written(tmp_path, columns, rows, params, fmt, full, decimals):
@@ -173,7 +176,7 @@ class TestTableWriter:
     def test_random_tables_match_the_reference(self, tmp_path, seed, fmt, full, decimals):
         rng = random.Random(seed)
         for _ in range(60):
-            width, height = rng.randint(1, 4), rng.randint(0, 6)
+            width, height = rng.randint(2, 4), rng.randint(0, 6)
             columns = [rng.choice(NAMES) for _ in range(width)]
             rows = [[rng.choice(CELLS) for _ in range(width)] for _ in range(height)]
             expected = table_by_cells(columns, rows, self.PARAMS, fmt, full, decimals)
@@ -181,7 +184,6 @@ class TestTableWriter:
 
     TABLES = {
         "empty": (["t", "x"], []),
-        "one-column": (["n"], [[1.5], [None], [""], [3], ["a,b"]]),
         "simulate-like": (
             ["t", "statistic", "arg", "estimate", "standard_error", "replications"],
             [(1.0, "state-probability", -1, 0.25, 0.0125, 200),
@@ -197,10 +199,24 @@ class TestTableWriter:
         expected = table_by_cells(columns, rows, self.PARAMS, fmt, full, decimals)
         assert _written(tmp_path, columns, iter(rows), self.PARAMS, fmt, full, decimals) == expected
 
-    @pytest.mark.parametrize("columns,rows", [([], []), (["t", "x"], [(1.0, 2.0), (1.0,)])])
+    @pytest.mark.parametrize("columns,rows", [([], []), (["n"], [(1.0,)]),
+                                              (["t", "x"], [(1.0, 2.0), (1.0,)])])
     def test_a_row_must_fill_the_columns(self, tmp_path, columns, rows):
         with pytest.raises(ValueError, match="one cell for each of"):
             _written(tmp_path, columns, rows, self.PARAMS, "csv", False, None)
+
+    @pytest.mark.parametrize("cell", [True, False, b"cdf", [1.0]])
+    def test_a_cell_of_another_type_is_refused(self, tmp_path, cell):
+        with pytest.raises(ValueError, match="cannot be of type"):
+            _written(tmp_path, ["t", "v"], [(1.0, 2.0), (1.0, cell)], self.PARAMS, "csv", False,
+                     None)
+
+    @pytest.mark.parametrize("record", ['1.0,"cdf"', '"1.0",2.0'])
+    def test_read_table_refuses_a_quoted_cell(self, tmp_path, record):
+        path = tmp_path / "quoted.csv"
+        path.write_text(f"# catwalk-table v1\n# params {{}}\nt,statistic\n{record}\n")
+        with pytest.raises(ValueError, match="quoted cell"):
+            cli.read_table(str(path))
 
     @pytest.mark.parametrize("variant", [[], ["--format", "json"], ["--full-precision"]],
                              ids=["csv", "json", "full-precision"])
@@ -351,6 +367,22 @@ class TestSimulate:
         assert record["error"]["type"] == "validation"
         assert "nan" in record["error"]["message"]
         assert not log.exists()
+
+    @pytest.mark.parametrize("nu,t,message", [
+        ("0.1", "1e300", "needs 1 x 1e+299 draws in one array, more than the 4194304 allowed"),
+        ("10", "1e308", "the rates times the horizon overflow"),
+    ])
+    def test_a_draw_budget_past_the_cap_is_a_validation_error(self, capsys, nu, t, message):
+        # NumPy used to refuse the first with a bare "Maximum allowed size exceeded";
+        # the second exited 1 with an OverflowError traceback
+        argv = ["simulate", "--lambda", "2", "--mu", "2", "--nu", nu, "--eta", "1",
+                "--seed", "1", "--reps", "10", "--t", t]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"]["type"] == "validation"
+        assert message in record["error"]["message"]
 
     def test_infinite_horizon_is_a_validation_error(self, capsys):
         # it used to exit 1 with an OverflowError traceback
@@ -614,6 +646,69 @@ class TestErrors:
         assert capsys.readouterr().err == ""
 
 
+def _agrees(value: float, reference: float) -> bool:
+    # to 1e-12, or both below the normal range, where float64 keeps no
+    # relative precision
+    return abs(value - reference) <= 1e-12 * abs(reference) + sys.float_info.min
+
+
+class TestFloat64Limits:
+    """The stationary laws where their closed forms used to overflow or
+    underflow in float64: each run exits 0 with finite values that agree with
+    the closed form in mpmath, or exits 2 naming the law."""
+
+    @pytest.mark.parametrize("argv", [
+        # (z + nu)(z + eta) overflowed, and the densities read nan
+        ["--model", "discrete", "--lambda", "1", "--mu", "3", "--nu", "1e308", "--eta", "3"],
+        ["--model", "diffusion", "--lambda-hat", "1", "--mu-hat", "3", "--sigma2", "1",
+         "--nu", "1e308", "--eta", "3", "--x-grid", "0,1"],
+        # drift**2 raised OverflowError
+        ["--model", "diffusion", "--lambda-hat", "1e308", "--mu-hat", "1", "--sigma2", "1",
+         "--nu", "1", "--eta", "1", "--x-grid", "0,1"],
+    ], ids=["discrete-nu", "diffusion-nu", "diffusion-drift"])
+    def test_steady(self, capsys, argv):
+        assert run(["steady", *argv, "--format", "json"]) == 0
+        table = json.loads(capsys.readouterr().out)
+        params = table["params"]
+        for place, value, _ in table["rows"]:
+            assert math.isfinite(value)
+            if params["model"] == "discrete":
+                reference = steady_state_by_mpmath(params["lam"], params["mu"], params["nu"],
+                                                   params["eta"], place)
+            else:
+                reference = steady_density_by_mpmath(params["lam_hat"], params["mu_hat"],
+                                                     params["sigma2"], params["nu"],
+                                                     params["eta"], place)
+            assert _agrees(value, reference), (place, value, reference)
+
+    def test_compare(self, capsys):
+        # (lam - mu)**2 raised OverflowError; pi_-6 is 5e-325, below every float
+        argv = ["compare", "--lambda-hat", "1", "--mu-hat", "1e308", "--sigma2", "1e-320",
+                "--nu", "1e-17", "--eta", "1", "--epsilon", "5"]
+        assert run(argv) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "validation"
+        assert "pi_-6 underflows to 0" in record["error"]["message"]
+        p = scaling.scale_params(DiffusionParams(1.0, 1e308, 1e-320, 1e-17, 1.0), 5.0)
+        assert steady_state_by_mpmath(p.lam, p.mu, p.nu, p.eta, -6) == 0.0
+
+    def test_table1(self, capsys):
+        # the lattice root underflowed to 0: ZeroDivisionError
+        rates = (1e-320, 1e-320, 1e-320, 1e-320, 1e-17)
+        argv = ["table1", *chain.from_iterable(zip(
+            ["--lambda-hat", "--mu-hat", "--sigma2", "--nu", "--eta"], map(str, rates)))]
+        assert run(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        dp = DiffusionParams(*rates)
+        for j, eps in enumerate(cli.TABLE1_EPSILONS):
+            p = scaling.scale_params(dp, eps)
+            for row, line in zip(scaling.steady_comparison(dp, eps, cli.TABLE1_RANGE), rows):
+                pi = steady_state_by_mpmath(p.lam, p.mu, p.nu, p.eta, row.n)
+                w = steady_density_by_mpmath(*rates, row.n * eps)
+                assert _agrees(row.scaled_pi * eps, pi) and _agrees(row.w_value, w)
+                assert line[1 + 3 * j:3 + 3 * j] == [round(row.scaled_pi, 5), round(row.w_value, 5)]
+
+
 class TestGridParsing:
     def test_range_and_list_forms(self):
         assert cli._parse_grid("0:2:0.5") == (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -677,7 +772,7 @@ class TestGridParsing:
 
 #: run in a fresh interpreter: import the CLI, optionally run one command with
 #: its table sent to the null device and some library calls, and print the
-#: SciPy modules then loaded and whether NumPy was
+#: SciPy modules then loaded and whether NumPy and csv were
 _COLD_START = """
 import json, os, sys
 import catwalk, catwalk.cli
@@ -686,19 +781,19 @@ if argv:
     assert catwalk.cli.main(argv + ["--out", os.devnull]) == 0
 exec(sys.argv[2])
 print(json.dumps([sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
-                  "numpy" in sys.modules]))
+                  "numpy" in sys.modules, "csv" in sys.modules]))
 """
 
 
-def _cold_start(argv, code: str = "") -> tuple[set, bool]:
+def _cold_start(argv, code: str = "") -> tuple[set, bool, bool]:
     src = str(Path(catwalk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(argv), code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    scipy, numpy = json.loads(done.stdout)
-    return set(scipy), numpy
+    scipy, numpy, csv = json.loads(done.stdout)
+    return set(scipy), numpy, csv
 
 
 #: the subcommands whose every law is a closed form in scalar math
@@ -724,13 +819,17 @@ s.asymptotic_variance_gap(dp, 0.05)
 
 
 class TestColdStart:
-    """The closed-form commands never load NumPy; they, the simulator and the
-    lattice transient law never load SciPy; the diffusion transient kernels
-    load scipy.special, and no library path loads scipy.integrate."""
+    """The closed-form commands never load NumPy or csv; they, the simulator
+    and the lattice transient law never load SciPy; the diffusion transient
+    kernels load scipy.special, and no library path loads scipy.integrate."""
 
     @pytest.mark.parametrize("name", ["import-only", *CLOSED_FORM_RUNS])
     def test_no_numpy(self, name):
         assert _cold_start(DEFAULT_RUNS.get(name, []))[1] is False
+
+    @pytest.mark.parametrize("name", ["import-only", *CLOSED_FORM_RUNS])
+    def test_no_csv(self, name):
+        assert _cold_start(DEFAULT_RUNS.get(name, []))[2] is False
 
     @pytest.mark.parametrize(
         "name", ["import-only", *(n for n in DEFAULT_RUNS if n != "transient-diffusion")]
@@ -740,17 +839,17 @@ class TestColdStart:
 
     @pytest.mark.parametrize("name", ["transient-diffusion"])
     def test_transient_loads_special_only(self, name):
-        loaded, _ = _cold_start(DEFAULT_RUNS[name])
+        loaded, _, _ = _cold_start(DEFAULT_RUNS[name])
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 
     def test_closed_form_laws_do_not_load_numpy(self):
-        loaded, numpy = _cold_start([], _CLOSED_FORM_LAWS)
+        loaded, numpy, _ = _cold_start([], _CLOSED_FORM_LAWS)
         assert loaded == set()
         assert numpy is False
 
     def test_slice_and_operating_mass_do_not_integrate(self):
-        loaded, _ = _cold_start([], "from catwalk import diffusion as f\n"
+        loaded, _, _ = _cold_start([], "from catwalk import diffusion as f\n"
                                     "dp = f.DiffusionParams(3.0, 1.0, 1.0, 0.1, 1.0)\n"
                                     "f.density_slice(dp, 1.0)\n"
                                     "f.on_mass(dp, 1.0)\n")

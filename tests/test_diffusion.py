@@ -476,15 +476,19 @@ class TestDensitySlice:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("span_sds", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_a_span_that_is_not_finite_and_positive(self, span_sds):
-        with pytest.raises(ValueError, match="span_sds"):
-            f.density_slice(FIG4, 1.0, span_sds=span_sds)
-
-    @pytest.mark.parametrize("span_sds", [8.0, 1.0])
     @pytest.mark.parametrize("params,t", SLICE_TAILS.values(), ids=SLICE_TAILS.keys())
-    def test_tail_mass_matches_the_restart_convolution(self, params, t, span_sds):
-        slice_ = f.density_slice(f.DiffusionParams(*params), t, n_points=3, span_sds=span_sds)
+    def test_tail_mass_matches_the_restart_convolution(self, params, t):
+        slice_ = f.density_slice(f.DiffusionParams(*params), t, n_points=3)
         lo, hi = float(slice_.abscissas[0]), float(slice_.abscissas[-1])
         reference = slice_tail_by_mpmath(*params, t, lo, hi)
         assert abs(slice_.tail_mass - reference) <= 1e-10 * reference + 1e-17
+
+    @pytest.mark.parametrize("params,t", SLICE_TAILS.values(), ids=SLICE_TAILS.keys())
+    def test_tail_mass_through_the_bulk_matches_the_restart_convolution(self, params, t):
+        # a grid of +-1 sd about the failure-free mean cuts through the bulk of the law
+        dp = f.DiffusionParams(*params)
+        sd, center = math.sqrt(dp.sigma2 * t), dp.drift * t
+        xs = np.linspace(center - sd, center + sd, 3)
+        tail = f._tail_mass(dp, xs, t, f._restart_lags(dp, xs, t))
+        reference = slice_tail_by_mpmath(*params, t, float(xs[0]), float(xs[-1]))
+        assert abs(tail - reference) <= 1e-10 * reference + 1e-17

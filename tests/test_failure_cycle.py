@@ -4,6 +4,8 @@ the age integral against its closed forms, and one check per kind of argument
 for every public law that takes one."""
 
 import math
+import random
+import sys
 
 import mpmath
 import pytest
@@ -12,7 +14,7 @@ from catwalk import diffusion as f
 from catwalk import discrete as d
 from catwalk import failure_cycle as fc
 from catwalk import scaling as s
-from oracles import truncated_moments_by_mpmath
+from oracles import steady_density_by_mpmath, steady_state_by_mpmath, truncated_moments_by_mpmath
 
 NUS = (0.0, 1e-6, 1e-3, 0.1, 100.0)
 ETAS = (1e-3, 0.25, 1.0, 1e3)
@@ -239,3 +241,31 @@ class TestArgumentChecks:
         for name in vars(params):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 type(params)(**{**vars(params), name: value})
+
+
+class TestFloat64Range:
+    """The stationary laws of both models over rates drawn log-uniformly from
+    the subnormal 1e-320 to 1e308: each value agrees with its closed form in
+    mpmath to 1e-12, or both lie below the normal range, where float64 keeps
+    no relative precision; a law that float64 cannot hold is a ValueError
+    that names it."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_mpmath_or_names_the_law(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            lam, mu, nu, eta, sigma2 = (10.0 ** rng.uniform(-320.0, 308.0) for _ in range(5))
+            n, x = rng.randint(-3, 3), rng.choice([0.0, 1e-3, 1.0, -1.0, -50.0])
+            for law, reference in [
+                (lambda: d.steady_state(d.DiscreteParams(lam, mu, nu, eta), n),
+                 lambda: steady_state_by_mpmath(lam, mu, nu, eta, n)),
+                (lambda: f.steady_density(f.DiffusionParams(lam, mu, sigma2, nu, eta), x),
+                 lambda: steady_density_by_mpmath(lam, mu, sigma2, nu, eta, x)),
+            ]:
+                try:
+                    value = law()
+                except ValueError as exc:
+                    assert str(exc).startswith("the stationary"), exc
+                    continue
+                want = reference()
+                assert abs(value - want) <= 1e-12 * want + sys.float_info.min, (value, want)
