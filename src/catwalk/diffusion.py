@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,6 +30,7 @@ from .failure_cycle import (
     check_time,
     check_transform_variable,
     failure_mass,
+    log_amplitude_over,
     rescaled,
     root_sum,
     truncated_moments,
@@ -126,17 +128,22 @@ def laplace_roots(dp: DiffusionParams, z: float) -> tuple[float, float]:
     return (near, -far) if drift < 0.0 else (far, -near)
 
 
-def _scaled_transform(dp: DiffusionParams, x: float, z: float, law: str) -> float:
-    # z times the Laplace transform of the density at x, for z >= 0: the
-    # failure-free resolvent at z + nu times the cycle's amplitude.  At z = 0
-    # it is the stationary density.
+def _scaled_transform(dp: DiffusionParams, x: float, z: float, law: str, over: float = 1.0) -> float:
+    # z times the Laplace transform of the density at x, for z >= 0, over
+    # ``over``: the failure-free resolvent at z + nu times the cycle's
+    # amplitude.  At z = 0 it is the stationary density.  Where the product
+    # leaves the normal range and ``over`` < 1 may bring the quotient back,
+    # the quotient is taken from logarithms, where nothing underflows.
     eta, drift, sigma2, nu, z = _rescaled(dp, z, law)
     root = _decay_root(drift, sigma2, z + nu)
     if drift * x > 0.0:
         exponent = -_drift_side_rate(drift, z + nu, root) * abs(x)
     else:
         exponent = (drift * x - root * abs(x)) / sigma2
-    return amplitude_over(root, nu, eta, z) * math.exp(exponent)
+    value = amplitude_over(root, nu, eta, z) * math.exp(exponent)
+    if value >= sys.float_info.min or over >= 1.0:
+        return value / over
+    return math.exp(log_amplitude_over(root, nu, eta, z) + exponent - math.log(over))
 
 
 def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
@@ -144,7 +151,7 @@ def laplace_density(dp: DiffusionParams, x: float, z: float) -> float:
     check_transform_variable(z)
     check_level(x)
     law = f"the Laplace transform of the density at x = {x}"
-    return check_finite(_scaled_transform(dp, x, z, law) / z, law)
+    return check_finite(_scaled_transform(dp, x, z, law, over=z), law)
 
 
 def steady_density(dp: DiffusionParams, x: float) -> float:

@@ -54,6 +54,7 @@ from .failure_cycle import (
     check_transform_variable,
     check_window,
     failure_mass,
+    log_amplitude_over,
     rescaled,
     root_sum,
     steady_failure_mass,
@@ -203,21 +204,26 @@ def _transform_root(lam: float, mu: float, nu: float, z: float) -> float:
     return root_sum(lam - mu, s, s + 2.0 * (lam + mu))
 
 
-def _scaled_transform(p: DiscreteParams, n: int, z: float, law: str) -> float:
-    # z times the Laplace transform of P_n, for z >= 0: the cycle's amplitude
-    # times the catastrophe-free resolvent at z + nu, which is 1/root at the
-    # origin and falls geometrically on each side, by the small quadratic
-    # root 2 lam/(total + root) for n > 0 and 2 mu/(total + root) for n < 0
-    # (rationalized).  At z = 0 it is the stationary law.  Both factors are
-    # at most 1.
+def _scaled_transform(p: DiscreteParams, n: int, z: float, law: str, over: float = 1.0) -> float:
+    # z times the Laplace transform of P_n, for z >= 0, over ``over``: the
+    # cycle's amplitude times the catastrophe-free resolvent at z + nu, which
+    # is 1/root at the origin and falls geometrically on each side, by the
+    # small quadratic root 2 lam/(total + root) for n > 0 and 2 mu/(total +
+    # root) for n < 0 (rationalized).  At z = 0 it is the stationary law.
+    # Both factors are at most 1, so their product is the one that can leave
+    # the normal range; where it does and ``over`` < 1 may bring the quotient
+    # back, the quotient is taken from logarithms, where nothing underflows.
     n = check_state(n)
     eta, lam, mu, nu, z = rescaled(law, p.eta, p.lam, p.mu, p.nu, z)
     root = _transform_root(lam, mu, nu, z)
-    origin = amplitude_over(root, nu, eta, z)
-    if n == 0:
-        return origin
-    rate = lam if n > 0 else mu
-    return origin * (2.0 * rate / (z + lam + mu + nu + root)) ** abs(n)
+    rate, total = (lam if n > 0 else mu), z + lam + mu + nu + root
+    value = amplitude_over(root, nu, eta, z)
+    if n:
+        value *= (2.0 * rate / total) ** abs(n)
+    if value >= sys.float_info.min or over >= 1.0 or (n and not rate):
+        return value / over
+    steps = abs(n) * (math.log(2.0 * rate) - math.log(total)) if n else 0.0
+    return math.exp(log_amplitude_over(root, nu, eta, z) + steps - math.log(over))
 
 
 def laplace_transforms(p: DiscreteParams, z: float) -> tuple[float, LaplaceRoots]:
@@ -239,7 +245,7 @@ def laplace_pn(p: DiscreteParams, n: int, z: float) -> float:
     and psi1^n for n <= -1."""
     check_transform_variable(z)
     law = f"the Laplace transform of P_{n}"
-    return check_finite(_scaled_transform(p, n, z, law) / z, law)
+    return check_finite(_scaled_transform(p, n, z, law, over=z), law)
 
 
 def _check_horizon(p: DiscreteParams, t: float) -> None:

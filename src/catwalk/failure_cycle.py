@@ -230,6 +230,16 @@ def amplitude_over(root: float, nu: float, eta: float, z: float) -> float:
     return s / root / (1.0 + nu / e) if e >= s else e / root / (1.0 + eta / s)
 
 
+def log_amplitude_over(root: float, nu: float, eta: float, z: float) -> float:
+    """log amplitude_over(root, nu, eta, z) for z > 0, from the logarithms of
+    its fallback's factors, so that it holds where that value leaves the
+    normal range."""
+    s, e = z + nu, z + eta
+    if e >= s:
+        return math.log(s) - math.log(root) - math.log1p(nu / e)
+    return math.log(e) - math.log(root) - math.log1p(eta / s)
+
+
 def check_finite(value: float, law: str) -> float:
     """``value``, or ``ValueError`` naming ``law`` where it is not finite."""
     if not math.isfinite(value):

@@ -22,15 +22,21 @@ Paths are kept as arrays as well.  The event times and codes, the observed
 values and the failure flags of a block of replications are columns of one
 record, and each :class:`PathTrace` is a read-only view of one row of it whose
 tuples are built only when read.  :func:`estimate` and :func:`export_traces`
-read the columns without building them.
+read the columns without building them.  Finding a list's rows in its blocks
+walks the list in Python, so the layout found is kept on the list's first
+trace with the traces after it, and a later call on a list that still holds
+those same traces reuses it after one list comparison.  A block holds no
+trace, and a first trace keeps only traces drawn after it, so these memos
+form no reference cycle: a list and its blocks are freed when it is dropped.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, cycle, groupby, repeat
 from typing import Iterable, Iterator, Optional, Union
 
@@ -107,6 +113,7 @@ class _Block:
     at ``grid[c]`` is ``values[c, r]``, or the failure state where
     ``failed[c, r]``.  Lattice states are held as integers and diffusion
     levels as floats, so the dtype of ``values`` is the model of the paths.
+    ``drawn`` numbers the blocks in the order they were made.
     """
 
     times: np.ndarray
@@ -116,6 +123,7 @@ class _Block:
     grid: tuple[float, ...]
     values: np.ndarray
     failed: np.ndarray
+    drawn: int = field(default_factory=itertools.count().__next__)
 
     def column(self, t: float) -> int:
         """The index of observation time t in the grid, to rounding."""
@@ -130,12 +138,16 @@ class PathTrace:
 
     A read-only view of one row of the arrays its block of replications was
     drawn into; only the simulators make one.  ``events`` and
-    ``observations`` are built when read.  Two traces are equal when both of
-    them are; the hash reads the event times from the block and the
-    observations, and builds no event tuples.
+    ``observations`` are built when read.  Two traces are equal when they are
+    paths of the same model with the same replication, events and
+    observations; the hash reads the event times from the block and the
+    observations, and builds no event tuples.  The first trace of a list that
+    :func:`estimate` or :func:`export_traces` read also holds, privately, where
+    the list's rows lie in their blocks and the list's other traces (see the
+    module's docstring), so while it lives, they and their blocks do too.
     """
 
-    __slots__ = ("_block", "_row")
+    __slots__ = ("_block", "_row", "_gathered")
 
     def __init__(self, block: _Block, row: int) -> None:
         self._block = block
@@ -166,9 +178,11 @@ class PathTrace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PathTrace):
             return NotImplemented
-        if self._block is other._block and self._row == other._row:
+        mine, theirs = self._block, other._block
+        if mine is theirs and self._row == other._row:
             return True
-        return self.events == other.events and self.observations == other.observations
+        return (self.replication == other.replication and mine.values.dtype == theirs.values.dtype
+                and self.events == other.events and self.observations == other.observations)
 
     def __hash__(self) -> int:
         # equal traces have equal event times, and so equal bytes once 0.0 is
@@ -509,7 +523,35 @@ def _statistic(statistic: str, arg: Optional[float], lattice: bool) -> Optional[
     return arg
 
 
-def _gather(traces: list[PathTrace]) -> tuple[list[_Block], Union[slice, np.ndarray]]:
+def _gather(traces: list[PathTrace]) -> tuple[tuple[_Block, ...], Union[slice, np.ndarray]]:
+    """:func:`_layout` of the traces, kept on the first of them with the
+    traces after it and returned again while ``traces`` holds those.
+
+    Comparing the lists passes over items that are the same objects without
+    calling ``__eq__``; an item that is another object must equal its
+    counterpart, a path of the same model and replication with the same
+    values.  A layout is kept only where every later trace comes after the
+    first in the order (block drawn, row), so that memos refer only forwards
+    in that order and no chain of them closes a cycle.
+    """
+    if not traces:
+        return (), slice(0, 0)
+    rest = traces[1:]
+    held = getattr(traces[0], "_gathered", None)
+    if held is not None and held[0] == rest:
+        return held[1]
+    blocks, at = layout = _layout(traces)
+    if isinstance(at, slice) or (
+        all(block.drawn > blocks[0].drawn for block in blocks[1:])
+        # the first trace's block comes first: its rows are the positions
+        # below its size, and the first position is the first trace's row
+        and (at[1:][at[1:] < len(blocks[0].replications)] > at[0]).all()
+    ):
+        traces[0]._gathered = rest, layout
+    return layout
+
+
+def _layout(traces: list[PathTrace]) -> tuple[tuple[_Block, ...], Union[slice, np.ndarray]]:
     """The distinct blocks of the traces, and where each trace's row lies
     when the rows of those blocks are laid end to end: a slice when the
     traces are consecutive rows of one block, else an index array.
@@ -528,8 +570,10 @@ def _gather(traces: list[PathTrace]) -> tuple[list[_Block], Union[slice, np.ndar
         offsets.append(start[block])
         lengths.append(len(list(run)))
     if len(offsets) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
-        return list(start), slice(rows[0], rows[0] + len(rows))
-    return list(start), np.repeat(offsets, lengths) + np.array(rows, dtype=np.intp)
+        return tuple(start), slice(rows[0], rows[0] + len(rows))
+    at = np.repeat(offsets, lengths) + np.array(rows, dtype=np.intp)
+    at.flags.writeable = False  # shared by every call that reuses the layout
+    return tuple(start), at
 
 
 def _estimator(traces: Iterable[PathTrace]):
@@ -550,8 +594,12 @@ def _estimator(traces: Iterable[PathTrace]):
             states, failed = np.zeros(count), np.zeros(count, dtype=bool)
         else:
             columns = [block.column(t) for block in blocks]
-            states = np.concatenate([b.values[c] for b, c in zip(blocks, columns)])[at]
-            failed = np.concatenate([b.failed[c] for b, c in zip(blocks, columns)])[at]
+            states = [b.values[c] for b, c in zip(blocks, columns)]
+            failed = [b.failed[c] for b, c in zip(blocks, columns)]
+            if len(blocks) == 1:
+                states, failed = states[0][at], failed[0][at]
+            else:
+                states, failed = np.concatenate(states)[at], np.concatenate(failed)[at]
         if statistic == "state-probability":
             values = (~failed & (states == arg)).astype(np.float64)
         elif statistic == "failure-probability":
@@ -565,19 +613,17 @@ def _estimator(traces: Iterable[PathTrace]):
             return EmpiricalEstimate(
                 0.0 if statistic == "truncated-variance" else float(values[0]), None, count
             )
+        # values.mean(), values.var(ddof=1) and np.mean(centered**4) bit for
+        # bit, from the same sums without the Python layers of those methods,
+        # which cost more than the sums on a batch of a few hundred paths
+        mean = np.add.reduce(values) / count
+        centered = values - mean
+        square = float(np.add.reduce(centered * centered)) / (count - 1)
         if statistic == "truncated-variance":
-            point = float(np.var(values, ddof=1))
-            centered = values - values.mean()
-            fourth = float(np.mean(centered**4))
-            return EmpiricalEstimate(point, math.sqrt(max(fourth - point * point, 0.0) / count),
+            fourth = float(np.add.reduce(centered**4) / count)
+            return EmpiricalEstimate(square, math.sqrt(max(fourth - square * square, 0.0) / count),
                                      count)
-        # values.mean() and values.std(ddof=1) bit for bit, from the same two
-        # sums without the Python layers of those methods, which cost more
-        # than the sums on a batch of a few hundred paths
-        point = float(np.add.reduce(values) / count)
-        centered = values - point
-        spread = math.sqrt(float(np.add.reduce(centered * centered)) / (count - 1))
-        return EmpiricalEstimate(point, spread / math.sqrt(count), count)
+        return EmpiricalEstimate(float(mean), math.sqrt(square) / math.sqrt(count), count)
 
     return estimate_at
 

@@ -5,9 +5,9 @@ oracle is a high-precision power series, integrals are brute-force midpoint
 sums or scipy.quad over analytically rewritten integrands, the lattice law
 is a restart convolution over Skellam laws convolved from Poisson masses,
 the diffusion density and the mass outside a density slice are restart
-convolutions integrated in mpmath, the diffusion's stationary density and
-transform roots come from its characteristic quadratic in 50-digit mpmath,
-the truncated moments integrate the law of the age of the operating period
+convolutions integrated in mpmath, both models' stationary laws and Laplace
+transforms and the diffusion's transform roots come from their
+characteristic quadratics in 50-digit mpmath, the truncated moments integrate the law of the age of the operating period
 in mpmath, the diffusion's truncated variance is also available in the
 paper's expanded closed form, and the hitting probability comes from an
 absorbing-chain linear solve.  The CLI's tables are checked against a writer
@@ -221,37 +221,66 @@ def laplace_roots_by_mpmath(lam_hat: float, mu_hat: float, sigma2: float, rate: 
         return (c + root) / s2, (c - root) / s2
 
 
+def _diffusion_scaled_transform(lam_hat, mu_hat, sigma2, nu, eta, x, z):
+    """z times the Laplace transform at z >= 0 of the jump-diffusion's density
+    at x, in the working precision: the two-sided exponential that decays at
+    the roots of the characteristic equation at rate s = z + nu, e^{w1 x}
+    below 0 and e^{w2 x} above, of mass (z + eta) / (z + eta + nu).  At
+    z = 0 it is the stationary density.  The root on the drift's side,
+    (drift -+ r) / sigma2 with r = sqrt(drift^2 + 2 sigma2 s), is taken as
+    -+2 s / (r + |drift|), which cancels nothing."""
+    c = mpmath.mpf(lam_hat) - mpmath.mpf(mu_hat)
+    s2, nu_, eta_, z_, xm = map(mpmath.mpf, (sigma2, nu, eta, z, x))
+    s = z_ + nu_
+    root = mpmath.sqrt(c * c + 2 * s2 * s)
+    near, far = 2 * s / (root + abs(c)), (root + abs(c)) / s2
+    w1, w2 = (near, -far) if c < 0 else (far, -near)
+    scale = (z_ + eta_) / (z_ + eta_ + nu_) / (1 / w1 - 1 / w2)
+    return scale * mpmath.exp((w2 if xm > 0 else w1) * xm)
+
+
 def steady_density_by_mpmath(lam_hat: float, mu_hat: float, sigma2: float, nu: float,
                              eta: float, x: float, dps: int = 50) -> float:
-    """Stationary density of the jump-diffusion as the two-sided exponential
-    that decays at the roots of its characteristic equation at rate nu,
-    e^{w1 x} below 0 and e^{w2 x} above, normalised to the operating mass
-    eta / (eta + nu), in ``dps`` digits.  The root on the drift's side,
-    (drift -+ r) / sigma2 with r = sqrt(drift^2 + 2 sigma2 nu), is taken as
-    -+2 nu / (r + |drift|), which cancels nothing."""
+    """Stationary density of the jump-diffusion in ``dps`` digits."""
     with mpmath.workdps(dps):
-        c = mpmath.mpf(lam_hat) - mpmath.mpf(mu_hat)
-        s2, nu_ = mpmath.mpf(sigma2), mpmath.mpf(nu)
-        root = mpmath.sqrt(c * c + 2 * s2 * nu_)
-        near, far = 2 * nu_ / (root + abs(c)), (root + abs(c)) / s2
-        w1, w2 = (near, -far) if c < 0 else (far, -near)
-        eta_, xm = mpmath.mpf(eta), mpmath.mpf(x)
-        scale = eta_ / (eta_ + mpmath.mpf(nu)) / (1 / w1 - 1 / w2)
-        return float(scale * mpmath.exp((w2 if xm > 0 else w1) * xm))
+        return float(_diffusion_scaled_transform(lam_hat, mu_hat, sigma2, nu, eta, x, 0))
+
+
+def density_transform_by_mpmath(lam_hat: float, mu_hat: float, sigma2: float, nu: float,
+                                eta: float, x: float, z: float, dps: int = 50) -> float:
+    """Laplace transform at z > 0 of the jump-diffusion's density at x, in
+    ``dps`` digits."""
+    with mpmath.workdps(dps):
+        return float(_diffusion_scaled_transform(lam_hat, mu_hat, sigma2, nu, eta, x, z) / z)
+
+
+def _lattice_scaled_transform(lam, mu, nu, eta, n, z):
+    """z times the Laplace transform at z >= 0 of the lattice walk's P_n, in
+    the working precision: the cycle's amplitude (z + nu)(z + eta) /
+    (z + eta + nu) over R = sqrt((z + lam + mu + nu)^2 - 4 lam mu), times
+    (2 rate / (z + lam + mu + nu + R))^|n| with rate lam above the origin and
+    mu below.  At z = 0 it is the stationary law.  R^2 is summed as
+    (lam - mu)^2 + s (s + 2 (lam + mu)) with s = z + nu, which cancels
+    nothing."""
+    lam_, mu_, nu_, eta_, z_ = map(mpmath.mpf, (lam, mu, nu, eta, z))
+    s = z_ + nu_
+    root = mpmath.sqrt((lam_ - mu_) ** 2 + s * (s + 2 * (lam_ + mu_)))
+    ratio = 2 * (lam_ if n > 0 else mu_) / (lam_ + mu_ + s + root)
+    return s * (z_ + eta_) / (z_ + eta_ + nu_) / root * ratio ** abs(n)
 
 
 def steady_state_by_mpmath(lam: float, mu: float, nu: float, eta: float, n: int,
                            dps: int = 50) -> float:
-    """Stationary probability of lattice state n in ``dps`` digits: the
-    cycle's amplitude eta nu / (eta + nu) over R = sqrt((lam + mu + nu)^2 -
-    4 lam mu), times (2 rate / (lam + mu + nu + R))^|n| with rate lam above
-    the origin and mu below.  R^2 is summed as (lam - mu)^2 +
-    nu (nu + 2 (lam + mu)), which cancels nothing."""
+    """Stationary probability of lattice state n in ``dps`` digits."""
     with mpmath.workdps(dps):
-        lam_, mu_, nu_, eta_ = map(mpmath.mpf, (lam, mu, nu, eta))
-        root = mpmath.sqrt((lam_ - mu_) ** 2 + nu_ * (nu_ + 2 * (lam_ + mu_)))
-        ratio = 2 * (lam_ if n > 0 else mu_) / (lam_ + mu_ + nu_ + root)
-        return float(eta_ * nu_ / (eta_ + nu_) / root * ratio ** abs(n))
+        return float(_lattice_scaled_transform(lam, mu, nu, eta, n, 0))
+
+
+def lattice_transform_by_mpmath(lam: float, mu: float, nu: float, eta: float, n: int, z: float,
+                                dps: int = 50) -> float:
+    """Laplace transform at z > 0 of the lattice walk's P_n, in ``dps`` digits."""
+    with mpmath.workdps(dps):
+        return float(_lattice_scaled_transform(lam, mu, nu, eta, n, z) / z)
 
 
 def slice_tail_by_mpmath(

@@ -14,7 +14,13 @@ from catwalk import diffusion as f
 from catwalk import discrete as d
 from catwalk import failure_cycle as fc
 from catwalk import scaling as s
-from oracles import steady_density_by_mpmath, steady_state_by_mpmath, truncated_moments_by_mpmath
+from oracles import (
+    density_transform_by_mpmath,
+    lattice_transform_by_mpmath,
+    steady_density_by_mpmath,
+    steady_state_by_mpmath,
+    truncated_moments_by_mpmath,
+)
 
 NUS = (0.0, 1e-6, 1e-3, 0.1, 100.0)
 ETAS = (1e-3, 0.25, 1.0, 1e3)
@@ -244,11 +250,23 @@ class TestArgumentChecks:
 
 
 class TestFloat64Range:
-    """The stationary laws of both models over rates drawn log-uniformly from
-    the subnormal 1e-320 to 1e308: each value agrees with its closed form in
-    mpmath to 1e-12, or both lie below the normal range, where float64 keeps
-    no relative precision; a law that float64 cannot hold is a ValueError
-    that names it."""
+    """The stationary laws and Laplace transforms of both models over rates
+    drawn log-uniformly from the subnormal 1e-320 to 1e308, and transform
+    variables from 1e-300: each value agrees with its closed form in mpmath
+    to 1e-12, or both lie below the normal range, where float64 keeps no
+    relative precision; a law that float64 cannot hold is a ValueError that
+    names it."""
+
+    @staticmethod
+    def _check(cases, named):
+        for law, reference in cases:
+            try:
+                value = law()
+            except ValueError as exc:
+                assert str(exc).startswith(named), exc
+                continue
+            want = reference()
+            assert abs(value - want) <= 1e-12 * want + sys.float_info.min, (value, want)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_mpmath_or_names_the_law(self, seed):
@@ -256,16 +274,28 @@ class TestFloat64Range:
         for _ in range(50):
             lam, mu, nu, eta, sigma2 = (10.0 ** rng.uniform(-320.0, 308.0) for _ in range(5))
             n, x = rng.randint(-3, 3), rng.choice([0.0, 1e-3, 1.0, -1.0, -50.0])
-            for law, reference in [
+            self._check([
                 (lambda: d.steady_state(d.DiscreteParams(lam, mu, nu, eta), n),
                  lambda: steady_state_by_mpmath(lam, mu, nu, eta, n)),
                 (lambda: f.steady_density(f.DiffusionParams(lam, mu, sigma2, nu, eta), x),
                  lambda: steady_density_by_mpmath(lam, mu, sigma2, nu, eta, x)),
-            ]:
-                try:
-                    value = law()
-                except ValueError as exc:
-                    assert str(exc).startswith("the stationary"), exc
-                    continue
-                want = reference()
-                assert abs(value - want) <= 1e-12 * want + sys.float_info.min, (value, want)
+            ], "the stationary")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transforms_agree_with_mpmath_or_name_the_law(self, seed):
+        # z times a transform underflowed where the transform did not: the
+        # first case gave 0.0
+        cases = [(2.91671164635918e255, 7.509026259802733e160, 1.703904935340164e-220,
+                  4.0579866952476913e180, 1.0, 1, 1e-3, 1.399389962556675e-233)] if seed == 0 else []
+        rng = random.Random(100 + seed)
+        for _ in range(60):
+            lam, mu, nu, eta, sigma2 = (10.0 ** rng.uniform(-320.0, 308.0) for _ in range(5))
+            n, x = rng.randint(-3, 3), rng.choice([0.0, 1e-3, 1.0, -1.0, -50.0])
+            cases.append((lam, mu, nu, eta, sigma2, n, x, 10.0 ** rng.uniform(-300.0, 308.0)))
+        for lam, mu, nu, eta, sigma2, n, x, z in cases:
+            self._check([
+                (lambda: d.laplace_pn(d.DiscreteParams(lam, mu, nu, eta), n, z),
+                 lambda: lattice_transform_by_mpmath(lam, mu, nu, eta, n, z)),
+                (lambda: f.laplace_density(f.DiffusionParams(lam, mu, sigma2, nu, eta), x, z),
+                 lambda: density_transform_by_mpmath(lam, mu, sigma2, nu, eta, x, z)),
+            ], "the Laplace transform")

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import math
 import random
@@ -517,6 +518,155 @@ class TestArraysAgainstScalarReference:
         monkeypatch.setattr(sim, "_EXPORT_RECORDS", 1000)
         traces, cfg = batches["heavy"]
         assert _exported_records(traces[::-1], tmp_path, cfg) == _reference_export(traces[::-1])
+
+
+def _swap(i, j):
+    def change(traces, other):
+        traces[i], traces[j] = traces[j], traces[i]
+    return change
+
+
+def _replace(i):
+    def change(traces, other):
+        traces[i] = other[i]
+    return change
+
+
+class TestGatheredLayout:
+    """estimate and export_traces keep a list's layout on its first trace;
+    here the list changes in place between calls."""
+
+    CHANGES = {
+        "swap": _swap(3, 10),
+        "swap-first": _swap(0, 1),
+        "replace-from-another-batch": _replace(5),
+        "append": lambda traces, other: traces.append(other[0]),
+        "truncate": lambda traces, other: traces.__delitem__(slice(100, None)),
+        "reverse": lambda traces, other: traces.reverse(),
+    }
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        # the batches differ in seed and grid, and both observe t = 1
+        wide = list(sim.simulate_discrete(SYMMETRIC, _config(seed=41, reps=300, horizon=2.0,
+                                                             times=(0.5, 1.0, 2.0))))
+        other = list(sim.simulate_discrete(SYMMETRIC, _config(seed=42, reps=100)))
+        return wide, other
+
+    @staticmethod
+    def _check(traces):
+        for statistic, arg in TestArraysAgainstScalarReference.STATISTICS:
+            est = sim.estimate(traces, 1.0, statistic, arg)
+            reference = _reference_estimate(traces, 1.0, statistic, arg)
+            assert (est.value, est.standard_error) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+            assert est.replications == len(traces)
+
+    @pytest.mark.parametrize("change", list(CHANGES))
+    def test_estimates_follow_a_list_changed_in_place(self, batches, change, tmp_path):
+        wide, other = batches
+        traces = list(wide)
+        self._check(traces)
+        self.CHANGES[change](traces, other)
+        self._check(traces)
+        self._check(traces)
+        assert _exported_records(traces, tmp_path, _config()) == _reference_export(traces)
+        traces.clear()
+        with pytest.raises(ValueError, match="no traces"):
+            sim.estimate(traces, 1.0, "truncated-mean")
+
+    def test_lists_that_share_a_first_trace(self, batches):
+        wide, _ = batches
+        first, second = wide[:200], wide[:1] + wide[150:]
+        for _ in range(3):
+            self._check(first)
+            self._check(second)
+
+    def test_a_generator_reads_the_kept_layout(self, batches):
+        wide, _ = batches
+        traces = wide[::2]
+        self._check(traces)
+        est = sim.estimate((trace for trace in traces), 1.0, "truncated-mean")
+        assert est == sim.estimate(traces, 1.0, "truncated-mean")
+
+    def test_export_after_estimates(self, batches, tmp_path):
+        wide, other = batches
+        for traces in (list(wide), wide[1::3] + other[::2]):
+            self._check(traces)
+            assert _exported_records(traces, tmp_path, _config()) == _reference_export(traces)
+
+    def test_equal_paths_of_another_replication_or_model(self, tmp_path):
+        # a memo compares lists by equality; its hits must not stand in one
+        # path for another of equal events and observations
+        cfg = _config(seed=45, reps=50, times=(1.0,))
+        frozen = list(sim.simulate_discrete(SYMMETRIC, _config(seed=45, reps=50, horizon=1e-12,
+                                                               times=(1e-12,))))
+        assert frozen[3].events == frozen[4].events == ()
+        assert frozen[3].observations == frozen[4].observations
+        before = sim.estimate(frozen, 1e-12, "truncated-mean")
+        frozen[3] = frozen[4]
+        assert _exported_records(frozen, tmp_path, cfg) == _reference_export(frozen)
+        assert sim.estimate(frozen, 1e-12, "truncated-mean") == before
+        # the same skeleton stream, no lattice moves: path 0 fails for good
+        # before t = 1 on both models
+        lattice = list(sim.simulate_discrete(d.DiscreteParams(1e-12, 1e-12, 5.0, 1e-6), cfg))
+        diffusion = list(sim.simulate_diffusion(f.DiffusionParams(1.0, 1.0, 1.0, 5.0, 1e-6), cfg))
+        assert lattice[0].events == diffusion[0].events and len(lattice[0].events) == 1
+        assert lattice[0].observations == diffusion[0].observations == ((1.0, sim.FAILED),)
+        assert lattice[0] != diffusion[0]
+        sim.estimate(lattice, 1.0, "state-probability", 0)
+        lattice[0] = diffusion[0]
+        with pytest.raises(ValueError, match="undefined for continuous-state traces"):
+            sim.estimate(lattice, 1.0, "state-probability", 0)
+
+    def test_a_list_is_walked_once_until_it_changes(self, monkeypatch, tmp_path):
+        walks = []
+
+        def counted(traces):
+            walks.append(len(traces))
+            return layout(traces)
+
+        layout = sim._layout
+        monkeypatch.setattr(sim, "_layout", counted)
+        traces = list(sim.simulate_discrete(SYMMETRIC, _config(seed=43, reps=400)))
+        statistics = [("failure-probability", None), ("truncated-mean", None),
+                      ("truncated-variance", None), ("cdf", 0.5)]
+        statistics += [("state-probability", n) for n in range(-6, 6)]
+        assert len(statistics) == 16
+
+        def sixteen():
+            for statistic, arg in statistics:
+                sim.estimate(traces, 1.0, statistic, arg)
+
+        sixteen()
+        sim.export_traces(traces, str(tmp_path / "traces.log"), {}, _config())
+        assert walks == [400]
+        traces[7], traces[9] = traces[9], traces[7]
+        sixteen()
+        assert walks == [400, 400]
+        traces.append(traces[0])  # the first trace would hold itself: no memo
+        sixteen()
+        assert walks == [400, 400] + [401] * 16
+
+    def test_dropped_lists_leave_no_cycle(self, tmp_path):
+        # the cyclic collector would hide a cycle; with it off, a list and its
+        # blocks are freed by reference counting alone or not at all
+        cfg = _config(seed=44, reps=300, horizon=2.0, times=(1.0, 2.0))
+        gc.collect()
+        gc.disable()
+        try:
+            traces = list(sim.simulate_discrete(SYMMETRIC, cfg))
+            others = list(sim.simulate_diffusion(FIG4, cfg))
+            for change in (lambda: None, traces.reverse, lambda: random.Random(6).shuffle(traces),
+                           lambda: traces.extend(others[:5]), lambda: traces.insert(0, others[9])):
+                change()
+                for statistic in ("failure-probability", "truncated-mean", "truncated-variance"):
+                    sim.estimate(traces, 1.0, statistic)
+                    sim.estimate(traces[::-1], 1.0, statistic)
+                sim.export_traces(traces, str(tmp_path / "traces.log"), {}, cfg)
+            del traces, others, change
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDiscreteAgainstAnalytic:
