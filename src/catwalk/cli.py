@@ -462,11 +462,15 @@ def cmd_simulate(options: dict) -> tuple:
 
     _require(options, "seed", "reps", "t_grid")
     t_grid = tuple(sorted(options["t_grid"]))
+    # t = 0 is the known start, which the estimates read without a draw
+    observed = t_grid[1:] if t_grid[0] == 0.0 else t_grid
+    if not observed:
+        raise ValueError("simulate needs an observation time after 0")
     cfg = sim.SimConfig(
         seed=options["seed"],
         replications=options["reps"],
-        horizon=max(t_grid),
-        observation_times=t_grid,
+        horizon=max(observed),
+        observation_times=observed,
     )
     parsed_stats = [_parse_stat(s, options["model"] == "discrete") for s in options["stats"]]
     if options["model"] == "discrete":

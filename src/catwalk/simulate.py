@@ -22,21 +22,21 @@ Paths are kept as arrays as well.  The event times and codes, the observed
 values and the failure flags of a block of replications are columns of one
 record, and each :class:`PathTrace` is a read-only view of one row of it whose
 tuples are built only when read.  :func:`estimate` and :func:`export_traces`
-read the columns without building them.  Finding a list's rows in its blocks
-walks the list in Python, so the layout found is kept on the list's first
-trace with the traces after it, and a later call on a list that still holds
-those same traces reuses it after one list comparison.  A block holds no
-trace, and a first trace keeps only traces drawn after it, so these memos
-form no reference cycle: a list and its blocks are freed when it is dropped.
+read the columns without building them.  Where the rows of a block's own
+list of views lie is known when the block is drawn, so that layout is kept
+on the block's first view with the views after it: a call on a list that
+still holds the block's views, in order, reads it after one list comparison.
+Any other list is walked in Python on each call.  A block holds no view and
+only a first view holds others, so no reference cycle forms: a list and its
+blocks are freed when it is dropped.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, cycle, groupby, repeat
 from typing import Iterable, Iterator, Optional, Union
 
@@ -113,7 +113,6 @@ class _Block:
     at ``grid[c]`` is ``values[c, r]``, or the failure state where
     ``failed[c, r]``.  Lattice states are held as integers and diffusion
     levels as floats, so the dtype of ``values`` is the model of the paths.
-    ``drawn`` numbers the blocks in the order they were made.
     """
 
     times: np.ndarray
@@ -123,7 +122,6 @@ class _Block:
     grid: tuple[float, ...]
     values: np.ndarray
     failed: np.ndarray
-    drawn: int = field(default_factory=itertools.count().__next__)
 
     def column(self, t: float) -> int:
         """The index of observation time t in the grid, to rounding."""
@@ -141,13 +139,12 @@ class PathTrace:
     ``observations`` are built when read.  Two traces are equal when they are
     paths of the same model with the same replication, events and
     observations; the hash reads the event times from the block and the
-    observations, and builds no event tuples.  The first trace of a list that
-    :func:`estimate` or :func:`export_traces` read also holds, privately, where
-    the list's rows lie in their blocks and the list's other traces (see the
-    module's docstring), so while it lives, they and their blocks do too.
+    observations, and builds no event tuples.  A block's first view also
+    holds, privately, the block's other views and where their rows lie (see
+    the module's docstring), so while it lives, they do too.
     """
 
-    __slots__ = ("_block", "_row", "_gathered")
+    __slots__ = ("_block", "_row", "_drawn")
 
     def __init__(self, block: _Block, row: int) -> None:
         self._block = block
@@ -466,7 +463,9 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
     bounds = np.zeros(len(replications) + 1, dtype=np.intp)
     np.cumsum(counts, out=bounds[1:])
     block = _Block(times, codes, bounds, replications, cfg.observation_times, values, failed)
-    return list(map(PathTrace, repeat(block), range(len(replications))))
+    views = list(map(PathTrace, repeat(block), range(len(replications))))
+    views[0]._drawn = views[1:], ((block,), slice(0, len(views)))
+    return views
 
 
 def _simulate(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig) -> Iterator[PathTrace]:
@@ -524,31 +523,20 @@ def _statistic(statistic: str, arg: Optional[float], lattice: bool) -> Optional[
 
 
 def _gather(traces: list[PathTrace]) -> tuple[tuple[_Block, ...], Union[slice, np.ndarray]]:
-    """:func:`_layout` of the traces, kept on the first of them with the
-    traces after it and returned again while ``traces`` holds those.
+    """:func:`_layout` of the traces, read from the block's first view where
+    ``traces`` still holds that block's views, in order.
 
     Comparing the lists passes over items that are the same objects without
     calling ``__eq__``; an item that is another object must equal its
     counterpart, a path of the same model and replication with the same
-    values.  A layout is kept only where every later trace comes after the
-    first in the order (block drawn, row), so that memos refer only forwards
-    in that order and no chain of them closes a cycle.
+    values.
     """
     if not traces:
         return (), slice(0, 0)
-    rest = traces[1:]
-    held = getattr(traces[0], "_gathered", None)
-    if held is not None and held[0] == rest:
-        return held[1]
-    blocks, at = layout = _layout(traces)
-    if isinstance(at, slice) or (
-        all(block.drawn > blocks[0].drawn for block in blocks[1:])
-        # the first trace's block comes first: its rows are the positions
-        # below its size, and the first position is the first trace's row
-        and (at[1:][at[1:] < len(blocks[0].replications)] > at[0]).all()
-    ):
-        traces[0]._gathered = rest, layout
-    return layout
+    drawn = getattr(traces[0], "_drawn", None)
+    if drawn is not None and drawn[0] == traces[1:]:
+        return drawn[1]
+    return _layout(traces)
 
 
 def _layout(traces: list[PathTrace]) -> tuple[tuple[_Block, ...], Union[slice, np.ndarray]]:
@@ -571,9 +559,7 @@ def _layout(traces: list[PathTrace]) -> tuple[tuple[_Block, ...], Union[slice, n
         lengths.append(len(list(run)))
     if len(offsets) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
         return tuple(start), slice(rows[0], rows[0] + len(rows))
-    at = np.repeat(offsets, lengths) + np.array(rows, dtype=np.intp)
-    at.flags.writeable = False  # shared by every call that reuses the layout
-    return tuple(start), at
+    return tuple(start), np.repeat(offsets, lengths) + np.array(rows, dtype=np.intp)
 
 
 def _estimator(traces: Iterable[PathTrace]):

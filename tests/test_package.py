@@ -1,6 +1,9 @@
 """The package's public names: each resolves, and the lazy ones come from
 their modules."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 import catwalk
@@ -25,3 +28,20 @@ def test_lazy_names_come_from_their_modules():
     assert catwalk.SimConfig is simulate.SimConfig
     with pytest.raises(AttributeError):
         catwalk.no_such_name
+
+
+def test_the_traced_benchmark_wraps_and_restores_its_hooks(monkeypatch):
+    # perfbench/spans.py wraps these names in their modules by name; the
+    # bindings the model modules no longer call must stay for it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    hooks = [(discrete, "bessel_i_scaled"), (discrete, "integrate_adaptive"),
+             (diffusion, "integrate_adaptive"), (discrete, "transient_probability"),
+             (diffusion, "transient_density")]
+    originals = [getattr(module, name) for module, name in hooks]
+    with spans.Tracer().install() as tracer:
+        assert all(getattr(module, name) is not original
+                   for (module, name), original in zip(hooks, originals))
+        discrete.transient_probability(discrete.DiscreteParams(2.0, 2.0, 0.1, 1.0), 0, 1.0)
+        assert tracer.counts["discrete.state"] == 1
+    assert [getattr(module, name) for module, name in hooks] == originals

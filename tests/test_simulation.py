@@ -533,8 +533,9 @@ def _replace(i):
 
 
 class TestGatheredLayout:
-    """estimate and export_traces keep a list's layout on its first trace;
-    here the list changes in place between calls."""
+    """estimate and export_traces read a block's layout from its first view
+    while the list holds the block's views, and walk any other list; here the
+    list changes in place between calls."""
 
     CHANGES = {
         "swap": _swap(3, 10),
@@ -618,7 +619,7 @@ class TestGatheredLayout:
         with pytest.raises(ValueError, match="undefined for continuous-state traces"):
             sim.estimate(lattice, 1.0, "state-probability", 0)
 
-    def test_a_list_is_walked_once_until_it_changes(self, monkeypatch, tmp_path):
+    def test_a_block_is_read_without_a_walk_until_its_list_changes(self, monkeypatch, tmp_path):
         walks = []
 
         def counted(traces):
@@ -628,24 +629,28 @@ class TestGatheredLayout:
         layout = sim._layout
         monkeypatch.setattr(sim, "_layout", counted)
         traces = list(sim.simulate_discrete(SYMMETRIC, _config(seed=43, reps=400)))
+        assert len({trace._block for trace in traces}) == 1
         statistics = [("failure-probability", None), ("truncated-mean", None),
                       ("truncated-variance", None), ("cdf", 0.5)]
         statistics += [("state-probability", n) for n in range(-6, 6)]
         assert len(statistics) == 16
 
-        def sixteen():
+        def sixteen_and_an_export():
             for statistic, arg in statistics:
                 sim.estimate(traces, 1.0, statistic, arg)
+            sim.export_traces(traces, str(tmp_path / "traces.log"), {}, _config())
 
-        sixteen()
-        sim.export_traces(traces, str(tmp_path / "traces.log"), {}, _config())
-        assert walks == [400]
+        sixteen_and_an_export()
+        assert walks == []
         traces[7], traces[9] = traces[9], traces[7]
-        sixteen()
-        assert walks == [400, 400]
-        traces.append(traces[0])  # the first trace would hold itself: no memo
-        sixteen()
-        assert walks == [400, 400] + [401] * 16
+        sixteen_and_an_export()
+        assert walks == [400] * 17
+        traces[7], traces[9] = traces[9], traces[7]
+        sixteen_and_an_export()
+        assert walks == [400] * 17
+        traces.append(traces[0])
+        sixteen_and_an_export()
+        assert walks == [400] * 17 + [401] * 17
 
     def test_dropped_lists_leave_no_cycle(self, tmp_path):
         # the cyclic collector would hide a cycle; with it off, a list and its
