@@ -18,17 +18,19 @@ word), so draw k of a stream of replication i depends only on (seed, i,
 stream, k): a path is the same whatever the batch size, the chunking or the
 order of execution, and a single (seed, index) pair always reproduces it.
 
-Paths are kept as arrays as well.  The event times and codes, the observed
-values and the failure flags of a block of replications are columns of one
-record, and each :class:`PathTrace` is a read-only view of one row of it whose
-tuples are built only when read.  :func:`estimate` and :func:`export_traces`
-read the columns without building them.  Where the rows of a block's own
-list of views lie is known when the block is drawn, so that layout is kept
-on the block's first view with the views after it: a call on a list that
-still holds the block's views, in order, reads it after one list comparison.
-Any other list is walked in Python on each call.  A block holds no view and
-only a first view holds others, so no reference cycle forms: a list and its
-blocks are freed when it is dropped.
+Paths are kept as arrays as well.  A run's paths are drawn into one block:
+their event times and codes, observed values and failure flags are columns
+of one record, and each :class:`PathTrace` is a read-only view of one row of
+it whose tuples are built only when read.  :func:`estimate` and
+:func:`export_traces` read any list of traces as runs of neighbouring traces
+that share a block, and read each run's rows from the columns without
+building them.  A block's own list of views is one run of all its rows, as
+is known when it is drawn, so that layout is kept on the block's first view
+with the views after it: a call on a list that still holds them, in order,
+reads it after one list comparison.  Any other list is cut into runs by one
+walk in Python on each call.  A block holds no view and only a first view
+holds others, so no reference cycle forms: a list and its blocks are freed
+when it is dropped.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, cycle, groupby, repeat
-from typing import Iterable, Iterator, Optional, Union
+from itertools import groupby, repeat
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .diffusion import DiffusionParams
 from .discrete import DiscreteParams
-from .failure_cycle import check_state
+from .failure_cycle import check_state, check_time
 
 __all__ = [
     "FAILED",
@@ -140,8 +142,8 @@ class PathTrace:
     paths of the same model with the same replication, events and
     observations; the hash reads the event times from the block and the
     observations, and builds no event tuples.  A block's first view also
-    holds, privately, the block's other views and where their rows lie (see
-    the module's docstring), so while it lives, they do too.
+    holds, privately, the block's other views and their layout as one run
+    (see the module's docstring), so while it lives, they do too.
     """
 
     __slots__ = ("_block", "_row", "_drawn")
@@ -222,13 +224,14 @@ _KIND_LINE_ENDS = np.array([f"\t{kind}\n" for kind in _KINDS], dtype=object)
 # draws and 7 MB at 32k.  At 16k the benchmark's batches drew a few per cent
 # faster for half a megabyte more peak memory, too little to move from 8k.
 _CHUNK_DRAWS = 1 << 13
-# chunks per block, the unit in which paths are kept: reading paths costs a
-# few NumPy calls per block, so a block spans many chunks of long paths
-_BLOCK_CHUNKS = 32
 #: most draws (rows x draws per row) one array of uniforms may hold, at about
 #: 56 bytes a draw while it is made: 240 times the 17,406 that the largest
 #: array of the tests, README commands and benchmark asks for
 MAX_DRAWS = 1 << 22
+#: most draws a whole run may make, counted by the budget that sizes its
+#: chunks, times the replications: 32 times the 2.12e6 of the largest run of
+#: the tests, README commands and benchmark (2,000 paths of 1,060 draws)
+MAX_RUN_DRAWS = 1 << 26
 
 
 def _philox(counter, key):
@@ -464,7 +467,7 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
     np.cumsum(counts, out=bounds[1:])
     block = _Block(times, codes, bounds, replications, cfg.observation_times, values, failed)
     views = list(map(PathTrace, repeat(block), range(len(replications))))
-    views[0]._drawn = views[1:], ((block,), slice(0, len(views)))
+    views[0]._drawn = views[1:], ((block, slice(0, len(views))),)
     return views
 
 
@@ -473,15 +476,14 @@ def _simulate(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig) ->
     per_path = 2.0 * mean_cycles + 4.0 * math.sqrt(mean_cycles) + len(cfg.observation_times) + 2.0
     if isinstance(params, DiscreteParams):
         per_path += (params.lam + params.mu) * cfg.horizon
-    if per_path == math.inf:
-        # no budget of such a path can be counted, let alone drawn
-        raise ValueError(f"the rates times the horizon overflow: a path would need more than "
-                         f"the {MAX_DRAWS} draws one array may hold")
+    # inf where the rates times the horizon overflow
+    budget = per_path * cfg.replications
+    if budget > MAX_RUN_DRAWS:
+        raise ValueError(f"the simulation needs about {budget:.3g} draws, more than the "
+                         f"{MAX_RUN_DRAWS} one run may make; shorten the horizon, lower the "
+                         "rates or draw fewer replications")
     chunk = max(1, int(_CHUNK_DRAWS // per_path))
-    size = chunk * _BLOCK_CHUNKS
-    blocks = (np.arange(first, min(first + size, cfg.replications), dtype=np.uint64)
-              for first in range(0, cfg.replications, size))
-    return chain.from_iterable(_paths(params, cfg, replications, chunk) for replications in blocks)
+    return iter(_paths(params, cfg, np.arange(cfg.replications, dtype=np.uint64), chunk))
 
 
 def simulate_discrete(p: DiscreteParams, cfg: SimConfig) -> Iterator[PathTrace]:
@@ -522,70 +524,49 @@ def _statistic(statistic: str, arg: Optional[float], lattice: bool) -> Optional[
     return arg
 
 
-def _gather(traces: list[PathTrace]) -> tuple[tuple[_Block, ...], Union[slice, np.ndarray]]:
-    """:func:`_layout` of the traces, read from the block's first view where
-    ``traces`` still holds that block's views, in order.
+def _runs(traces: list[PathTrace]) -> Sequence[tuple[_Block, Union[slice, np.ndarray]]]:
+    """The traces as runs of neighbouring traces that share a block, in list
+    order: each run's block and the rows of it the run holds, in order.  A
+    block's own list of views is read from its first view, where ``traces``
+    still holds them; any other list is walked once.
 
     Comparing the lists passes over items that are the same objects without
     calling ``__eq__``; an item that is another object must equal its
     counterpart, a path of the same model and replication with the same
     values.
     """
-    if not traces:
-        return (), slice(0, 0)
-    drawn = getattr(traces[0], "_drawn", None)
+    drawn = getattr(traces[0], "_drawn", None) if traces else None
     if drawn is not None and drawn[0] == traces[1:]:
         return drawn[1]
-    return _layout(traces)
-
-
-def _layout(traces: list[PathTrace]) -> tuple[tuple[_Block, ...], Union[slice, np.ndarray]]:
-    """The distinct blocks of the traces, and where each trace's row lies
-    when the rows of those blocks are laid end to end: a slice when the
-    traces are consecutive rows of one block, else an index array.
-
-    Neighbouring traces that share a block are taken as one run, so beyond
-    one pass over the traces the work grows with the number of runs.
-    """
-    rows = [trace._row for trace in traces]
-    start: dict = {}  # of each distinct block's rows
-    offsets, lengths = [], []
-    size = 0
-    for block, run in groupby([trace._block for trace in traces]):
-        if block not in start:
-            start[block] = size
-            size += len(block.replications)
-        offsets.append(start[block])
-        lengths.append(len(list(run)))
-    if len(offsets) == 1 and rows == list(range(rows[0], rows[0] + len(rows))):
-        return tuple(start), slice(rows[0], rows[0] + len(rows))
-    return tuple(start), np.repeat(offsets, lengths) + np.array(rows, dtype=np.intp)
+    return [(block, np.array([trace._row for trace in run], dtype=np.intp))
+            for block, run in groupby(traces, operator.attrgetter("_block"))]
 
 
 def _estimator(traces: Iterable[PathTrace]):
     """:func:`estimate` over fixed traces, as a function of (t, statistic,
-    arg).  The traces are gathered once, so a table of estimates walks them
-    once, not once a cell."""
+    arg).  The traces are cut into runs once, so a table of estimates walks
+    them at most once, not once a cell."""
     traces = list(traces)
     count = len(traces)
-    blocks, at = _gather(traces)
-    lattice = all(block.values.dtype.kind == "i" for block in blocks)
+    runs = _runs(traces)
+    lattice = all(block.values.dtype.kind == "i" for block, _ in runs)
 
     def estimate_at(t: float, statistic: str, arg: Optional[float] = None) -> EmpiricalEstimate:
         arg = _statistic(statistic, arg, lattice)
+        check_time(t)
         if count == 0:
             raise ValueError("no traces to estimate from")
         if t == 0.0:
             # the known start: every path is operating at 0
             states, failed = np.zeros(count), np.zeros(count, dtype=bool)
         else:
-            columns = [block.column(t) for block in blocks]
-            states = [b.values[c] for b, c in zip(blocks, columns)]
-            failed = [b.failed[c] for b, c in zip(blocks, columns)]
-            if len(blocks) == 1:
-                states, failed = states[0][at], failed[0][at]
+            columns = [block.column(t) for block, _ in runs]
+            states = [block.values[c, rows] for (block, rows), c in zip(runs, columns)]
+            failed = [block.failed[c, rows] for (block, rows), c in zip(runs, columns)]
+            if len(runs) == 1:
+                states, failed = states[0], failed[0]
             else:
-                states, failed = np.concatenate(states)[at], np.concatenate(failed)[at]
+                states, failed = np.concatenate(states), np.concatenate(failed)
         if statistic == "state-probability":
             values = (~failed & (states == arg)).astype(np.float64)
         elif statistic == "failure-probability":
@@ -625,25 +606,36 @@ def estimate(
     ``arg`` is the state n for ``state-probability`` and the threshold x for
     ``cdf``; truncated statistics zero the state while under repair.  t = 0
     reads the known start, every path operating at 0, through the same
-    statistics and model rule as an observed time.  No traces, a
-    non-integral state, a NaN threshold or ``state-probability`` on
-    diffusion paths raise ``ValueError``.
+    statistics and model rule as an observed time.  No traces, a time that is
+    not finite and nonnegative, a non-integral state, a NaN threshold or
+    ``state-probability`` on diffusion paths raise ``ValueError``.
     """
     return _estimator(traces)(t, statistic, arg)
 
 
-def _observation_text(block: _Block, rows: np.ndarray) -> list[str]:
-    """The text "<time>\t<state>\n" of each observation of the rows, row by row."""
+def _records(block: _Block, rows: np.ndarray) -> str:
+    """The lines of the rows' records, row by row: each row's events, then
+    its observations."""
+    names = np.array(list(map(str, block.replications[rows].tolist())), dtype=object)
+    first = block.bounds[rows]
+    count = block.bounds[rows + 1] - first
+    ends = np.cumsum(count)
+    events = np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
+    width = len(block.grid)
+    pieces = np.empty((len(events) + width * len(rows), 3), dtype=object)
+    # a row's events follow the observations of the rows before it, and its
+    # observations follow its events
+    line = np.arange(len(events)) + np.repeat(width * np.arange(len(rows)), count)
+    pieces[line, 0] = np.repeat(names + "\tevent\t", count)
+    pieces[line, 1] = list(map(repr, block.times[events].tolist()))
+    pieces[line, 2] = _KIND_LINE_ENDS[block.codes[events]]
+    line = np.arange(width * len(rows)) + np.repeat(ends, width)
+    pieces[line, 0] = np.repeat(names + "\tobs\t", width)
+    pieces[line, 1] = np.tile([f"{when!r}\t" for when in block.grid], len(rows))
     states = block.values[:, rows].T.astype(object)
     states[block.failed[:, rows].T] = FAILED
-    grid = cycle([f"{when!r}\t" for when in block.grid])
-    return [f"{when}{state!r}\n" for when, state in zip(grid, states.ravel().tolist())]
-
-
-def _ragged(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for each i in turn."""
-    ends = np.cumsum(count)
-    return np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
+    pieces[line, 2] = [f"{state!r}\n" for state in states.ravel().tolist()]
+    return "".join(pieces.ravel().tolist())
 
 
 #: records formatted per write of an export
@@ -672,57 +664,10 @@ def export_traces(
         sink.write(
             f"# seed {cfg.seed} replications {cfg.replications} horizon {cfg.horizon!r}\n"
         )
-        if not traces:
-            return
-        blocks, at = _gather(traces)
-        # each trace's block and its row there, from where its row lies when
-        # the rows of the blocks are laid end to end
-        start = np.cumsum([0, *(len(b.replications) for b in blocks)])
-        at = np.arange(start[-1])[at]
-        which = np.searchsorted(start, at, side="right") - 1
-        rows = at - start[which]
-        # each trace's name and the number of its events and observations,
-        # then its events and the text of its observations in trace order,
-        # taken from its block's rows only
-        names = np.empty(len(traces), dtype=object)
-        event_count = np.empty(len(traces), dtype=np.intp)
-        obs_count = np.empty(len(traces), dtype=np.intp)
-        picks = []
-        for k, block in enumerate(blocks):
-            mine = np.flatnonzero(which == k)
-            picked = rows[mine]
-            names[mine] = list(map(str, block.replications[picked].tolist()))
-            event_count[mine] = np.diff(block.bounds)[picked]
-            obs_count[mine] = len(block.grid)
-            picks.append((mine, picked))
-        event_at = np.cumsum(np.append(0, event_count))
-        obs_at = np.cumsum(np.append(0, obs_count))
-        times = np.empty(event_at[-1])
-        codes = np.empty(event_at[-1], dtype=np.int8)
-        observed = np.empty(obs_at[-1], dtype=object)
-        for block, (mine, picked) in zip(blocks, picks):
-            events = _ragged(block.bounds[picked], event_count[mine])
-            into = _ragged(event_at[mine], event_count[mine])
-            times[into], codes[into] = block.times[events], block.codes[events]
-            observed[_ragged(obs_at[mine], obs_count[mine])] = _observation_text(block, picked)
-        event_prefix, obs_prefix = names + "\tevent\t", names + "\tobs\t"
-
-        # one write per run of traces holding about _EXPORT_RECORDS lines,
-        # each line in three pieces
-        part = (np.cumsum(event_count + obs_count) - 1) // _EXPORT_RECORDS
-        edges = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(traces)]
-        for lo, hi in zip(edges, edges[1:]):
-            ev_count, ob_count = event_count[lo:hi], obs_count[lo:hi]
-            events = slice(event_at[lo], event_at[hi])
-            size = event_at[hi] - event_at[lo]
-            pieces = np.empty((size + obs_at[hi] - obs_at[lo], 3), dtype=object)
-            # a trace's events follow the observations of the traces before it
-            line = np.arange(size) + np.repeat(np.cumsum(ob_count) - ob_count, ev_count)
-            pieces[line, 0] = np.repeat(event_prefix[lo:hi], ev_count)
-            pieces[line, 1] = list(map(repr, times[events].tolist()))
-            pieces[line, 2] = _KIND_LINE_ENDS[codes[events]]
-            line = np.arange(len(pieces) - size) + np.repeat(np.cumsum(ev_count), ob_count)
-            pieces[line, 0] = np.repeat(obs_prefix[lo:hi], ob_count)
-            pieces[line, 1] = observed[obs_at[lo]:obs_at[hi]]
-            pieces[line, 2] = ""
-            sink.write("".join(pieces.ravel().tolist()))
+        for block, rows in _runs(traces):
+            rows = np.arange(len(block.replications))[rows]
+            # one write per stretch of rows holding about _EXPORT_RECORDS lines
+            part = (np.cumsum(np.diff(block.bounds)[rows] + len(block.grid)) - 1) // _EXPORT_RECORDS
+            edges = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(rows)]
+            for lo, hi in zip(edges, edges[1:]):
+                sink.write(_records(block, rows[lo:hi]))

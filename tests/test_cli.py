@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from itertools import chain
 from pathlib import Path
 
@@ -370,12 +371,14 @@ class TestSimulate:
         assert not log.exists()
 
     @pytest.mark.parametrize("nu,t,message", [
-        ("0.1", "1e300", "needs 1 x 1e+299 draws in one array, more than the 4194304 allowed"),
-        ("10", "1e308", "the rates times the horizon overflow"),
+        ("0.1", "1.5e6", "draws in one array, more than the 4194304 allowed"),
+        ("0.1", "1e300", "needs about 4.2e+301 draws, more than the 67108864 one run may make"),
+        ("10", "1e308", "needs about inf draws, more than the 67108864 one run may make"),
     ])
     def test_a_draw_budget_past_the_cap_is_a_validation_error(self, capsys, nu, t, message):
-        # NumPy used to refuse the first with a bare "Maximum allowed size exceeded";
-        # the second exited 1 with an OverflowError traceback
+        # one path at t = 1.5e6 fits a run's budget, but its moves do not fit
+        # one array; NumPy used to refuse t = 1e300 with a bare "Maximum allowed
+        # size exceeded", and t = 1e308 exited 1 with an OverflowError traceback
         argv = ["simulate", "--lambda", "2", "--mu", "2", "--nu", nu, "--eta", "1",
                 "--seed", "1", "--reps", "10", "--t", t]
         assert run(argv) == 2
@@ -384,6 +387,22 @@ class TestSimulate:
         record = json.loads(captured.err)
         assert record["error"]["type"] == "validation"
         assert message in record["error"]["message"]
+
+    def test_a_long_run_of_few_paths_is_refused_before_it_draws(self, capsys):
+        # about 2.6e6 catastrophe/repair cycles a path: 20 paths took about 11 s
+        argv = ["simulate", "--model", "diffusion", "--lambda-hat", "4.8645765731368195e-08",
+                "--mu-hat", "2.1944176493854126", "--sigma2", "0.7312649502374293",
+                "--nu", "3359.330264086182", "--eta", "161271220.74199507",
+                "--t-grid", "87.704590818057,772.3274709940573", "--seed", "1", "--reps", "20",
+                "--stat", "cdf:0.5"]
+        began = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - began < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": "validation", "message": (
+            "the simulation needs about 1.04e+08 draws, more than the 67108864 one run may "
+            "make; shorten the horizon, lower the rates or draw fewer replications")}}
 
     def test_infinite_horizon_is_a_validation_error(self, capsys):
         # it used to exit 1 with an OverflowError traceback
@@ -417,13 +436,13 @@ class TestSimulate:
         from catwalk import discrete
         from catwalk import simulate as sim
 
-        gather, sizes = sim._gather, []
+        runs, sizes = sim._runs, []
 
         def counted(traces):
             sizes.append(len(traces))
-            return gather(traces)
+            return runs(traces)
 
-        monkeypatch.setattr(sim, "_gather", counted)
+        monkeypatch.setattr(sim, "_runs", counted)
         out = tmp_path / "sim.json"
         argv = ["simulate", *LATTICE, "--seed", "9", "--reps", "300", "--t-grid", "0.5,1,2",
                 "--stat", "truncated-mean", "--stat", "cdf:1", "--format", "json",

@@ -45,3 +45,16 @@ def test_the_traced_benchmark_wraps_and_restores_its_hooks(monkeypatch):
         discrete.transient_probability(discrete.DiscreteParams(2.0, 2.0, 0.1, 1.0), 0, 1.0)
         assert tracer.counts["discrete.state"] == 1
     assert [getattr(module, name) for module, name in hooks] == originals
+
+
+def test_the_benchmark_monte_carlo_operations_pass_their_checks(monkeypatch, tmp_path):
+    # perfbench's monte-carlo round draws through list(simulate(...)), estimates
+    # on those lists and exports one; each operation's own check must hold
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.MonteCarlo(1, str(tmp_path), {})
+    workload.prepare()
+    for round_index in range(2):
+        for op in workload.ops(round_index):
+            verdict, _ = op.check(op.call())
+            assert verdict.ok, (round_index, op.label, verdict)

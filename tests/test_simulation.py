@@ -455,16 +455,24 @@ class TestArraysAgainstScalarReference:
     STATISTICS = [("failure-probability", None), ("truncated-mean", None),
                   ("truncated-variance", None), ("state-probability", 1), ("cdf", 0.5)]
 
-    @pytest.fixture(params=[1, sim._BLOCK_CHUNKS], ids=["block-per-chunk", "default-blocks"])
-    def batches(self, request, monkeypatch):
-        monkeypatch.setattr(sim, "_BLOCK_CHUNKS", request.param)
+    @pytest.fixture(params=["block-per-chunk", "default-blocks"])
+    def batches(self, request):
+        def draw(params, cfg):
+            if request.param == "default-blocks":
+                return list(sim.simulate_discrete(params, cfg))
+            # the same paths (see test_paths_do_not_depend_on_the_chunking),
+            # drawn in one chunk and one block per 37 replications
+            indices = np.arange(cfg.replications, dtype=np.uint64)
+            return [trace for first in range(0, cfg.replications, 37)
+                    for trace in sim._paths(params, cfg, indices[first:first + 37])]
+
         wide = _config(seed=31, reps=600, horizon=2.0, times=(0.5, 1.0, 2.0))
         short = _config(seed=32, reps=150, horizon=1.0, times=(1.0,))
         heavy = _config(seed=33, reps=200)
         return {
-            "wide": (list(sim.simulate_discrete(SYMMETRIC, wide)), wide),
-            "short": (list(sim.simulate_discrete(SYMMETRIC, short)), short),
-            "heavy": (list(sim.simulate_discrete(HEAVY, heavy)), heavy),
+            "wide": (draw(SYMMETRIC, wide), wide),
+            "short": (draw(SYMMETRIC, short), short),
+            "heavy": (draw(HEAVY, heavy), heavy),
         }
 
     @staticmethod
@@ -619,38 +627,50 @@ class TestGatheredLayout:
         with pytest.raises(ValueError, match="undefined for continuous-state traces"):
             sim.estimate(lattice, 1.0, "state-probability", 0)
 
-    def test_a_block_is_read_without_a_walk_until_its_list_changes(self, monkeypatch, tmp_path):
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The length of each list that estimate or export_traces walks."""
         walks = []
 
-        def counted(traces):
+        def counted(traces, key):
             walks.append(len(traces))
-            return layout(traces)
+            return groupby(traces, key)
 
-        layout = sim._layout
-        monkeypatch.setattr(sim, "_layout", counted)
-        traces = list(sim.simulate_discrete(SYMMETRIC, _config(seed=43, reps=400)))
-        assert len({trace._block for trace in traces}) == 1
+        groupby = sim.groupby
+        monkeypatch.setattr(sim, "groupby", counted)
+        return walks
+
+    @staticmethod
+    def _sixteen_and_an_export(traces, tmp_path):
         statistics = [("failure-probability", None), ("truncated-mean", None),
                       ("truncated-variance", None), ("cdf", 0.5)]
         statistics += [("state-probability", n) for n in range(-6, 6)]
         assert len(statistics) == 16
+        for statistic, arg in statistics:
+            sim.estimate(traces, 1.0, statistic, arg)
+        sim.export_traces(traces, str(tmp_path / "traces.log"), {}, _config())
 
-        def sixteen_and_an_export():
-            for statistic, arg in statistics:
-                sim.estimate(traces, 1.0, statistic, arg)
-            sim.export_traces(traces, str(tmp_path / "traces.log"), {}, _config())
-
-        sixteen_and_an_export()
+    def test_a_block_is_read_without_a_walk_until_its_list_changes(self, walks, tmp_path):
+        traces = list(sim.simulate_discrete(SYMMETRIC, _config(seed=43, reps=400)))
+        assert len({trace._block for trace in traces}) == 1
+        self._sixteen_and_an_export(traces, tmp_path)
         assert walks == []
         traces[7], traces[9] = traces[9], traces[7]
-        sixteen_and_an_export()
+        self._sixteen_and_an_export(traces, tmp_path)
         assert walks == [400] * 17
         traces[7], traces[9] = traces[9], traces[7]
-        sixteen_and_an_export()
+        self._sixteen_and_an_export(traces, tmp_path)
         assert walks == [400] * 17
         traces.append(traces[0])
-        sixteen_and_an_export()
+        self._sixteen_and_an_export(traces, tmp_path)
         assert walks == [400] * 17 + [401] * 17
+
+    def test_a_run_of_many_chunks_is_one_block_read_without_a_walk(self, walks, tmp_path):
+        # 600 heavy-traffic paths are drawn in 75 chunks of 8
+        traces = list(sim.simulate_discrete(HEAVY, _config(seed=46, reps=600)))
+        assert len({trace._block for trace in traces}) == 1
+        self._sixteen_and_an_export(traces, tmp_path)
+        assert walks == []
 
     def test_dropped_lists_leave_no_cycle(self, tmp_path):
         # the cyclic collector would hide a cycle; with it off, a list and its
@@ -814,6 +834,14 @@ class TestEstimate:
         traces = list(sim.simulate_discrete(SYMMETRIC, _config(reps=5)))
         with pytest.raises(ValueError):
             sim.estimate(traces, 0.25, "failure-probability")
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_a_time_that_is_not_finite_and_nonnegative_is_rejected(self, t):
+        # at t = inf this used to return the estimate at the first observed time
+        traces = list(sim.simulate_discrete(SYMMETRIC, _config(seed=11, reps=500, horizon=2.0,
+                                                               times=(0.5, 2.0))))
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            sim.estimate(traces, t, "truncated-mean")
 
     def test_no_traces_rejected(self):
         # this used to return nan after a RuntimeWarning
