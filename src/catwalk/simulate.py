@@ -580,14 +580,16 @@ def _estimator(traces: Iterable[PathTrace]):
             return EmpiricalEstimate(
                 0.0 if statistic == "truncated-variance" else float(values[0]), None, count
             )
-        # values.mean(), values.var(ddof=1) and np.mean(centered**4) bit for
-        # bit, from the same sums without the Python layers of those methods,
-        # which cost more than the sums on a batch of a few hundred paths
+        # values.mean() and values.var(ddof=1) bit for bit, from the same sums
+        # without the Python layers of those methods, which cost more than the
+        # sums on a batch of a few hundred paths; the fourth power is two
+        # squarings, not libm pow, which cost most of a variance estimate
         mean = np.add.reduce(values) / count
         centered = values - mean
-        square = float(np.add.reduce(centered * centered)) / (count - 1)
+        squares = centered * centered
+        square = float(np.add.reduce(squares)) / (count - 1)
         if statistic == "truncated-variance":
-            fourth = float(np.add.reduce(centered**4) / count)
+            fourth = float(np.add.reduce(squares * squares) / count)
             return EmpiricalEstimate(square, math.sqrt(max(fourth - square * square, 0.0) / count),
                                      count)
         return EmpiricalEstimate(float(mean), math.sqrt(square) / math.sqrt(count), count)
