@@ -1,15 +1,21 @@
 """Event-driven simulation of both models, usable as an independent oracle.
 
 Both models share one catastrophe/repair skeleton: alternating Exp(nu)
-operating and Exp(eta) repair durations.  Lattice moves are a rate-(lam + mu)
-Poisson stream of up/down marks on the operating clock, which is exact in law
-by superposition; a move at operating time s happens at real time s plus the
-repair time completed before it.  Events are placed by counting, not by
-sorting: catastrophe j follows the moves at or before its operating time, and
-a move follows the catastrophes strictly before it.  Diffusion paths restart
-at 0 after every repair and chain exact Gaussian increments, built for all
-observation times at once, so observed marginals carry no discretization
-bias.  Both models are observed by one count of the skeleton's events.
+operating and Exp(eta) repair durations.  A path restarts at 0 after every
+repair.  Its operating time is cut into segments at the catastrophes, the
+repairs, the observation times and the horizon, and both models are observed
+by one chain over the observation times: the state at one is the state at
+the time before, or 0 where the path restarted since, plus the model's
+increment over the segment between them.  The diffusion's increment is an
+exact Gaussian, so observed marginals carry no discretization bias.  The
+lattice walk's increment over a segment of length d is exactly Poisson(lam d)
+ups less Poisson(mu d) downs, each count inverted from one uniform, so a path
+costs O(cycles + observations) draws whatever the rates.  The segments that
+end at a catastrophe or at the horizon get their counts as well, so the
+number of a path's moves is known when it is drawn.  Given its counts, a
+segment's moves fall at uniform order statistics, ups and downs in a
+uniformly random arrangement, which is exact in law; their times are drawn
+only when a path's events are read.
 
 Paths are drawn as arrays over bounded chunks of replications from a NumPy
 Philox4x32-10 (Salmon et al. 2011).  Its key is the seed (two 32-bit words)
@@ -17,11 +23,14 @@ and its counter is (draw index, stream, replication low word, replication high
 word), so draw k of a stream of replication i depends only on (seed, i,
 stream, k): a path is the same whatever the batch size, the chunking or the
 order of execution, and a single (seed, index) pair always reproduces it.
+That holds for the move times too, whichever rows are read together.
 
 Paths are kept as arrays as well.  A run's paths are drawn into one block:
-their event times and codes, observed values and failure flags are columns
-of one record, and each :class:`PathTrace` is a read-only view of one row of
-it whose tuples are built only when read.  :func:`estimate` and
+their catastrophe and repair times, the segments that hold their moves,
+observed values and failure flags are columns of one record, and each
+:class:`PathTrace` is a read-only view of one row of it whose tuples are
+built, and whose move times are drawn, only when read.  Nothing drawn on a
+read is kept, so memory stays bounded for any run.  :func:`estimate` and
 :func:`export_traces` read any list of traces as runs of neighbouring traces
 that share a block, and read each run's rows from the columns without
 building them.  A block's own list of views is one run of all its rows, as
@@ -110,20 +119,32 @@ class _Block:
     """The paths of a block of replications, held as arrays; a block is
     drawn in one or more chunks.
 
-    Row r is replication ``replications[r]``.  Its events before the horizon
-    are ``times[bounds[r]:bounds[r + 1]]`` with their ``codes``, and its state
-    at ``grid[c]`` is ``values[c, r]``, or the failure state where
-    ``failed[c, r]``.  Lattice states are held as integers and diffusion
-    levels as floats, so the dtype of ``values`` is the model of the paths.
+    Row r is replication ``replications[r]`` of the run of ``seed``.  Its
+    catastrophes and repairs before the horizon are
+    ``times[bounds[r]:bounds[r + 1]]`` with their ``codes``.  Its lattice
+    moves lie in the segments ``cuts[r]`` to ``cuts[r + 1]``, in time order,
+    each with its ``starts``, ``lengths`` and counts of ``ups`` and
+    ``downs``; ``tally[s]`` is the number of moves in the block's segments
+    before segment s.  Its state at ``grid[c]`` is ``values[c, r]``, or the
+    failure state where ``failed[c, r]``.  Lattice states are held as
+    integers and diffusion levels as floats, so the dtype of ``values`` is the
+    model of the paths.
     """
 
-    times: np.ndarray
-    codes: np.ndarray
-    bounds: np.ndarray
+    seed: int
     replications: np.ndarray
     grid: tuple[float, ...]
     values: np.ndarray
     failed: np.ndarray
+    times: np.ndarray
+    codes: np.ndarray
+    bounds: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    ups: np.ndarray
+    downs: np.ndarray
+    cuts: np.ndarray
+    tally: np.ndarray
 
     def column(self, t: float) -> int:
         """The index of observation time t in the grid, to rounding."""
@@ -138,12 +159,13 @@ class PathTrace:
 
     A read-only view of one row of the arrays its block of replications was
     drawn into; only the simulators make one.  ``events`` and
-    ``observations`` are built when read.  Two traces are equal when they are
-    paths of the same model with the same replication, events and
-    observations; the hash reads the event times from the block and the
-    observations, and builds no event tuples.  A block's first view also
-    holds, privately, the block's other views and their layout as one run
-    (see the module's docstring), so while it lives, they do too.
+    ``observations`` are built when read, and a lattice path's move times are
+    drawn then, from their own stream, and not kept.  Two traces are equal
+    when they are paths of the same model with the same replication, events
+    and observations; the hash reads the replication and the observations,
+    and draws no moves.  A block's first view also holds, privately, the
+    block's other views and their layout as one run (see the module's
+    docstring), so while it lives, they do too.
     """
 
     __slots__ = ("_block", "_row", "_drawn")
@@ -160,10 +182,13 @@ class PathTrace:
     @property
     def events(self) -> tuple[tuple[float, str], ...]:
         """(time, kind) of each event before the horizon, in time order."""
-        block = self._block
-        start, end = block.bounds[self._row], block.bounds[self._row + 1]
-        kinds = map(_KINDS.__getitem__, block.codes[start:end].tolist())
-        return tuple(zip(block.times[start:end].tolist(), kinds))
+        block, row = self._block, self._row
+        if block.tally[block.cuts[row + 1]] - block.tally[block.cuts[row]] <= _ROW_MOVES:
+            events = _row_events(block, row)
+        else:
+            times, codes, _ = _events(block, np.array([row]))
+            events = zip(times.tolist(), codes.tolist())
+        return tuple((when, _KINDS[code]) for when, code in events)
 
     @property
     def observations(self) -> tuple[tuple[float, State], ...]:
@@ -181,15 +206,13 @@ class PathTrace:
         if mine is theirs and self._row == other._row:
             return True
         return (self.replication == other.replication and mine.values.dtype == theirs.values.dtype
-                and self.events == other.events and self.observations == other.observations)
+                and self.observations == other.observations and self.events == other.events)
 
     def __hash__(self) -> int:
-        # equal traces have equal event times, and so equal bytes once 0.0 is
-        # added (it maps -0.0 to 0.0).  The observations alone are shared by
-        # most lattice paths, and a set would compare each with all the others.
-        block = self._block
-        start, end = block.bounds[self._row], block.bounds[self._row + 1]
-        return hash(((block.times[start:end] + 0.0).tobytes(), self.observations))
+        # the paths of a batch differ in replication, where most lattice paths
+        # share their observations and a set would compare each with all the
+        # others
+        return hash((self.replication, self.observations))
 
     def __repr__(self) -> str:
         return (f"PathTrace(replication={self.replication}, events={self.events}, "
@@ -207,12 +230,14 @@ class EmpiricalEstimate:
 
 
 # Philox4x32-10 multipliers of the words c0 and c2, and Weyl key increments
-_PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64)
-_PHILOX_W = np.array([0x9E3779B9, 0xBB67AE85], dtype=np.uint64)
+_M0, _M1, _W0, _W1 = 0xD2511F53, 0xCD9E8D57, 0x9E3779B9, 0xBB67AE85
+_PHILOX_M = np.array([_M0, _M1], dtype=np.uint64)
+_PHILOX_W = np.array([_W0, _W1], dtype=np.uint64)
 _WORD = np.uint64(0xFFFFFFFF)
 
-# streams of the counter's second word
-_SKELETON, _MOVES, _NORMALS = 0, 1, 2
+# streams of the counter's second word: the skeleton, the lattice's move
+# counts per segment, the diffusion's normals and the lattice's move times
+_SKELETON, _COUNTS, _NORMALS, _MOVES = 0, 1, 2, 3
 
 # event codes; a catastrophe comes right before its repair
 _UP, _DOWN, _CATASTROPHE, _REPAIR = 0, 1, 2, 3
@@ -225,13 +250,25 @@ _KIND_LINE_ENDS = np.array([f"\t{kind}\n" for kind in _KINDS], dtype=object)
 # faster for half a megabyte more peak memory, too little to move from 8k.
 _CHUNK_DRAWS = 1 << 13
 #: most draws (rows x draws per row) one array of uniforms may hold, at about
-#: 56 bytes a draw while it is made: 240 times the 17,406 that the largest
-#: array of the tests, README commands and benchmark asks for
+#: 56 bytes a draw while it is made, and most moves one path may list: 27
+#: times the 151,551 of the largest array that the tests, the README commands
+#: and the benchmark's tests ask for (one path of 1.5e5 cycles); the largest
+#: path they list makes 1,043 moves
 MAX_DRAWS = 1 << 22
 #: most draws a whole run may make, counted by the budget that sizes its
-#: chunks, times the replications: 32 times the 2.12e6 of the largest run of
-#: the tests, README commands and benchmark (2,000 paths of 1,060 draws)
+#: chunks, times the replications: 22 times the 3.02e6 of the largest run of
+#: the tests, README commands and the benchmark's tests (10 paths of 3.0e5)
 MAX_RUN_DRAWS = 1 << 26
+# Poisson means below this are inverted by summing the probabilities from 0,
+# in NumPy; larger ones start from a normal quantile, corrected against
+# SciPy's CDF, which costs less once the sum runs past a few dozen terms
+_SUMMED_MEAN = 32.0
+# most moves of a row that a view draws in Python integers, where a Philox
+# block costs about 9 us, against about 350 us of NumPy calls for any row
+_ROW_MOVES = 64
+# the largest lam t or mu t of a lattice run: counts up to about this are
+# integers in float64, where the correction steps by one
+_MAX_MEAN = 2.0**52
 
 
 def _philox(counter, key):
@@ -261,18 +298,25 @@ def _philox(counter, key):
     return words
 
 
-def _uniforms(seed: int, replications: np.ndarray, stream: int, draws: int) -> np.ndarray:
-    """Draws 0..draws-1 of ``stream``: a (2, replications, draws) array of
-    uniforms on (0, 1], the two of a draw from its one Philox block.  More
-    than MAX_DRAWS draws in all are a ``ValueError``, before any array is made."""
-    if len(replications) * draws > MAX_DRAWS:
-        raise ValueError(f"the simulation needs {len(replications)} x {draws:.3g} draws in one "
-                         f"array, more than the {MAX_DRAWS} allowed; shorten the horizon or "
-                         "lower the rates")
-    rows = replications.astype(np.uint64)[:, None]
-    index = np.arange(draws, dtype=np.uint64)[None, :]
+def _philox_block(counter, key) -> tuple[int, int, int, int]:
+    """:func:`_philox` of one counter in Python integers: the four words."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = _M0 * c0, _M1 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF, (p0 >> 32) ^ c3 ^ k1, p0 & 0xFFFFFFFF
+        k0, k1 = (k0 + _W0) & 0xFFFFFFFF, (k1 + _W1) & 0xFFFFFFFF
+    return c0, c1, c2, c3
+
+
+def _uniforms_at(seed: int, replications: np.ndarray, stream: int, index: np.ndarray) -> np.ndarray:
+    """Draw ``index`` of ``stream`` of each replication, the two broadcast
+    against each other: a (2, ...) array of uniforms on (0, 1], the two of a
+    draw from its one Philox block."""
+    rows = replications.astype(np.uint64)
     words = _philox(
-        (index, stream, rows & _WORD, rows >> 32), (seed & 0xFFFFFFFF, seed >> 32)
+        (index.astype(np.uint64), stream, rows & _WORD, rows >> 32),
+        (seed & 0xFFFFFFFF, seed >> 32),
     )
     # 53 bits from the words (c0, c1) and from (c2, c3), mapped to (0, 1] so
     # that log never sees 0
@@ -287,6 +331,17 @@ def _uniforms(seed: int, replications: np.ndarray, stream: int, draws: int) -> n
     return uniforms
 
 
+def _uniforms(seed: int, replications: np.ndarray, stream: int, draws: int) -> np.ndarray:
+    """Draws 0..draws-1 of ``stream``: a (2, replications, draws) array of
+    uniforms.  More than MAX_DRAWS draws in all are a ``ValueError``, before
+    any array is made."""
+    if len(replications) * draws > MAX_DRAWS:
+        raise ValueError(f"the simulation needs {len(replications)} x {draws:.3g} draws in one "
+                         f"array, more than the {MAX_DRAWS} allowed; shorten the horizon or "
+                         "lower the rates")
+    return _uniforms_at(seed, replications[:, None], stream, np.arange(draws)[None, :])
+
+
 def _arrivals(uniforms: np.ndarray, rate) -> np.ndarray:
     """Arrival times at ``rate`` from the uniforms along the last axis,
     written over them: partial sums of the exponential gaps -log(u), over
@@ -299,6 +354,65 @@ def _arrivals(uniforms: np.ndarray, rate) -> np.ndarray:
     return uniforms
 
 
+def _summed_quantiles(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Poisson quantiles of uniforms by summing the probabilities from 0, for
+    means small enough that e^-mean is normal."""
+    counts = np.zeros(len(u), dtype=np.int64)
+    term = np.exp(-mean)
+    left = np.flatnonzero(term < u)
+    u, mean, term = u[left], mean[left], term[left]
+    cdf = term.copy()
+    k = 0
+    while len(left):
+        k += 1
+        term *= mean / k
+        grown = cdf + term
+        # a sum that stops growing has reached float64's 1, which u = 1 may pass
+        done = (grown >= u) | (grown == cdf)
+        counts[left[done]] = k
+        kept = ~done
+        left, u, mean, term, cdf = left[kept], u[kept], mean[kept], term[kept], grown[kept]
+    return counts
+
+
+def _corrected_quantiles(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Poisson quantiles of uniforms from a Cornish-Fisher start, stepped by
+    one against SciPy's Poisson CDF until it is the smallest count whose CDF
+    reaches u."""
+    from scipy.special import ndtri, pdtr
+
+    z = ndtri(np.minimum(u, 1.0 - 2.0**-53))
+    root = np.sqrt(mean)
+    # the expansion's quantile of a count k falls near k + 1/2, so it is
+    # rounded: the start is the quantile itself for nearly every u
+    count = np.floor(mean + root * z + (z * z - 1.0) / 6.0 + z * (1.0 - z * z) / (72.0 * root)
+                     + 0.5)
+    np.maximum(count, 0.0, out=count)
+    short = pdtr(count, mean) < u
+    rise = np.flatnonzero(short)
+    while len(rise):
+        count[rise] += 1.0
+        rise = rise[pdtr(count[rise], mean[rise]) < u[rise]]
+    fall = np.flatnonzero(~short & (count > 0.0))
+    while len(fall):
+        fall = fall[pdtr(count[fall] - 1.0, mean[fall]) >= u[fall]]
+        count[fall] -= 1.0
+        fall = fall[count[fall] > 0.0]
+    return count.astype(np.int64)
+
+
+def _poisson(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The Poisson quantile of each uniform at its mean, arrays of one shape:
+    the smallest count k whose float64 CDF reaches u.  u = 1, whose quantile
+    is infinite, gives a count whose CDF is 1 to a few ulps."""
+    counts = np.empty(u.shape, dtype=np.int64)
+    summed = mean < _SUMMED_MEAN
+    counts[summed] = _summed_quantiles(u[summed], mean[summed])
+    if not summed.all():
+        counts[~summed] = _corrected_quantiles(u[~summed], mean[~summed])
+    return counts
+
+
 def _cycle_budget(nu: float, horizon: float) -> int:
     """Catastrophe/repair cycles first drawn per path."""
     return int(nu * horizon + 4.0 * math.sqrt(nu * horizon)) + 2
@@ -306,15 +420,11 @@ def _cycle_budget(nu: float, horizon: float) -> int:
 
 def _skeleton(seed: int, replications: np.ndarray, nu: float, eta: float, horizon: float):
     """Catastrophe/repair cycles of each replication, up to the last
-    catastrophe before the horizon in any row.
-
-    Returns (clock, downtime, fail, back): the operating time at each
-    catastrophe, the repair time completed by the end of each repair, and the
-    real times of each catastrophe and of its repair.
-    """
+    catastrophe before the horizon in any row: the real times of each
+    catastrophe and of its repair."""
     if nu == 0.0:
         none = np.empty((len(replications), 0))
-        return none, none, none, none
+        return none, none
     cycles = _cycle_budget(nu, horizon)
     while True:
         durations = _uniforms(seed, replications, _SKELETON, cycles)
@@ -325,8 +435,7 @@ def _skeleton(seed: int, replications: np.ndarray, nu: float, eta: float, horizo
             break
         cycles *= 2
     used = int((fail < horizon).sum(axis=1).max())
-    clock, downtime = clock[:, :used], downtime[:, :used]
-    return clock, downtime, fail[:, :used], clock + downtime
+    return fail[:, :used], clock[:, :used] + downtime[:, :used]
 
 
 def _ranks(entries: np.ndarray, probes: np.ndarray, side: str) -> np.ndarray:
@@ -348,93 +457,51 @@ def _ranks(entries: np.ndarray, probes: np.ndarray, side: str) -> np.ndarray:
     return np.searchsorted(keys.ravel(), marks.ravel(), side).reshape(marks.shape) - row * width
 
 
-def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, skeleton, repaired):
-    """A chunk of lattice paths on their skeleton and its ``repaired`` counts:
-    the times and codes of the events before the horizon, row after row in
-    real time, the number of them per row, then the values with one row per
-    observation time and one column per path."""
-    horizon, rows = cfg.horizon, len(replications)
-    clock, downtime, fail, back = skeleton
-    # operating time elapsed by the horizon, with a margin against rounding
-    operating = horizon - np.clip(np.minimum(back, horizon) - fail, 0.0, None).sum(axis=1)
-    need = operating + 1e-9 * horizon
-    rate = p.lam + p.mu
-    mean = rate * float(need.max())
-    draws = int(mean + 5.0 * math.sqrt(mean)) + 4
-    while True:
-        uniforms = _uniforms(cfg.seed, replications, _MOVES, draws)
-        moves = _arrivals(uniforms[0], rate)
-        if (moves[:, -1] >= need).all():
-            break
-        draws *= 2
-    draws = int((moves < need[:, None]).sum(axis=1).max())
-    moves = moves[:, :draws]
-    down = uniforms[1, :, :draws] * rate > p.lam
-
-    # catastrophe j comes after the ahead[:, j] moves at or before its clock;
-    # a move after j catastrophes is shifted by the downtime of their repairs
-    ahead = _ranks(moves, clock, "right")
-    times = moves
-    if clock.shape[1]:
-        between = np.diff(ahead, axis=1, prepend=0, append=draws)
-        shift = np.concatenate([np.zeros((rows, 1)), downtime], axis=1)
-        times = moves + np.repeat(shift, between.ravel()).reshape(moves.shape)
-
-    # the events before the horizon, rows laid end to end: catastrophe j and
-    # then its repair go in after the ahead[:, j] moves of their row, which
-    # are all kept, so among the kept moves they go in at first + ahead
-    kept = times < horizon
-    moved = kept.sum(axis=1)
-    first = np.cumsum(moved) - moved
-    marks = np.stack([fail, back], axis=2)
-    marked = marks < horizon
-    inserted = np.broadcast_to((first[:, None] + ahead)[:, :, None], marks.shape)[marked]
-    inserted += np.arange(len(inserted))
-    is_move = np.ones(len(inserted) + moved.sum(), dtype=bool)
-    is_move[inserted] = False
-    event_times = np.empty(len(is_move))
-    event_times[is_move] = times[kept]
-    event_times[inserted] = marks[marked]
-    codes = np.empty(len(is_move), dtype=np.int8)
-    codes[is_move] = down[kept]  # _UP is 0 and _DOWN is 1
-    codes[inserted] = np.broadcast_to([_CATASTROPHE, _REPAIR], marks.shape)[marked]
-
-    # the state at w is the sum of the steps of the moves from the last
-    # repair before w, where the path restarted, up to w: their number less
-    # twice the downs among them
-    seen = _ranks(times, np.array(cfg.observation_times)[None, :], "left")
-    row = np.arange(rows)[:, None]
-    start = np.concatenate([np.zeros((rows, 1), dtype=np.intp), ahead], axis=1)[row, repaired]
-    downs = np.zeros((rows, draws + 1), dtype=np.intp)
-    np.cumsum(down, axis=1, out=downs[:, 1:])
-    states = seen - start - 2 * (downs[row, seen] - downs[row, start])
-    counts = moved + marked.sum(axis=(1, 2))
-    return event_times, codes, counts, states.T
+def _pairs(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """(real, imag) pairs as complex numbers, which NumPy orders lexicographically."""
+    keys = np.empty(len(real), dtype=complex)
+    keys.real, keys.imag = real, imag
+    return keys
 
 
-def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, skeleton, repaired):
-    """A chunk of diffusion paths on their skeleton, laid out as in
-    :func:`_lattice`."""
+def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, fail, back, start, gap):
+    """A chunk of lattice paths on their skeleton: the net steps of the
+    segments that end at the observation times, one row per time, and the
+    segments that hold moves, row after row in time order (their starts,
+    lengths, ups and downs) with the number of them per row.
+
+    Segment c < W ends at observation time c and runs from ``start[c]``; it
+    holds no operating time (``gap[c]`` is 0) where that time falls in a
+    repair.  Segment W + j ends at catastrophe j, or at the horizon after the
+    last one, and runs from the later of the repair before it and the last
+    observation time before its end.  Segment k's counts invert the two
+    uniforms of draw k of the counts' stream."""
+    horizon, width = cfg.horizon, len(gap)
     rows = len(replications)
-    _, _, fail, back = skeleton
-    times = np.stack([fail, back], axis=2).reshape(rows, -1)
-    kept = times < cfg.horizon
-    codes = np.broadcast_to(np.tile(np.int8([_CATASTROPHE, _REPAIR]), fail.shape[1]), times.shape)
+    ticks = np.array([0.0, *cfg.observation_times])
+    ends = np.minimum(np.concatenate([fail, np.full((rows, 1), horizon)], axis=1), horizon)
+    after = np.minimum(np.concatenate([np.zeros((rows, 1)), back], axis=1), horizon)
+    after = np.maximum(after, ticks[np.searchsorted(ticks, ends, "right") - 1])
+    starts = np.concatenate([start.T, after], axis=1)
+    lengths = np.concatenate([gap.T, ends - after], axis=1)
+    u, v = _uniforms(cfg.seed, replications, _COUNTS, lengths.shape[1])
+    ups, downs = _poisson(u, p.lam * lengths), _poisson(v, p.mu * lengths)
+    steps = (ups[:, :width] - downs[:, :width]).T
+    order = np.argsort(starts, axis=1, kind="stable")
+    segments = [np.take_along_axis(part, order, axis=1) for part in (starts, lengths, ups, downs)]
+    moved = segments[2] + segments[3] > 0
+    return (steps,), (*(part[moved] for part in segments), moved.sum(axis=1))
 
-    # (time, path) arrays from time 0, where every path is at 0: an increment
-    # runs from the path's restart or the time before, whichever is later
-    grid = np.array([0.0, *cfg.observation_times])[:, None]
-    restart = np.concatenate([np.zeros((1, rows)), back.T])[repaired.T, np.arange(rows)]
-    chained = restart < grid[:-1]
-    gap = grid[1:] - np.where(chained, grid[:-1], restart)
+
+def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, fail, back, start, gap):
+    """A chunk of diffusion paths, as in :func:`_lattice`: the drift and the
+    noise of each observation's increment, and no segments."""
     u, v = _uniforms(cfg.seed, replications, _NORMALS, len(gap))
     normals = np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * math.pi * v)
-    step, noise = dp.drift * gap, math.sqrt(dp.sigma2) * np.sqrt(gap) * normals.T
-    values = np.zeros((len(grid), rows))
-    # not a cumsum, which would add x + (step + noise) and round otherwise
-    for c in range(len(gap)):
-        values[c + 1] = np.where(chained[c], values[c], 0.0) + step[c] + noise[c]
-    return times[kept], codes[kept], kept.sum(axis=1), values[1:]
+    none = np.empty(0)
+    counts = np.empty(0, dtype=np.int64)
+    return ((dp.drift * gap, math.sqrt(dp.sigma2) * np.sqrt(gap) * normals.T),
+            (none, none, counts, counts, np.zeros(len(replications), dtype=np.intp)))
 
 
 def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
@@ -448,6 +515,7 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
     sample = _lattice if isinstance(params, DiscreteParams) else _diffusion
     span = chunk * max(1, _CHUNK_DRAWS // (chunk * _cycle_budget(params.nu, cfg.horizon)))
     grid = np.array(cfg.observation_times)[None, :]
+    ticks = np.array([0.0, *cfg.observation_times])[:, None]
     parts = []
     for first in range(0, len(replications), chunk):
         if first % span == 0:
@@ -455,33 +523,58 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
                                  params.nu, params.eta, cfg.horizon)
         # the chunk's rows, up to the last catastrophe before the horizon in any of them
         rows = slice(first % span, first % span + chunk)
-        used = int((skeleton[2][rows] < cfg.horizon).sum(axis=1).max(initial=0))
-        _, _, fail, back = sliced = [part[rows, :used] for part in skeleton]
+        used = int((skeleton[0][rows] < cfg.horizon).sum(axis=1).max(initial=0))
+        fail, back = (part[rows, :used] for part in skeleton)
+        indices = replications[first:first + chunk]
         # a path at w last restarted at the last repair before w, and w falls
         # in a repair where more catastrophes than repairs come before it
         repaired = _ranks(back, grid, "left")
-        parts.append((*sample(params, cfg, replications[first:first + chunk], sliced, repaired),
-                      (_ranks(fail, grid, "left") > repaired).T))
-    times, codes, counts, values, failed = (np.concatenate(part, axis=-1) for part in zip(*parts))
-    bounds = np.zeros(len(replications) + 1, dtype=np.intp)
-    np.cumsum(counts, out=bounds[1:])
-    block = _Block(times, codes, bounds, replications, cfg.observation_times, values, failed)
+        failed = (_ranks(fail, grid, "left") > repaired).T
+        # the increment to w runs from the path's restart or the time before,
+        # whichever is later, where every path is at 0 at time 0; it is void
+        # where w falls in a repair, and no later increment chains from it
+        restart = np.concatenate([np.zeros((1, len(indices))), back.T])[repaired.T,
+                                                                         np.arange(len(indices))]
+        chained = restart < ticks[:-1]
+        start = np.where(chained, ticks[:-1], restart)
+        gap = np.where(failed, 0.0, ticks[1:] - start)
+        terms, segments = sample(params, cfg, indices, fail, back, start, gap)
+        values = np.zeros((len(ticks), len(indices)), dtype=terms[0].dtype)
+        # not a cumsum, which would add x + (step + noise) and round otherwise
+        for c in range(len(gap)):
+            values[c + 1] = np.where(chained[c], values[c], 0)
+            for term in terms:
+                values[c + 1] += term[c]
+        marks = np.stack([fail, back], axis=2).reshape(len(indices), -1)
+        kept = marks < cfg.horizon
+        codes = np.broadcast_to(np.tile(np.int8([_CATASTROPHE, _REPAIR]), used), marks.shape)
+        parts.append((values[1:], failed, marks[kept], codes[kept], kept.sum(axis=1), *segments))
+    values, failed, times, codes, marked, starts, lengths, ups, downs, held = (
+        np.concatenate(part, axis=-1) for part in zip(*parts))
+    bounds, cuts, tally = (np.concatenate([[0], np.cumsum(part)]) for part in (marked, held, ups + downs))
+    block = _Block(cfg.seed, replications, cfg.observation_times, values, failed,
+                   times, codes, bounds, starts, lengths, ups, downs, cuts, tally)
     views = list(map(PathTrace, repeat(block), range(len(replications))))
     views[0]._drawn = views[1:], ((block, slice(0, len(views))),)
     return views
 
 
 def _simulate(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig) -> Iterator[PathTrace]:
+    # the skeleton's cycles and a count draw for each segment: inf where the
+    # rate times the horizon overflows
     mean_cycles = params.nu * cfg.horizon
     per_path = 2.0 * mean_cycles + 4.0 * math.sqrt(mean_cycles) + len(cfg.observation_times) + 2.0
-    if isinstance(params, DiscreteParams):
-        per_path += (params.lam + params.mu) * cfg.horizon
-    # inf where the rates times the horizon overflow
     budget = per_path * cfg.replications
     if budget > MAX_RUN_DRAWS:
         raise ValueError(f"the simulation needs about {budget:.3g} draws, more than the "
                          f"{MAX_RUN_DRAWS} one run may make; shorten the horizon, lower the "
                          "rates or draw fewer replications")
+    if isinstance(params, DiscreteParams):
+        mean = max(params.lam, params.mu) * cfg.horizon
+        if mean > _MAX_MEAN:
+            raise ValueError(f"the lattice moves by t = {cfg.horizon!r} have a mean of {mean:.3g}, "
+                             f"more than the {_MAX_MEAN:.3g} whose counts float64 holds exactly; "
+                             "shorten the horizon or lower the rates")
     chunk = max(1, int(_CHUNK_DRAWS // per_path))
     return iter(_paths(params, cfg, np.arange(cfg.replications, dtype=np.uint64), chunk))
 
@@ -615,22 +708,117 @@ def estimate(
     return _estimator(traces)(t, statistic, arg)
 
 
+def _spread(bounds: np.ndarray, rows: np.ndarray):
+    """The entries ``bounds[r]:bounds[r + 1]`` of each of the rows, laid end
+    to end, and the number of them per row."""
+    first = bounds[rows]
+    count = bounds[rows + 1] - first
+    ends = np.cumsum(count)
+    return np.arange(ends[-1]) + np.repeat(first - (ends - count), count), count
+
+
+def _moves(block: _Block, rows: np.ndarray) -> np.ndarray:
+    """The number of moves of each of the block's rows.  A row of more than
+    MAX_DRAWS moves cannot be listed: a ``ValueError``."""
+    moves = block.tally[block.cuts[rows + 1]] - block.tally[block.cuts[rows]]
+    if len(moves) and moves.max() > MAX_DRAWS:
+        worst = int(np.argmax(moves))
+        raise ValueError(f"path {block.replications[rows[worst]]} makes {moves[worst]} moves, more "
+                         f"than the {MAX_DRAWS} one path may list; shorten the horizon or lower "
+                         "the rates")
+    return moves
+
+
+def _events(block: _Block, rows: np.ndarray):
+    """The events before the horizon of the block's rows, row after row in
+    time order: their times and codes, and the number of them per row.
+
+    A segment's moves are drawn here: its N moves take the next N uniforms of
+    their row's stream of move times, two to a Philox block, in the
+    segment's time order.  Scaled to the segment and sorted, they are the
+    move times; the first of them, in the order drawn, are its ups.
+    """
+    moves = _moves(block, rows)
+    marks, marked = _spread(block.bounds, rows)
+    times, codes = block.times[marks], block.codes[marks]
+    total = int(moves.sum())
+    if not total:
+        return times, codes, marked
+    segments, held = _spread(block.cuts, rows)
+    ups, counts = block.ups[segments], block.ups[segments] + block.downs[segments]
+    pairs = (moves + 1) // 2
+    firsts = np.cumsum(pairs) - pairs
+    index = np.arange(firsts[-1] + pairs[-1]) - np.repeat(firsts, pairs)
+    uniforms = _uniforms_at(block.seed, np.repeat(block.replications[rows], pairs), _MOVES, index)
+    # a row's uniforms run (u, v) block by block; the last v of an odd row is unused
+    drawn = np.arange(total) + np.repeat(2 * firsts - (np.cumsum(moves) - moves), moves)
+    uniforms = uniforms.T.ravel()[drawn]
+    tallies = np.cumsum(counts) - counts
+    segment = np.repeat(np.arange(len(segments)), counts)
+    down = np.arange(total) >= np.repeat(tallies + ups, counts)
+    order = np.argsort(_pairs(segment, uniforms))
+    moved = np.repeat(block.starts[segments], counts) + uniforms * np.repeat(block.lengths[segments],
+                                                                             counts)
+    # a catastrophe or repair follows the moves of the segments that start
+    # before it, which all lie before it
+    ahead = np.searchsorted(_pairs(np.repeat(np.arange(len(rows)), held), block.starts[segments]),
+                            _pairs(np.repeat(np.arange(len(rows)), marked), times))
+    inserted = np.append(tallies, total)[ahead] + np.arange(len(marks))
+    is_move = np.ones(total + len(marks), dtype=bool)
+    is_move[inserted] = False
+    event_times = np.empty(len(is_move))
+    event_times[is_move] = moved[order]
+    event_times[inserted] = times
+    event_codes = np.empty(len(is_move), dtype=np.int8)
+    event_codes[is_move] = down[order]  # _UP is 0 and _DOWN is 1
+    event_codes[inserted] = codes
+    return event_times, event_codes, marked + moves
+
+
+def _row_events(block: _Block, row: int) -> list[tuple[float, int]]:
+    """The events of one row, as :func:`_events` lists them, in Python floats
+    and integers: for a row of few moves, a fraction of the cost of NumPy's
+    calls."""
+    first, last = block.cuts[row], block.cuts[row + 1]
+    replication, seed = int(block.replications[row]), block.seed
+    words, key = (replication & 0xFFFFFFFF, replication >> 32), (seed & 0xFFFFFFFF, seed >> 32)
+    uniforms = []
+    for index in range(int(block.tally[last] - block.tally[first] + 1) // 2):
+        c0, c1, c2, c3 = _philox_block((index, _MOVES, *words), key)
+        uniforms += ((((c0 >> 5) << 26) + (c1 >> 6) + 1) * 2.0**-53,
+                     (((c2 >> 5) << 26) + (c3 >> 6) + 1) * 2.0**-53)
+    drawn = iter(uniforms)
+    segments = []
+    for start, length, ups, downs in zip(*(part[first:last].tolist() for part in
+                                           (block.starts, block.lengths, block.ups, block.downs))):
+        ranked = sorted((u, int(k >= ups)) for k, u in zip(range(ups + downs), drawn))
+        segments.append((start, [(start + u * length, down) for u, down in ranked]))
+    segments.reverse()
+    events = []
+    lo, hi = block.bounds[row], block.bounds[row + 1]
+    for when, code in zip(block.times[lo:hi].tolist(), block.codes[lo:hi].tolist()):
+        while segments and segments[-1][0] < when:
+            events += segments.pop()[1]
+        events.append((when, code))
+    for _, moves in reversed(segments):
+        events += moves
+    return events
+
+
 def _records(block: _Block, rows: np.ndarray) -> str:
     """The lines of the rows' records, row by row: each row's events, then
     its observations."""
     names = np.array(list(map(str, block.replications[rows].tolist())), dtype=object)
-    first = block.bounds[rows]
-    count = block.bounds[rows + 1] - first
+    times, codes, count = _events(block, rows)
     ends = np.cumsum(count)
-    events = np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
     width = len(block.grid)
-    pieces = np.empty((len(events) + width * len(rows), 3), dtype=object)
+    pieces = np.empty((len(times) + width * len(rows), 3), dtype=object)
     # a row's events follow the observations of the rows before it, and its
     # observations follow its events
-    line = np.arange(len(events)) + np.repeat(width * np.arange(len(rows)), count)
+    line = np.arange(len(times)) + np.repeat(width * np.arange(len(rows)), count)
     pieces[line, 0] = np.repeat(names + "\tevent\t", count)
-    pieces[line, 1] = list(map(repr, block.times[events].tolist()))
-    pieces[line, 2] = _KIND_LINE_ENDS[block.codes[events]]
+    pieces[line, 1] = list(map(repr, times.tolist()))
+    pieces[line, 2] = _KIND_LINE_ENDS[codes]
     line = np.arange(width * len(rows)) + np.repeat(ends, width)
     pieces[line, 0] = np.repeat(names + "\tobs\t", width)
     pieces[line, 1] = np.tile([f"{when!r}\t" for when in block.grid], len(rows))
@@ -658,18 +846,21 @@ def export_traces(
 
         <replication> event <time> <kind>
         <replication> obs   <time> <state>
+
+    A path of more than MAX_DRAWS moves cannot be listed: a ``ValueError``
+    before the file is opened.  The move times are drawn one write at a time.
     """
-    traces = list(traces)
+    runs = [(block, np.arange(len(block.replications))[rows]) for block, rows in _runs(list(traces))]
+    counts = [np.diff(block.bounds)[rows] + _moves(block, rows) for block, rows in runs]
     with open(path, "w", encoding="utf-8") as sink:
         sink.write("# catwalk-traces v1\n")
         sink.write(f"# params {json.dumps(params, sort_keys=True)}\n")
         sink.write(
             f"# seed {cfg.seed} replications {cfg.replications} horizon {cfg.horizon!r}\n"
         )
-        for block, rows in _runs(traces):
-            rows = np.arange(len(block.replications))[rows]
+        for (block, rows), count in zip(runs, counts):
             # one write per stretch of rows holding about _EXPORT_RECORDS lines
-            part = (np.cumsum(np.diff(block.bounds)[rows] + len(block.grid)) - 1) // _EXPORT_RECORDS
+            part = (np.cumsum(count + len(block.grid)) - 1) // _EXPORT_RECORDS
             edges = [0, *(np.flatnonzero(np.diff(part)) + 1).tolist(), len(rows)]
             for lo, hi in zip(edges, edges[1:]):
                 sink.write(_records(block, rows[lo:hi]))

@@ -370,23 +370,39 @@ class TestSimulate:
         assert "nan" in record["error"]["message"]
         assert not log.exists()
 
-    @pytest.mark.parametrize("nu,t,message", [
-        ("0.1", "1.5e6", "draws in one array, more than the 4194304 allowed"),
-        ("0.1", "1e300", "needs about 4.2e+301 draws, more than the 67108864 one run may make"),
-        ("10", "1e308", "needs about inf draws, more than the 67108864 one run may make"),
+    @pytest.mark.parametrize("nu,t,listed,message", [
+        ("0.1", "1.5e6", True, "moves, more than the 4194304 one path may list"),
+        ("0.1", "1e300", False, "needs about 2e+300 draws, more than the 67108864 one run may make"),
+        ("10", "1e308", False, "needs about inf draws, more than the 67108864 one run may make"),
     ])
-    def test_a_draw_budget_past_the_cap_is_a_validation_error(self, capsys, nu, t, message):
-        # one path at t = 1.5e6 fits a run's budget, but its moves do not fit
-        # one array; NumPy used to refuse t = 1e300 with a bare "Maximum allowed
-        # size exceeded", and t = 1e308 exited 1 with an OverflowError traceback
+    def test_a_draw_budget_past_the_cap_is_a_validation_error(self, tmp_path, capsys, nu, t,
+                                                              listed, message):
+        # the paths at t = 1.5e6 fit a run's budget, but one path's 5e6 moves
+        # are too many to list, so their trace export is refused before the
+        # file is opened; NumPy used to refuse t = 1e300 with a bare "Maximum
+        # allowed size exceeded", and t = 1e308 exited 1 with an OverflowError
+        # traceback
+        log = tmp_path / "traces.log"
         argv = ["simulate", "--lambda", "2", "--mu", "2", "--nu", nu, "--eta", "1",
                 "--seed", "1", "--reps", "10", "--t", t]
-        assert run(argv) == 2
+        assert run(argv + ["--trace-out", str(log)] if listed else argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         record = json.loads(captured.err)
         assert record["error"]["type"] == "validation"
         assert message in record["error"]["message"]
+        assert not log.exists()
+
+    def test_counts_past_float64_integers_are_a_validation_error(self, capsys):
+        # the inversion of such a mean would step by one where float64 cannot
+        argv = ["simulate", "--lambda", "1e300", "--mu", "2", "--nu", "0.1", "--eta", "1",
+                "--seed", "1", "--reps", "10", "--t", "1"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": "validation", "message": (
+            "the lattice moves by t = 1.0 have a mean of 1e+300, more than the 4.5e+15 whose "
+            "counts float64 holds exactly; shorten the horizon or lower the rates")}}
 
     def test_a_long_run_of_few_paths_is_refused_before_it_draws(self, capsys):
         # about 2.6e6 catastrophe/repair cycles a path: 20 paths took about 11 s
@@ -868,8 +884,9 @@ s.asymptotic_variance_gap(dp, 0.05)
 
 class TestColdStart:
     """The closed-form commands never load NumPy or csv; they, the simulator
-    and the lattice transient law never load SciPy; the diffusion transient
-    kernels load scipy.special, and no library path loads scipy.integrate."""
+    at moderate rates and the lattice transient law never load SciPy; the
+    diffusion transient kernels and the lattice simulator's Poisson counts of
+    large mean load scipy.special, and no library path loads scipy.integrate."""
 
     @pytest.mark.parametrize("name", ["import-only", *CLOSED_FORM_RUNS])
     def test_no_numpy(self, name):
@@ -888,6 +905,13 @@ class TestColdStart:
     @pytest.mark.parametrize("name", ["transient-diffusion"])
     def test_transient_loads_special_only(self, name):
         loaded, _, _ = _cold_start(DEFAULT_RUNS[name])
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
+
+    def test_heavy_traffic_simulate_loads_special_only(self):
+        # its segments' Poisson means pass the summed inversion's threshold
+        loaded, _, _ = _cold_start(["simulate", "--lambda", "5e4", "--mu", "5e4", "--nu", "0.1",
+                                    "--eta", "1", "--seed", "3", "--reps", "200", "--t", "20"])
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 

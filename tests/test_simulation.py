@@ -7,7 +7,7 @@ import types
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from catwalk import discrete as d
 from catwalk import diffusion as f
@@ -131,8 +131,10 @@ class TestGenerator:
         ],
     )
     def test_philox_known_answers(self, counter, key, expected):
-        # Random123 known-answer vectors of Philox4x32-10
+        # Random123 known-answer vectors of Philox4x32-10, in NumPy and in
+        # the Python integers that a view's few moves are drawn from
         assert tuple(int(word) for word in sim._philox(counter, key)) == expected
+        assert sim._philox_block(counter, key) == expected
 
     def test_philox_on_broadcast_counters(self):
         # _uniforms passes a (1, D) index, a scalar stream and (R, 1) row
@@ -200,19 +202,19 @@ class TestPathStreamDigests:
                                            times=(0.25, 0.5, 1.0, 2.0, 3.0))),
     }
     DIGESTS = {
-        "symmetric": "085a10f221db5d43cc01fab7a54755c0e66c27d4ed193d06f3c4f95ca6246cc8",
-        "heavy": "d5873730b3896d34e73f249005549c89dad88b66a32293beff1b5d2b2a1f0eb5",
-        "no-catastrophes": "e5f0680f73e0ed5f64a6136a2329eca926dfa895f731015c381247e50bd0181c",
-        "five-times": "654fe31c0039620126838ab9bcdba040b6ecf6af701fbc1940a65d7c21cbccce",
+        "symmetric": "dad4259ca9ece585220021968138cf09fe60656c4ecbb226a678787b92fd890d",
+        "heavy": "821aa511caf06ecf896521a8ee437de945e5f919273195b46bbd3f1c5aaf0281",
+        "no-catastrophes": "82a83687f5f0f65f37023782e9352a31ca3a1f0291fb82522892215b968d1d83",
+        "five-times": "d7a3b52b513b873ea4ec97d50dcba2ea594ba9d7f01846a75fa0ae174020ecdc",
         "tiny-horizon": "e06960a4cd628dbfc7c1c7a3f7fa7cec3d3a573e6fbb45495bd9c47d3d8c6aa0",
         "fig4": "0a2400d1ada97966f0af1bea6abb08af17edfcf9f0f0b4bcf874adb659093109",
         "restarts": "0f61c3510396c7f0e622dd23a589240cd669b96a786b5dd494a236f0ac0a56e5",
         "diffusion-no-catastrophes": "c97e59f1bfee639296df39a5c81261308d2e2081a8ff7f53a72b75a4e7b4a336",
     }
-    EXPORT_DIGEST = "9b2d2ae8e6c23fd158d25a2043eb42fddb627c3c225f371bf7c0e2acd22927d1"
+    EXPORT_DIGEST = "7fa705f7ee09ec78e6b40694284d4fe1cbce9fa0939256ec6c643096777ac4e0"
     #: every statistic at t = 0 and at each observed time of "five-times",
     #: "fig4", "restarts" and a one-path batch of each model
-    ESTIMATE_DIGEST = "dace8843a54c7d674da19e9190ad1ae392667e4180d001d39d6b6787485b086d"
+    ESTIMATE_DIGEST = "b3469008ab4a31430f5b5e18f408b7beaba25e40d3e5e13d1d3012d22ab0bde9"
     ESTIMATE_CASES = {
         "five-times": CASES["five-times"],
         "fig4": CASES["fig4"],
@@ -365,13 +367,15 @@ class TestDeterminism:
         assert alone == batch[7]
 
     def test_short_budgets_are_doubled_without_changing_the_paths(self, monkeypatch):
-        # with the sqrt that sizes the budgets patched to 0, the skeleton's
-        # cycles and the moves' draws start at their bare means, which some of
-        # 200 paths exceed, so both loops draw again at twice the size
+        # with the sqrt that sizes the budget patched to 0, the skeleton's
+        # cycles start at their bare mean, which some of 200 paths exceed, so
+        # it draws again at twice the size; the move counts take one draw a
+        # segment, to each of two observations and two catastrophes here and
+        # to the horizon, with no budget
         cfg = _config(reps=200, horizon=5.0, times=(2.5, 5.0))
         rows = np.arange(200, dtype=np.uint64)
         plain = sim._paths(SYMMETRIC, cfg, rows)
-        sizes = {sim._SKELETON: [], sim._MOVES: []}
+        sizes = {sim._SKELETON: [], sim._COUNTS: []}
         uniforms = sim._uniforms
 
         def counted(seed, replications, stream, draws):
@@ -382,7 +386,7 @@ class TestDeterminism:
         unbudgeted = types.SimpleNamespace(**{**vars(math), "sqrt": lambda x: 0.0})
         monkeypatch.setattr(sim, "math", unbudgeted)
         assert sim._paths(SYMMETRIC, cfg, rows) == plain
-        assert sizes == {sim._SKELETON: [2, 4], sim._MOVES: [24, 48]}
+        assert sizes == {sim._SKELETON: [2, 4], sim._COUNTS: [2 + 2 + 1]}
 
     def test_diffusion_runs_are_bit_identical(self):
         cfg = _config(reps=50)
@@ -737,6 +741,63 @@ class TestDiscreteAgainstAnalytic:
         reference = np.array([expected[c] * cfg.replications for c in categories])
         _, p_value = stats.chisquare(observed, reference)
         assert p_value > 0.001
+
+
+    def test_heavy_traffic_against_the_window(self):
+        # lam + mu = 1e5 at t = 20: about 2e6 moves a path, which drawing each
+        # move could not afford.  A point probability's standard error is the
+        # binomial one of its target, since a state two sd out holds about
+        # one path in 1e4 and its own estimate may have none.
+        p = d.DiscreteParams(5e4, 5e4, 0.1, 1.0)
+        cfg = _config(seed=2020, reps=10_000, horizon=20.0, times=(20.0,))
+        traces = list(sim.simulate_discrete(p, cfg))
+        far = round(2.0 * math.sqrt(d.variance_transient(p, 20.0)))
+        (law,) = d.transient_distributions(p, [20.0], window=(-far, far))
+        for n in (0, far):
+            target = law.probabilities[n]
+            est = sim.estimate(traces, 20.0, "state-probability", n)
+            assert abs(est.value - target) <= 5.0 * math.sqrt(target * (1.0 - target) / cfg.replications)
+        # the law is symmetric, so half the operating mass outside (-far, far) lies below -far
+        inside = math.fsum(law.probabilities[n] for n in range(1 - far, far))
+        below = (1.0 - law.failure_mass - inside) / 2.0
+        est = sim.estimate(traces, 20.0, "cdf", -far)
+        assert abs(est.value - below) <= 5.0 * est.standard_error
+        est = sim.estimate(traces, 20.0, "failure-probability")
+        assert abs(est.value - law.failure_mass) <= 5.0 * est.standard_error
+
+
+class TestPoissonCounts:
+    def test_inversion_equals_the_scipy_quantiles(self):
+        # means log-uniform over the whole range, on both sides of the
+        # threshold between the two routes, and large; u includes its ends
+        rng = np.random.default_rng(61)
+        mean = np.concatenate([np.exp(rng.uniform(math.log(1e-300), math.log(1e6), 4000)),
+                               rng.uniform(0.5, 2.0, 4000) * sim._SUMMED_MEAN,
+                               np.exp(rng.uniform(math.log(64.0), math.log(1e6), 4000))])
+        u = (rng.integers(0, 2**53, len(mean)) + 1) * 2.0**-53
+        u[::100], u[1::100] = 2.0**-53, 1.0
+        counts = sim._poisson(u, mean)
+        assert counts.dtype == np.int64
+        inner = u < 1.0
+        assert np.array_equal(counts[inner], stats.poisson.ppf(u[inner], mean[inner]))
+        # u = 1 has an infinite quantile; the inversion stops where the CDF is 1 to a few ulps
+        assert (special.pdtr(counts[~inner], mean[~inner]) >= 1.0 - 2.0**-51).all()
+
+    def test_moves_are_uniform_within_their_segments(self):
+        # without catastrophes a path's segments are [0, 1) and [1, 2); given
+        # their counts, the moves of each fall uniformly, ups and downs alike,
+        # and a move is up with chance lam / (lam + mu)
+        p = d.DiscreteParams(3.0, 1.0, 0.0, 1.0)
+        cfg = _config(seed=71, reps=2000, horizon=2.0, times=(1.0,))
+        moves = [(when, kind) for trace in sim.simulate_discrete(p, cfg) for when, kind in trace.events]
+        assert len(moves) > 6000
+        for kind in ("up", "down"):
+            for segment in (0.0, 1.0):
+                times = [when - segment for when, k in moves if k == kind and segment <= when < segment + 1.0]
+                assert stats.kstest(times, "uniform").pvalue > 0.001, (kind, segment)
+        ups = sum(kind == "up" for _, kind in moves)
+        share = p.lam / (p.lam + p.mu)
+        assert abs(ups / len(moves) - share) <= 5.0 * math.sqrt(share * (1.0 - share) / len(moves))
 
 
 class TestDiffusionAgainstAnalytic:
