@@ -467,8 +467,8 @@ def _pairs(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
 def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, fail, back, start, gap):
     """A chunk of lattice paths on their skeleton: the net steps of the
     segments that end at the observation times, one row per time, and the
-    segments that hold moves, row after row in time order (their starts,
-    lengths, ups and downs) with the number of them per row.
+    segments that hold moves, row after row in time order: their starts,
+    lengths, ups and downs, and the chunk's row of each.
 
     Segment c < W ends at observation time c and runs from ``start[c]``; it
     holds no operating time (``gap[c]`` is 0) where that time falls in a
@@ -490,7 +490,7 @@ def _lattice(p: DiscreteParams, cfg: SimConfig, replications: np.ndarray, fail, 
     order = np.argsort(starts, axis=1, kind="stable")
     segments = [np.take_along_axis(part, order, axis=1) for part in (starts, lengths, ups, downs)]
     moved = segments[2] + segments[3] > 0
-    return (steps,), (*(part[moved] for part in segments), moved.sum(axis=1))
+    return (steps,), (*(part[moved] for part in segments), np.nonzero(moved)[0])
 
 
 def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, fail, back, start, gap):
@@ -498,10 +498,9 @@ def _diffusion(dp: DiffusionParams, cfg: SimConfig, replications: np.ndarray, fa
     noise of each observation's increment, and no segments."""
     u, v = _uniforms(cfg.seed, replications, _NORMALS, len(gap))
     normals = np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * math.pi * v)
-    none = np.empty(0)
-    counts = np.empty(0, dtype=np.int64)
+    none, counts = np.empty(0), np.empty(0, dtype=np.int64)
     return ((dp.drift * gap, math.sqrt(dp.sigma2) * np.sqrt(gap) * normals.T),
-            (none, none, counts, counts, np.zeros(len(replications), dtype=np.intp)))
+            (none, none, counts, counts, counts))
 
 
 def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
@@ -548,10 +547,13 @@ def _paths(params: Union[DiscreteParams, DiffusionParams], cfg: SimConfig,
         marks = np.stack([fail, back], axis=2).reshape(len(indices), -1)
         kept = marks < cfg.horizon
         codes = np.broadcast_to(np.tile(np.int8([_CATASTROPHE, _REPAIR]), used), marks.shape)
-        parts.append((values[1:], failed, marks[kept], codes[kept], kept.sum(axis=1), *segments))
-    values, failed, times, codes, marked, starts, lengths, ups, downs, held = (
+        *segments, owners = segments
+        parts.append((values[1:], failed, marks[kept], codes[kept], kept.sum(axis=1), *segments,
+                      owners + first))
+    values, failed, times, codes, marked, starts, lengths, ups, downs, owners = (
         np.concatenate(part, axis=-1) for part in zip(*parts))
-    bounds, cuts, tally = (np.concatenate([[0], np.cumsum(part)]) for part in (marked, held, ups + downs))
+    bounds, tally = (np.concatenate([[0], np.cumsum(part)]) for part in (marked, ups + downs))
+    cuts = np.searchsorted(owners, np.arange(len(replications) + 1))
     block = _Block(cfg.seed, replications, cfg.observation_times, values, failed,
                    times, codes, bounds, starts, lengths, ups, downs, cuts, tally)
     views = list(map(PathTrace, repeat(block), range(len(replications))))
@@ -793,14 +795,14 @@ def _row_events(block: _Block, row: int) -> list[tuple[float, int]]:
                                            (block.starts, block.lengths, block.ups, block.downs))):
         ranked = sorted((u, int(k >= ups)) for k, u in zip(range(ups + downs), drawn))
         segments.append((start, [(start + u * length, down) for u, down in ranked]))
-    segments.reverse()
-    events = []
+    events, ahead = [], 0
     lo, hi = block.bounds[row], block.bounds[row + 1]
     for when, code in zip(block.times[lo:hi].tolist(), block.codes[lo:hi].tolist()):
-        while segments and segments[-1][0] < when:
-            events += segments.pop()[1]
+        while ahead < len(segments) and segments[ahead][0] < when:
+            events += segments[ahead][1]
+            ahead += 1
         events.append((when, code))
-    for _, moves in reversed(segments):
+    for _, moves in segments[ahead:]:
         events += moves
     return events
 

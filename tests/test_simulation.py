@@ -15,7 +15,7 @@ from catwalk import simulate as sim
 
 SYMMETRIC = d.DiscreteParams(2.0, 2.0, 0.1, 1.0)
 FIG4 = f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 1.0)
-#: about 930 events per path: 200 paths are drawn in 25 chunks of 8
+#: about 930 moves per path
 HEAVY = d.DiscreteParams(460.0, 470.0, 1.0, 0.25)
 
 
@@ -672,8 +672,9 @@ class TestGatheredLayout:
         assert walks == [400] * 17 + [401] * 17
 
     def test_a_run_of_many_chunks_is_one_block_read_without_a_walk(self, walks, tmp_path):
-        # 600 heavy-traffic paths are drawn in 75 chunks of 8
-        traces = list(sim.simulate_discrete(HEAVY, _config(seed=46, reps=600)))
+        # about 500 cycles and 1,100 draws a path: 600 paths are drawn in 86 chunks of 7
+        many = d.DiscreteParams(2.0, 2.0, 500.0, 500.0)
+        traces = list(sim.simulate_discrete(many, _config(seed=46, reps=600)))
         assert len({trace._block for trace in traces}) == 1
         self._sixteen_and_an_export(traces, tmp_path)
         assert walks == []
