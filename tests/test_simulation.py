@@ -311,11 +311,12 @@ class TestTraceLegality:
 
     @pytest.mark.parametrize(
         "params",
-        [d.DiscreteParams(2.0, 1.0, 1.0, 2.0), f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 2.0)],
-        ids=["lattice", "diffusion"],
+        [d.DiscreteParams(2.0, 1.0, 1.0, 2.0), HEAVY, f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 2.0)],
+        ids=["lattice", "lattice-many-moves", "diffusion"],
     )
     def test_state_restarts_at_zero_after_repair(self, params):
-        # a diffusion level is not replayed from the events, only its failure flag
+        # a diffusion level is not replayed from the events, only its failure
+        # flag; a view of many moves lists them through NumPy, of few in Python
         lattice = isinstance(params, d.DiscreteParams)
         simulate = sim.simulate_discrete if lattice else sim.simulate_diffusion
         cfg = _config(reps=300, horizon=2.0, times=(0.5, 1.0, 1.5, 2.0))
