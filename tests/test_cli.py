@@ -377,7 +377,7 @@ class TestSimulate:
     ])
     def test_a_draw_budget_past_the_cap_is_a_validation_error(self, tmp_path, capsys, nu, t,
                                                               listed, message):
-        # the paths at t = 1.5e6 fit a run's budget, but one path's 5e6 moves
+        # the paths at t = 1.5e6 fit a run's budget, but a path's 5.5e6 moves
         # are too many to list, so their trace export is refused before the
         # file is opened; NumPy used to refuse t = 1e300 with a bare "Maximum
         # allowed size exceeded", and t = 1e308 exited 1 with an OverflowError
