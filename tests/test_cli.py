@@ -452,13 +452,13 @@ class TestSimulate:
         from catwalk import discrete
         from catwalk import simulate as sim
 
-        runs, sizes = sim._runs, []
+        groups, sizes = sim._groups, []
 
         def counted(traces):
             sizes.append(len(traces))
-            return runs(traces)
+            return groups(traces)
 
-        monkeypatch.setattr(sim, "_runs", counted)
+        monkeypatch.setattr(sim, "_groups", counted)
         out = tmp_path / "sim.json"
         argv = ["simulate", *LATTICE, "--seed", "9", "--reps", "300", "--t-grid", "0.5,1,2",
                 "--stat", "truncated-mean", "--stat", "cdf:1", "--format", "json",

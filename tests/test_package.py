@@ -58,3 +58,20 @@ def test_the_benchmark_monte_carlo_operations_pass_their_checks(monkeypatch, tmp
         for op in workload.ops(round_index):
             verdict, _ = op.check(op.call())
             assert verdict.ok, (round_index, op.label, verdict)
+
+
+def test_the_benchmark_monte_carlo_round_reads_its_lists_without_a_walk(monkeypatch, tmp_path):
+    # the round's estimates and export read the lists that simulate handed
+    # out, which each block's first view groups by one list comparison; a
+    # walk here would put the walk's cost on the benchmark's median operation
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    reads, walks = [], []
+    groups, walk = simulate._groups, simulate._walk
+    monkeypatch.setattr(simulate, "_groups", lambda traces: reads.append(len(traces)) or groups(traces))
+    monkeypatch.setattr(simulate, "_walk", lambda traces: walks.append(len(traces)) or walk(traces))
+    ops = workloads.MonteCarlo(1, str(tmp_path), {}).ops(0)
+    assert [op.kind for op in ops].count("estimate") == 16
+    for op in ops:
+        op.call()
+    assert len(reads) == 17 and walks == []

@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import itertools
 import math
 import random
 import types
@@ -548,9 +549,9 @@ def _replace(i):
 
 
 class TestGatheredLayout:
-    """estimate and export_traces read a block's layout from its first view
-    while the list holds the block's views, and walk any other list; here the
-    list changes in place between calls."""
+    """estimate and export_traces read a block's group from its first view
+    while the list holds the block's views, and walk any other list once; here
+    the list changes in place between calls."""
 
     CHANGES = {
         "swap": _swap(3, 10),
@@ -639,12 +640,12 @@ class TestGatheredLayout:
         """The length of each list that estimate or export_traces walks."""
         walks = []
 
-        def counted(traces, key):
+        def counted(traces):
             walks.append(len(traces))
-            return groupby(traces, key)
+            return walk(traces)
 
-        groupby = sim.groupby
-        monkeypatch.setattr(sim, "groupby", counted)
+        walk = sim._walk
+        monkeypatch.setattr(sim, "_walk", counted)
         return walks
 
     @staticmethod
@@ -680,6 +681,41 @@ class TestGatheredLayout:
         self._sixteen_and_an_export(traces, tmp_path)
         assert walks == []
 
+    def test_an_alternating_list_is_read_block_by_block(self, walks, monkeypatch, tmp_path):
+        # two 2,000-path runs, interleaved: no two neighbours share a block
+        cfg = _config(seed=47, reps=2000)
+        first, second = (list(sim.simulate_discrete(SYMMETRIC, _config(seed=seed, reps=2000)))
+                         for seed in (47, 48))
+        traces = [trace for pair in zip(first, second) for trace in pair]
+        references = [_reference_estimate(traces, 1.0, statistic, arg)
+                      for statistic, arg in TestArraysAgainstScalarReference.STATISTICS]
+        records = _reference_export(traces)
+        sizes = [len(trace.events) + len(trace.observations) for trace in traces]
+        calls = []
+
+        def counted(name, call):
+            def count(*args):
+                calls.append(name)
+                return call(*args)
+            return count
+
+        for name in ("_events", "_records"):
+            monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+        monkeypatch.setattr(sim._Block, "column", counted("column", sim._Block.column))
+        for (statistic, arg), reference in zip(TestArraysAgainstScalarReference.STATISTICS,
+                                               references):
+            est = sim.estimate(traces, 1.0, statistic, arg)
+            assert (est.value, est.standard_error) == pytest.approx(reference, rel=1e-12, abs=1e-15)
+        # each estimate walks the list once and looks up each block's column once
+        assert walks == [4000] * 5 and calls == ["column"] * 10
+        for per_write in (sim._EXPORT_RECORDS, 1000):
+            monkeypatch.setattr(sim, "_EXPORT_RECORDS", per_write)
+            writes = len({(end - 1) // per_write for end in itertools.accumulate(sizes)})
+            calls.clear()
+            assert _exported_records(traces, tmp_path, cfg) == records
+            assert calls.count("_records") <= 2 * writes and calls.count("_events") <= 2 * writes
+        assert writes > 1 and walks == [4000] * 7
+
     def test_dropped_lists_leave_no_cycle(self, tmp_path):
         # the cyclic collector would hide a cycle; with it off, a list and its
         # blocks are freed by reference counting alone or not at all
@@ -689,14 +725,20 @@ class TestGatheredLayout:
         try:
             traces = list(sim.simulate_discrete(SYMMETRIC, cfg))
             others = list(sim.simulate_diffusion(FIG4, cfg))
+            second = list(sim.simulate_discrete(SYMMETRIC, _config(seed=49, reps=300, horizon=2.0,
+                                                                   times=(1.0, 2.0))))
+            alternating = [trace for pair in zip(traces, second) for trace in pair]
+            keeps_first = traces[:1] + second[1:]
             for change in (lambda: None, traces.reverse, lambda: random.Random(6).shuffle(traces),
                            lambda: traces.extend(others[:5]), lambda: traces.insert(0, others[9])):
                 change()
-                for statistic in ("failure-probability", "truncated-mean", "truncated-variance"):
-                    sim.estimate(traces, 1.0, statistic)
-                    sim.estimate(traces[::-1], 1.0, statistic)
+                for listed in (traces, traces[::-1], alternating, keeps_first):
+                    for statistic in ("failure-probability", "truncated-mean", "truncated-variance"):
+                        sim.estimate(listed, 1.0, statistic)
                 sim.export_traces(traces, str(tmp_path / "traces.log"), {}, cfg)
-            del traces, others, change
+            for listed in (alternating, keeps_first):
+                sim.export_traces(listed, str(tmp_path / "traces.log"), {}, cfg)
+            del traces, others, second, alternating, keeps_first, listed, change
             assert gc.collect() == 0
         finally:
             gc.enable()
