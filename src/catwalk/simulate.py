@@ -42,10 +42,11 @@ Any other list is read by one walk in Python that takes each trace's block
 and row, and one stable sort of its block labels; an estimate then gathers
 each block's rows from its column once and scatters them into list order,
 and an export formats each block's rows of each write in one call and puts
-the lines in list order.  So no list pays per run of neighbours: 4,000
-lattice traces that alternate between two runs took about 0.6 ms an
-estimate and 21 ms an export, against 0.03 and 33 ms in drawing order
-(in-process medians on a 2-vCPU Xeon).  A
+the lines in list order.  So no list pays per run of neighbours: on 4,000
+lattice traces that alternate between two runs, an estimate took about
+0.6 ms, against 0.03 ms on a run's own list, and an export about 21 ms, as
+long as one of the same traces in drawing order (in-process medians on a
+2-vCPU Xeon).  A
 block holds no view, and the reference list holds no first view, so no
 reference cycle forms: a list and its blocks are freed when it is dropped.
 """
