@@ -48,7 +48,6 @@ __all__ = [
     "DensitySlice",
     "NoSteadyStateError",
     "failure_probability",
-    "wiener_density",
     "transient_density",
     "transient_densities",
     "on_mass",
@@ -60,7 +59,6 @@ __all__ = [
     "mean_x",
     "variance_x",
     "asymptotic_moments",
-    "fpt_density_wiener",
 ]
 
 
@@ -196,20 +194,10 @@ def _gaussian_exponent(dp: DiffusionParams, offset, t: float):
 
 
 def _gaussian(dp: DiffusionParams, offset, t: float):
-    # failure-free kernel at displacement ``offset`` from its mean; numpy
-    # arithmetic so that scalar and vector callers get identical bits
+    # failure-free kernel at an array of displacements ``offset`` from its mean
     import numpy as np
     var = dp.sigma2 * t
     return np.exp(_gaussian_exponent(dp, offset, t)) / np.sqrt(2.0 * math.pi * var)
-
-
-def wiener_density(dp: DiffusionParams, x: float, t: float, x0: float = 0.0) -> float:
-    """Failure-free transition density: Gaussian with mean x0 + drift*t and
-    variance sigma2*t."""
-    check_time(t, positive=True)
-    check_level(x)
-    check_level(x0)
-    return float(_gaussian(dp, x - x0 - dp.drift * t, t))
 
 
 #: |beta^2| below which the lag integral is summed as a series in beta^2
@@ -489,14 +477,3 @@ def density_slice(
         tail_mass=_tail_mass(dp, xs, t, lags),
         mass_tolerance=1e-4,
     )
-
-
-def fpt_density_wiener(
-    dp: DiffusionParams, x: float, t: float, x0: float = 0.0
-) -> float:
-    """First-passage-time density of the failure-free motion from x0 to x."""
-    if x == x0:
-        raise ValueError("first-passage target must differ from the start point")
-    check_time(t, positive=True)
-    return abs(x - x0) / t * wiener_density(dp, x, t, x0)
-

@@ -39,11 +39,12 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .failure_cycle import (
     NoSteadyStateError,
+    _long_run_moments,
     amplitude_over,
     asymptotic_moments,
     check_finite,
@@ -75,7 +76,6 @@ __all__ = [
     "LaplaceRoots",
     "NoSteadyStateError",
     "failure_probability",
-    "skellam_probability",
     "transient_probability",
     "transient_distribution",
     "transient_distributions",
@@ -89,7 +89,6 @@ __all__ = [
     "mean_peak_time",
     "laplace_transforms",
     "laplace_pn",
-    "first_passage_density",
 ]
 
 
@@ -168,8 +167,10 @@ def variance_transient(p: DiscreteParams, t: float) -> float:
 
 
 def asymptotic_mean(p: DiscreteParams) -> float:
-    """Long-run truncated mean, (lam-mu) eta / ((eta+nu) nu)."""
-    return asymptotic_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)[0]
+    """Long-run truncated mean, (lam-mu) eta / ((eta+nu) nu), also where the
+    long-run variance is past float64."""
+    mean, _ = _long_run_moments(p.nu, p.eta, p.lam - p.mu, p.lam + p.mu)
+    return check_finite(mean, "the long-run truncated mean")
 
 
 def asymptotic_variance(p: DiscreteParams) -> float:
@@ -497,12 +498,6 @@ def _fft_sizes(p: DiscreteParams, t, s, log_g, first, last) -> np.ndarray:
     return np.array(sizes)
 
 
-def skellam_probability(p: DiscreteParams, n: int, t: float) -> float:
-    """Catastrophe-free transient law: P(walk at n at time t | started at 0),
-    the nu = 0 case of :func:`transient_probability`."""
-    return transient_probability(replace(p, nu=0.0), n, t)
-
-
 def transient_probability(p: DiscreteParams, n: int, t: float) -> float:
     """P(system at state n at time t | started operating at 0).
 
@@ -518,15 +513,6 @@ def transient_probability(p: DiscreteParams, n: int, t: float) -> float:
     """
     n = check_state(n)
     return float(_transient_window(p, [t], n, n)[0, 0])
-
-
-def first_passage_density(p: DiscreteParams, n: int, t: float) -> float:
-    """Density of the first hitting time of level n for the catastrophe-free
-    walk started at 0: |n| / t times the Skellam law."""
-    if n == 0:
-        raise ValueError("first-passage level must be nonzero")
-    check_time(t, positive=True)
-    return abs(n) / t * skellam_probability(p, n, t)
 
 
 def _skellam_tail_chernoff(lam: float, mu: float, t: float, level: int) -> float:

@@ -20,10 +20,11 @@ motion at the origin.
   (``truncated_moments``, and ``asymptotic_moments`` for t -> infinity).
 - In Laplace space the restart convolution is a product: z times the
   transform of the operating law is the catastrophe-free resolvent at
-  z + nu times ``transform_amplitude``.  At z = 0 that product is the
-  stationary law (the final-value theorem).  Both are the same in any time
-  unit, so both models evaluate them at ``rescaled`` rates, where no sum
-  overflows, and take their decay roots by ``root_sum``.
+  z + nu times the cycle's amplitude (z + nu)(z + eta) / (z + eta + nu)
+  (``amplitude_over``).  At z = 0 that product is the stationary law (the
+  final-value theorem).  Both are the same in any time unit, so both
+  models evaluate them at ``rescaled`` rates, where no sum overflows, and
+  take their decay roots by ``root_sum``.
 
 The argument rules of both models' public laws live here too, one per kind
 of argument: ``check_rates``, ``check_time``, ``check_state`` (a lattice
@@ -52,7 +53,6 @@ __all__ = [
     "steady_failure_mass",
     "truncated_moments",
     "asymptotic_moments",
-    "transform_amplitude",
 ]
 
 
@@ -100,12 +100,11 @@ def check_level(x: float) -> None:
         raise ValueError(f"x must be finite, got {x!r}")
 
 
-def check_transform_variable(z: float, positive: bool = True) -> None:
+def check_transform_variable(z: float) -> None:
     """Raise ``ValueError`` unless the Laplace variable z is finite and
-    positive, or nonnegative where z = 0 (the stationary limit) is allowed."""
-    if not (math.isfinite(z) and (z > 0.0 if positive else z >= 0.0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"transform variable must be finite and {kind}, got {z}")
+    positive."""
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError(f"transform variable must be finite and positive, got {z}")
 
 
 def check_stationary(nu: float) -> None:
@@ -200,29 +199,59 @@ def truncated_moments(
     return drift * m, spread * m + drift * drift * v
 
 
-def asymptotic_moments(nu: float, eta: float, drift: float, spread: float) -> tuple[float, float]:
-    """Long-run truncated mean and variance: truncated_moments as t -> infinity."""
+def _quotient(over: tuple, under: tuple) -> float:
+    # prod(over) / prod(under) for finite factors, those under nonzero, from
+    # their mantissas and binary exponents, so that no partial product leaves
+    # the range of float64 before the result does; inf where it overflows
+    mantissa, exponent = 1.0, 0
+    for factor in over:
+        m, e = math.frexp(factor)
+        mantissa, exponent = mantissa * m, exponent + e
+    for factor in under:
+        m, e = math.frexp(factor)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
+
+
+def _long_run_moments(nu: float, eta: float, drift: float, spread: float) -> tuple[float, float]:
+    # asymptotic_moments unchecked, either moment possibly inf, so that a
+    # finite mean is returned where only the variance is past float64
     check_stationary(nu)
     _check_motion(nu, eta, drift, spread)
-    m = eta / ((eta + nu) * nu)
-    return drift * m, spread * m + drift * drift * eta * (2.0 * nu + eta) / ((eta + nu) * nu) ** 2
+    big = max(nu, eta)
+    total = 1.0 + min(nu, eta) / big  # (eta + nu) / big
+    under = (nu, big, total)  # nu (eta + nu)
+    variance = (_quotient((spread, eta), under)
+                + _quotient((drift, drift, eta, 1.0 + nu / big / total), (nu, *under)))
+    return _quotient((drift, eta), under), variance
 
 
-def transform_amplitude(nu: float, eta: float, z: float) -> float:
-    """z + eta nu / (z + eta + nu) = (z + nu)(z + eta) / (z + eta + nu), for
-    z >= 0: z times the Laplace transform of the operating law, over the
-    catastrophe-free resolvent at z + nu.  At z = 0 it is eta nu / (eta + nu)."""
-    check_rates(nu, eta=eta)
-    check_transform_variable(z, positive=False)
-    return amplitude_over(1.0, nu, eta, z)
+def asymptotic_moments(nu: float, eta: float, drift: float, spread: float) -> tuple[float, float]:
+    """Long-run truncated mean and variance, truncated_moments as
+    t -> infinity:
+
+        (drift m, spread m + (drift / nu)^2 a (1 + r)),  m = a / nu,
+
+    with a = eta / (eta + nu) and r = nu / (eta + nu).  Since
+    1 - r^2 = a (1 + r), nothing cancels, and each term is one quotient of
+    its factors, taken so that it holds wherever the term does.
+    ``ValueError`` names a moment that float64 cannot hold; the variance is
+    at least the mean's square, so it is the one named first."""
+    mean, variance = _long_run_moments(nu, eta, drift, spread)
+    variance = check_finite(variance, "the long-run truncated variance")
+    return check_finite(mean, "the long-run truncated mean"), variance
 
 
 def amplitude_over(root: float, nu: float, eta: float, z: float) -> float:
-    """transform_amplitude(nu, eta, z) / root for root > 0, unchecked, with
-    eta allowed its limits 0 and inf.  Where (z + nu)(z + eta) leaves the
-    normal range, the smaller of z + nu and z + eta goes over root first and
-    then over one plus a ratio of at most 1, so that nothing is rounded
-    below the normal range before the division."""
+    """The cycle's amplitude (z + nu)(z + eta) / (z + eta + nu) over root,
+    for z >= 0 and root > 0, unchecked, with eta allowed its limits 0 and
+    inf.  Where (z + nu)(z + eta) leaves the normal range, the smaller of
+    z + nu and z + eta goes over root first and then over one plus a ratio
+    of at most 1, so that nothing is rounded below the normal range before
+    the division."""
     s, e = z + nu, z + eta
     product = s * e
     if sys.float_info.min <= product < math.inf:

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 from . import diffusion
 from .diffusion import DiffusionParams
 from .discrete import DiscreteParams, asymptotic_variance, laplace_pn, steady_state
+from .failure_cycle import check_finite
 
 __all__ = [
     "ComparisonRow",
@@ -87,12 +88,13 @@ def laplace_convergence(
     eps_list: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Per-epsilon gaps |P_n*(z)/eps - f*(x,z)| with n the lattice site nearest
-    x/eps (round half to even).  The gaps shrink as eps does."""
+    x/eps (round half to even).  The gaps shrink as eps does.  ``ValueError``
+    where x/eps is past float64."""
     target = diffusion.laplace_density(dp, x, z)
     gaps = []
     for epsilon in eps_list:
         p = scale_params(dp, epsilon)
-        n = round(x / epsilon)
+        n = round(check_finite(x / epsilon, f"the lattice site of x = {x} at epsilon = {epsilon}"))
         gaps.append((epsilon, abs(laplace_pn(p, n, z) / epsilon - target)))
     return gaps
 

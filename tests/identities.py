@@ -1,5 +1,7 @@
 """Verification-only identities: each recomputes a law of the package a
 second way, through the package's own functions, and returns the residual.
+The renewal identities integrate first-passage densities of the
+catastrophe-free motions, which live here beside them.
 
 They are consistency checks of the library rather than independent oracles
 (see ``oracles.py``), so they live with the tests instead of in the library.
@@ -8,12 +10,21 @@ They are consistency checks of the library rather than independent oracles
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 from catwalk import diffusion, discrete, scaling
 from catwalk.diffusion import DiffusionParams
 from catwalk.discrete import DiscreteParams
 from catwalk.special import DEFAULT_QUADRATURE, QuadratureSpec, integrate_adaptive
+
+
+def lattice_first_passage_density(p: DiscreteParams, n: int, t: float) -> float:
+    """Density of the first hitting time of level n != 0 by the
+    catastrophe-free walk started at 0: |n| / t times its law at n."""
+    if n == 0:
+        raise ValueError("first-passage level must be nonzero")
+    return abs(n) / t * discrete.transient_probability(replace(p, nu=0.0), n, t)
 
 
 def transient_probability_renewal(
@@ -43,7 +54,7 @@ def transient_probability_renewal(
         return (
             discrete.transient_probability(p, 0, u)
             * math.exp(-p.nu * lag)
-            * discrete.first_passage_density(p, n, lag)
+            * lattice_first_passage_density(p, n, lag)
         )
 
     closing = 1e-8 * t
@@ -56,6 +67,14 @@ def transient_probability_renewal(
                + 0.5 * n * (math.log(p.lam) - math.log(p.mu)) - math.lgamma(m + 1))
     tip = math.exp(log_tip) * discrete.transient_probability(p, 0, t)
     return body + tip
+
+
+def wiener_first_passage_density(dp: DiffusionParams, x: float, t: float) -> float:
+    """Density of the first passage time to level x != 0 of the failure-free
+    motion started at 0: |x| / t times its density at x."""
+    if x == 0.0:
+        raise ValueError("first-passage target must differ from the start point")
+    return abs(x) / t * diffusion.transient_density(replace(dp, nu=0.0), x, t)
 
 
 def renewal_check(
@@ -82,7 +101,7 @@ def renewal_check(
         if tau <= 0.0 or lag <= 0.0:
             return 0.0
         origin = diffusion.transient_density(dp, 0.0, tau)
-        return origin * math.exp(-dp.nu * lag) * diffusion.fpt_density_wiener(dp, x, lag)
+        return origin * math.exp(-dp.nu * lag) * wiener_first_passage_density(dp, x, lag)
 
     # f(0,tau) blows up like 1/sqrt(tau) at tau = 0; tau = s^2 flattens it
     mid = 0.5 * t

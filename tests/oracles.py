@@ -418,6 +418,19 @@ def truncated_moments_by_mpmath(
     return float(drift * mean), float(spread * mean + drift**2 * spread_age)
 
 
+def asymptotic_moments_by_mpmath(nu: float, eta: float, drift: float, spread: float,
+                                 dps: int = 50) -> tuple[float, float]:
+    """Long-run truncated mean and variance of either model in ``dps``
+    digits, in the expanded closed form drift m and
+    spread m + drift^2 eta (2 nu + eta) / ((eta + nu) nu)^2 with
+    m = eta / ((eta + nu) nu); mpmath's exponents do not overflow."""
+    with mpmath.workdps(dps):
+        nu_, eta_, drift_, spread_ = map(mpmath.mpf, (nu, eta, drift, spread))
+        m = eta_ / ((eta_ + nu_) * nu_)
+        return (float(drift_ * m),
+                float(spread_ * m + drift_**2 * eta_ * (2 * nu_ + eta_) / ((eta_ + nu_) * nu_) ** 2))
+
+
 def printed_variance(nu: float, eta: float, t: float, drift: float, sigma2: float) -> float:
     """The diffusion's truncated variance Var[X(t) 1{on}] in the paper's
     expanded closed form, for nu > 0.  It cancels as nu t -> 0: at

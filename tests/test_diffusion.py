@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 from catwalk import diffusion as f
 from catwalk.discrete import MAX_NODES
 from catwalk.special import QuadratureSpec, integrate_adaptive
-from identities import operating_mass_by_quadrature, renewal_check
+from identities import operating_mass_by_quadrature, renewal_check, wiener_first_passage_density
 from oracles import (
     density_by_mpmath,
     laplace_roots_by_mpmath,
@@ -23,6 +24,8 @@ from oracles import (
 
 # parameters behind the reference density plots: drift 2, unit variance
 FIG4 = f.DiffusionParams(lam_hat=3.0, mu_hat=1.0, sigma2=1.0, nu=1.0, eta=1.0)
+# its failure-free motion, whose density is the Wiener one
+FIG4_FREE = replace(FIG4, nu=0.0)
 # parameters behind the stationary comparison table: drift -1, sigma2 9
 TABLE = f.DiffusionParams(lam_hat=1.0, mu_hat=2.0, sigma2=9.0, nu=1.0, eta=0.25)
 # nu -> 0 against drift 2 and its mirror: 2 sigma2 nu rounds away next to
@@ -53,27 +56,29 @@ class TestParams:
 
 
 class TestWienerDensity:
+    """The nu = 0 density of ``transient_density``."""
+
     def test_mode_value(self):
         t = 0.8
         mode = FIG4.drift * t
-        assert f.wiener_density(FIG4, mode, t) == pytest.approx(
+        assert f.transient_density(FIG4_FREE, mode, t) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi * FIG4.sigma2 * t), rel=1e-14
         )
 
     def test_integrates_to_one(self):
-        total, _ = quad(lambda x: f.wiener_density(FIG4, x, 1.3), -np.inf, np.inf)
+        total, _ = quad(lambda x: f.transient_density(FIG4_FREE, x, 1.3), -np.inf, np.inf)
         assert total == pytest.approx(1.0, rel=1e-10)
 
     @given(x=st.floats(min_value=-5.0, max_value=5.0), t=st.floats(min_value=0.05, max_value=5.0))
     def test_reversal_identity(self, x, t):
-        # f(x,t|0) = exp(2 drift x / sigma2) f(0,t|x)
-        lhs = f.wiener_density(FIG4, x, t)
-        rhs = math.exp(2.0 * FIG4.drift * x / FIG4.sigma2) * f.wiener_density(FIG4, 0.0, t, x0=x)
+        # w(x,t|0) = exp(2 drift x / sigma2) w(0,t|x), and w(0,t|x) = w(-x,t|0)
+        lhs = f.transient_density(FIG4_FREE, x, t)
+        rhs = math.exp(2.0 * FIG4.drift * x / FIG4.sigma2) * f.transient_density(FIG4_FREE, -x, t)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            f.wiener_density(FIG4, 0.0, 0.0)
+            f.transient_density(FIG4_FREE, 0.0, 0.0)
 
 
 class TestTransientDensity:
@@ -85,7 +90,8 @@ class TestTransientDensity:
     def test_no_catastrophes_is_pure_gaussian(self):
         dp = f.DiffusionParams(3.0, 1.0, 1.0, 0.0, 1.0)
         for x in (-1.0, 0.0, 2.0):
-            assert f.transient_density(dp, x, 1.0) == f.wiener_density(dp, x, 1.0)
+            gaussian = f._gaussian(dp, np.array([x - dp.drift]), 1.0)[0]
+            assert f.transient_density(dp, x, 1.0) == gaussian
 
     @pytest.mark.parametrize(
         "nu,mass",
@@ -207,7 +213,7 @@ class TestHardRegimes:
         assert f.transient_densities(dp, xs, 1e300) == pytest.approx(steady, rel=1e-12)
         assert f.transient_densities(dp, [-1e300, dp.drift * 1e300], 1e300) == [0.0, 0.0]
         assert f.transient_densities(dp, [-1e300, 1e300], 1.0) == [0.0, 0.0]
-        assert f.wiener_density(dp, dp.drift * 1e300, 1.0) == 0.0
+        assert f.transient_density(replace(dp, nu=0.0), dp.drift * 1e300, 1.0) == 0.0
         piece = f.density_slice(dp, 1e300)
         assert piece.trapezoid_mass() + piece.failure_mass == pytest.approx(1.0, abs=1e-12)
 
@@ -397,21 +403,24 @@ class TestAsymptoticMoments:
 
 
 class TestFirstPassage:
+    """``identities.wiener_first_passage_density``, which the renewal check
+    integrates."""
+
     @given(
         x=st.floats(min_value=-4.0, max_value=4.0).filter(lambda v: abs(v) > 1e-3),
         t=st.floats(min_value=0.01, max_value=10.0),
     )
     def test_nonnegative(self, x, t):
-        assert f.fpt_density_wiener(FIG4, x, t) >= 0.0
+        assert wiener_first_passage_density(FIG4, x, t) >= 0.0
 
     def test_certain_passage_on_the_drift_side(self):
         # drift 2 > 0 and target x = 1 > 0: passage is certain
-        total, _ = quad(lambda t: f.fpt_density_wiener(FIG4, 1.0, t), 0.0, np.inf)
+        total, _ = quad(lambda t: wiener_first_passage_density(FIG4, 1.0, t), 0.0, np.inf)
         assert total == pytest.approx(1.0, rel=1e-8)
 
     def test_rejects_target_equal_to_start(self):
         with pytest.raises(ValueError):
-            f.fpt_density_wiener(FIG4, 0.0, 1.0)
+            wiener_first_passage_density(FIG4, 0.0, 1.0)
 
 
 class TestRenewalCheck:

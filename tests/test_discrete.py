@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from catwalk import discrete as d
 from catwalk.special import QuadratureError, integrate_adaptive
-from identities import transient_probability_renewal
+from identities import lattice_first_passage_density, transient_probability_renewal
 from oracles import (
     bessel_series_scaled,
     hitting_probability,
@@ -22,6 +23,8 @@ E4_I0_4 = 0.2070019212239866979    # e^-4 I_0(4)
 Q_11_AT_1 = 0.43233235838169365405  # (1/2)(1 - e^-2)
 
 SYMMETRIC = d.DiscreteParams(lam=2.0, mu=2.0, nu=0.1, eta=1.0)
+# its catastrophe-free walk, whose law is the Skellam law
+SYMMETRIC_FREE = replace(SYMMETRIC, nu=0.0)
 DRIFTING = d.DiscreteParams(lam=2.0, mu=1.0, nu=1.0, eta=1.0)
 
 rates = st.floats(min_value=0.05, max_value=50.0)
@@ -66,18 +69,21 @@ class TestFailureProbability:
 
 
 class TestSkellam:
+    """The nu = 0 law of ``transient_probability``."""
+
     def test_initial_condition(self):
-        assert d.skellam_probability(SYMMETRIC, 0, 0.0) == 1.0
-        assert d.skellam_probability(SYMMETRIC, 3, 0.0) == 0.0
+        assert d.transient_probability(SYMMETRIC_FREE, 0, 0.0) == 1.0
+        assert d.transient_probability(SYMMETRIC_FREE, 3, 0.0) == 0.0
 
     def test_symmetric_rates_symmetric_law(self):
         for n in (1, 2, 7):
-            assert d.skellam_probability(SYMMETRIC, n, 1.3) == d.skellam_probability(
-                SYMMETRIC, -n, 1.3
+            assert d.transient_probability(SYMMETRIC_FREE, n, 1.3) == d.transient_probability(
+                SYMMETRIC_FREE, -n, 1.3
             )
 
     def test_center_value_against_series_oracle(self):
-        assert d.skellam_probability(SYMMETRIC, 0, 1.0) == pytest.approx(E4_I0_4, rel=1e-13)
+        assert d.transient_probability(SYMMETRIC_FREE, 0, 1.0) == pytest.approx(
+            E4_I0_4, rel=1e-13)
 
     @pytest.mark.parametrize("n,t", [(1, 0.5), (-2, 1.7), (4, 3.0)])
     def test_oracle_at_asymmetric_rates(self, n, t):
@@ -89,7 +95,7 @@ class TestSkellam:
             * math.exp(-((math.sqrt(lam) - math.sqrt(mu)) ** 2) * t)
             * bessel_series_scaled(n, 2.0 * math.sqrt(lam * mu) * t)
         )
-        assert d.skellam_probability(p, n, t) == pytest.approx(expected, rel=1e-12)
+        assert d.transient_probability(p, n, t) == pytest.approx(expected, rel=1e-12)
 
     @given(
         n=st.integers(min_value=-30, max_value=30),
@@ -99,7 +105,7 @@ class TestSkellam:
     )
     def test_is_a_probability(self, n, t, lam, mu):
         p = d.DiscreteParams(lam, mu, 0.0, 1.0)
-        value = d.skellam_probability(p, n, t)
+        value = d.transient_probability(p, n, t)
         assert 0.0 <= value <= 1.0
 
 
@@ -107,11 +113,6 @@ class TestTransientProbability:
     def test_initial_condition(self):
         assert d.transient_probability(SYMMETRIC, 0, 0.0) == 1.0
         assert d.transient_probability(SYMMETRIC, -1, 0.0) == 0.0
-
-    def test_no_catastrophes_reduces_to_skellam(self):
-        p = d.DiscreteParams(2.0, 1.0, 0.0, 1.0)
-        for n, t in ((0, 1.0), (3, 0.4), (-2, 2.0)):
-            assert d.transient_probability(p, n, t) == d.skellam_probability(p, n, t)
 
     def test_normalization_with_failure_mass(self):
         q = d.failure_probability(SYMMETRIC, 1.0)
@@ -177,7 +178,7 @@ class TestRenewalRepresentation:
 
     def test_far_level_at_small_time_is_negligible(self):
         value = transient_probability_renewal(SYMMETRIC, 5, 0.01)
-        bound = d.skellam_probability(SYMMETRIC, 5, 0.01)
+        bound = d.transient_probability(SYMMETRIC_FREE, 5, 0.01)
         assert value <= bound + 1e-15
         assert bound < 1e-10
 
@@ -503,26 +504,29 @@ class TestLaplace:
 
 
 class TestFirstPassage:
+    """``identities.lattice_first_passage_density``, which the renewal
+    identity integrates."""
+
     def test_unit_level_value(self):
         p = d.DiscreteParams(1.0, 1.0, 0.0, 1.0)
-        assert d.first_passage_density(p, 1, 1.0) == pytest.approx(E2_I1_2, rel=1e-13)
+        assert lattice_first_passage_density(p, 1, 1.0) == pytest.approx(E2_I1_2, rel=1e-13)
 
     @given(
         n=st.integers(min_value=-10, max_value=10).filter(lambda v: v != 0),
         t=st.floats(min_value=1e-3, max_value=30.0),
     )
     def test_nonnegative(self, n, t):
-        assert d.first_passage_density(DRIFTING, n, t) >= 0.0
+        assert lattice_first_passage_density(DRIFTING, n, t) >= 0.0
 
     @pytest.mark.parametrize("lam,mu", [(1.0, 2.0), (2.0, 1.0)])
     def test_total_mass_is_the_hitting_probability(self, lam, mu):
         p = d.DiscreteParams(lam, mu, 0.0, 1.0)
         total, _ = quad(
-            lambda t: d.first_passage_density(p, 1, t), 0.0, np.inf, limit=500
+            lambda t: lattice_first_passage_density(p, 1, t), 0.0, np.inf, limit=500
         )
         assert total == pytest.approx(min(1.0, lam / mu), abs=1e-7)
         assert total == pytest.approx(hitting_probability(lam, mu), abs=1e-7)
 
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
-            d.first_passage_density(DRIFTING, 0, 1.0)
+            lattice_first_passage_density(DRIFTING, 0, 1.0)

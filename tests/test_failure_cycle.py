@@ -15,6 +15,7 @@ from catwalk import discrete as d
 from catwalk import failure_cycle as fc
 from catwalk import scaling as s
 from oracles import (
+    asymptotic_moments_by_mpmath,
     density_transform_by_mpmath,
     lattice_transform_by_mpmath,
     steady_density_by_mpmath,
@@ -124,7 +125,6 @@ DIFFUSION = f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 1.0)
 #: needs t > 0
 TIMED = {
     "discrete.failure_probability": (lambda t: d.failure_probability(LATTICE, t), False),
-    "discrete.skellam_probability": (lambda t: d.skellam_probability(LATTICE, 1, t), False),
     "discrete.transient_probability": (lambda t: d.transient_probability(LATTICE, 1, t), False),
     "discrete.transient_distribution": (lambda t: d.transient_distribution(LATTICE, t), False),
     "discrete.transient_distributions": (
@@ -132,16 +132,13 @@ TIMED = {
     "discrete.default_window": (lambda t: d.default_window(LATTICE, t), False),
     "discrete.mean_transient": (lambda t: d.mean_transient(LATTICE, t), False),
     "discrete.variance_transient": (lambda t: d.variance_transient(LATTICE, t), False),
-    "discrete.first_passage_density": (lambda t: d.first_passage_density(LATTICE, 1, t), True),
     "diffusion.failure_probability": (lambda t: f.failure_probability(DIFFUSION, t), False),
     "diffusion.transient_density": (lambda t: f.transient_density(DIFFUSION, 0.5, t), True),
     "diffusion.transient_densities": (lambda t: f.transient_densities(DIFFUSION, [0.5], t), True),
     "diffusion.mean_x": (lambda t: f.mean_x(DIFFUSION, t), False),
     "diffusion.variance_x": (lambda t: f.variance_x(DIFFUSION, t), False),
-    "diffusion.wiener_density": (lambda t: f.wiener_density(DIFFUSION, 0.5, t), True),
     "diffusion.on_mass": (lambda t: f.on_mass(DIFFUSION, t), True),
     "diffusion.density_slice": (lambda t: f.density_slice(DIFFUSION, t), True),
-    "diffusion.fpt_density_wiener": (lambda t: f.fpt_density_wiener(DIFFUSION, 0.5, t), True),
 }
 
 
@@ -167,17 +164,13 @@ class TestTimeCheck:
 STATED = {
     "discrete.steady_state": lambda n: d.steady_state(LATTICE, n),
     "discrete.laplace_pn": lambda n: d.laplace_pn(LATTICE, n, 1.0),
-    "discrete.skellam_probability": lambda n: d.skellam_probability(LATTICE, n, 1.0),
     "discrete.transient_probability": lambda n: d.transient_probability(LATTICE, n, 1.0),
-    "discrete.first_passage_density": lambda n: d.first_passage_density(LATTICE, n, 1.0),
     "discrete.transient_distribution": lambda n: d.transient_distribution(LATTICE, 1.0, (n, 2)),
     "discrete.transient_distributions": lambda n: d.transient_distributions(LATTICE, [1.0], (n, 2)),
 }
 
 #: every public law of the diffusion that takes a level
 LEVELLED = {
-    "diffusion.wiener_density": lambda x: f.wiener_density(DIFFUSION, x, 1.0),
-    "diffusion.fpt_density_wiener": lambda x: f.fpt_density_wiener(DIFFUSION, x, 1.0),
     "diffusion.transient_density": lambda x: f.transient_density(DIFFUSION, x, 1.0),
     "diffusion.transient_densities": lambda x: f.transient_densities(DIFFUSION, [0.5, x], 1.0),
     "diffusion.steady_density": lambda x: f.steady_density(DIFFUSION, x),
@@ -190,7 +183,6 @@ CYCLE_LAWS = {
     "steady_failure_mass": (fc.steady_failure_mass, dict(nu=1.0, eta=1.0)),
     "truncated_moments": (fc.truncated_moments, dict(nu=1.0, eta=1.0, t=1.0, drift=1.0, spread=1.0)),
     "asymptotic_moments": (fc.asymptotic_moments, dict(nu=1.0, eta=1.0, drift=1.0, spread=1.0)),
-    "transform_amplitude": (fc.transform_amplitude, dict(nu=1.0, eta=1.0, z=1.0)),
 }
 
 #: every public transform in the Laplace variable z
@@ -239,7 +231,7 @@ class TestArgumentChecks:
             law(**{**valid, argument: value})
 
     def test_the_amplitude_at_z_zero_is_the_stationary_one(self):
-        assert fc.transform_amplitude(1.0, 0.25, 0.0) == 0.25 * 1.0 / 1.25
+        assert fc.amplitude_over(1.0, 1.0, 0.25, 0.0) == 0.25 * 1.0 / 1.25
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("params", [LATTICE, DIFFUSION], ids=["discrete", "diffusion"])
@@ -252,7 +244,8 @@ class TestArgumentChecks:
 class TestFloat64Range:
     """The stationary laws and Laplace transforms of both models over rates
     drawn log-uniformly from the subnormal 1e-320 to 1e308, and transform
-    variables from 1e-300: each value agrees with its closed form in mpmath
+    variables from 1e-300, and the long-run moments over rates and drifts
+    from 1e-300 to 1e300: each value agrees with its closed form in mpmath
     to 1e-12, or both lie below the normal range, where float64 keeps no
     relative precision; a law that float64 cannot hold is a ValueError that
     names it."""
@@ -266,7 +259,7 @@ class TestFloat64Range:
                 assert str(exc).startswith(named), exc
                 continue
             want = reference()
-            assert abs(value - want) <= 1e-12 * want + sys.float_info.min, (value, want)
+            assert abs(value - want) <= 1e-12 * abs(want) + sys.float_info.min, (value, want)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_agrees_with_mpmath_or_names_the_law(self, seed):
@@ -299,3 +292,30 @@ class TestFloat64Range:
                 (lambda: f.laplace_density(f.DiffusionParams(lam, mu, sigma2, nu, eta), x, z),
                  lambda: density_transform_by_mpmath(lam, mu, sigma2, nu, eta, x, z)),
             ], "the Laplace transform")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_run_moments_agree_with_mpmath_or_name_the_law(self, seed):
+        # the first case gave (-0.0, nan), and the second raised
+        # ZeroDivisionError where the mean is 8.2e168
+        cases = [(5.17e289, 1.14e-64, -2.21e100, 2.74e-256),
+                 (2.79e-106, 1.56e-162, 4.09e119, 1.44e-265)] if seed == 0 else []
+        rng = random.Random(200 + seed)
+        for _ in range(100):
+            nu, eta, drift, spread = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(4))
+            cases.append((nu, eta, rng.choice([-drift, drift]), spread))
+        for nu, eta, drift, spread in cases:
+            self._check([
+                (lambda k=k: fc.asymptotic_moments(nu, eta, drift, spread)[k],
+                 lambda k=k: asymptotic_moments_by_mpmath(nu, eta, drift, spread)[k])
+                for k in (0, 1)], "the long-run truncated")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_lattice_mean_holds_where_the_variance_leaves_float64(self, seed):
+        rng = random.Random(300 + seed)
+        for _ in range(100):
+            lam, mu, nu, eta = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(4))
+            p = d.DiscreteParams(lam, mu, nu, eta)
+            want = asymptotic_moments_by_mpmath(nu, eta, lam - mu, lam + mu)
+            self._check([(lambda: d.asymptotic_mean(p), lambda: want[0])], "the long-run truncated mean")
+            self._check([(lambda: d.asymptotic_variance(p), lambda: want[1])],
+                        "the long-run truncated variance")

@@ -68,7 +68,7 @@ class TestSkellamAgainstScipy:
     def test_strong_drift_at_the_mode(self, lam, mu, n, t, expected):
         # both returned 0.0 when the kernel was ive alone
         p = d.DiscreteParams(lam, mu, 0.0, 1.0)
-        value = d.skellam_probability(p, n, t)
+        value = d.transient_probability(p, n, t)
         assert value == pytest.approx(skellam.pmf(n, lam * t, mu * t), rel=UNDERFLOW_RTOL)
         assert round(value, 4) == expected
 
@@ -76,7 +76,7 @@ class TestSkellamAgainstScipy:
     def test_grid(self, lam, mu, t, n):
         p = d.DiscreteParams(lam, mu, 0.0, 1.0)
         reference = skellam.pmf(n, lam * t, mu * t)
-        value = d.skellam_probability(p, n, t)
+        value = d.transient_probability(p, n, t)
         assert reference >= 1e-300
         assert value > 0.0
         log_kernel = bessel_reference_scaled(n, 2.0 * math.sqrt(lam * mu) * t, dps=20, log=True)
@@ -85,7 +85,7 @@ class TestSkellamAgainstScipy:
     def test_tiny_argument_far_order_is_not_zero(self):
         # e^{-x} I_30(x) ~ 4e-342 at x = 1e-10, but beta^30 = 1e90 lifts the law
         p = d.DiscreteParams(1e6, 1.0, 0.0, 1.0)
-        value = d.skellam_probability(p, 30, 5e-14)
+        value = d.transient_probability(p, 30, 5e-14)
         reference = skellam.pmf(30, 1e6 * 5e-14, 5e-14)
         assert value == pytest.approx(reference, rel=UNDERFLOW_RTOL)
 

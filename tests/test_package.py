@@ -1,7 +1,9 @@
-"""The package's public names: each resolves, and the lazy ones come from
-their modules."""
+"""The package's public names: each resolves, each has a caller in the
+library or a line in README, and the lazy ones come from their modules."""
 
+import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -10,14 +12,40 @@ import catwalk
 from catwalk import cli, diffusion, discrete, failure_cycle, scaling, simulate, special
 
 
-@pytest.mark.parametrize(
-    "module",
-    [catwalk, discrete, diffusion, failure_cycle, scaling, simulate, special, cli],
-    ids=lambda m: m.__name__,
-)
+MODULES = [catwalk, discrete, diffusion, failure_cycle, scaling, simulate, special, cli]
+SOURCE = Path(catwalk.__file__).resolve().parent
+README = SOURCE.parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_every_public_name_resolves(module):
     for name in module.__all__:
         assert getattr(module, name) is not None, name
+
+
+def _used_names() -> set:
+    # every name the library's code reads: loaded names, attributes and
+    # imported names; a def, a class or an __all__ string is none of these
+    used = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(filter(None, (node.name, node.asname)))
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_public_name_has_a_caller_or_a_readme_line(module):
+    # a public name is a contract, so one that neither the library calls nor
+    # README states is a wrapper that only tests need
+    used, readme = _used_names(), README.read_text()
+    orphans = [name for name in module.__all__
+               if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert orphans == []
 
 
 def test_lazy_names_come_from_their_modules():

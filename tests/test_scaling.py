@@ -100,6 +100,11 @@ class TestLaplaceConvergence:
         expected = abs(d.laplace_pn(p, 2, 1.0) / 0.1 - f.laplace_density(TABLE, 0.25, 1.0))
         assert gaps[0][1] == pytest.approx(expected, rel=1e-14)
 
+    def test_a_site_past_float64_names_the_law(self):
+        # x / eps overflows, which round() refused with OverflowError
+        with pytest.raises(ValueError, match="^the lattice site of x = 1e\\+300"):
+            s.laplace_convergence(f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 1.0), 1.0, 1e300, [1e-10])
+
 
 class TestMeanCorrespondence:
     @pytest.mark.parametrize("eps", [0.1, 0.01])
