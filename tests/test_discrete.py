@@ -15,6 +15,7 @@ from oracles import (
     hitting_probability,
     lattice_law_by_convolution,
     second_moment_by_quadrature,
+    skellam_by_poisson,
 )
 
 # frozen from the power-series oracle
@@ -113,6 +114,13 @@ class TestTransientProbability:
     def test_initial_condition(self):
         assert d.transient_probability(SYMMETRIC, 0, 0.0) == 1.0
         assert d.transient_probability(SYMMETRIC, -1, 0.0) == 0.0
+
+    def test_no_catastrophes_reduces_to_skellam(self):
+        # against the direct Poisson convolution, not the Bessel form
+        p = d.DiscreteParams(2.0, 1.0, 0.0, 1.0)
+        for n, t in ((0, 1.0), (3, 0.4), (-2, 2.0)):
+            expected = skellam_by_poisson(p.lam, p.mu, t, n, n)[0]
+            assert d.transient_probability(p, n, t) == pytest.approx(expected, rel=1e-12)
 
     def test_normalization_with_failure_mass(self):
         q = d.failure_probability(SYMMETRIC, 1.0)

@@ -6,6 +6,7 @@ for every public law that takes one."""
 import math
 import random
 import sys
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -120,12 +121,17 @@ class TestAgeIntegral:
 
 LATTICE = d.DiscreteParams(2.0, 1.0, 1.0, 1.0)
 DIFFUSION = f.DiffusionParams(3.0, 1.0, 1.0, 1.0, 1.0)
+# their catastrophe-free motions, which the laws take by a branch of their own
+LATTICE_FREE = replace(LATTICE, nu=0.0)
+DIFFUSION_FREE = replace(DIFFUSION, nu=0.0)
 
 #: every public law that takes a time; the second field says whether it
 #: needs t > 0
 TIMED = {
     "discrete.failure_probability": (lambda t: d.failure_probability(LATTICE, t), False),
     "discrete.transient_probability": (lambda t: d.transient_probability(LATTICE, 1, t), False),
+    "discrete.transient_probability(nu=0)": (
+        lambda t: d.transient_probability(LATTICE_FREE, 1, t), False),
     "discrete.transient_distribution": (lambda t: d.transient_distribution(LATTICE, t), False),
     "discrete.transient_distributions": (
         lambda t: d.transient_distributions(LATTICE, [1.0, t], (-3, 3)), False),
@@ -134,6 +140,8 @@ TIMED = {
     "discrete.variance_transient": (lambda t: d.variance_transient(LATTICE, t), False),
     "diffusion.failure_probability": (lambda t: f.failure_probability(DIFFUSION, t), False),
     "diffusion.transient_density": (lambda t: f.transient_density(DIFFUSION, 0.5, t), True),
+    "diffusion.transient_density(nu=0)": (
+        lambda t: f.transient_density(DIFFUSION_FREE, 0.5, t), True),
     "diffusion.transient_densities": (lambda t: f.transient_densities(DIFFUSION, [0.5], t), True),
     "diffusion.mean_x": (lambda t: f.mean_x(DIFFUSION, t), False),
     "diffusion.variance_x": (lambda t: f.variance_x(DIFFUSION, t), False),
@@ -165,16 +173,20 @@ STATED = {
     "discrete.steady_state": lambda n: d.steady_state(LATTICE, n),
     "discrete.laplace_pn": lambda n: d.laplace_pn(LATTICE, n, 1.0),
     "discrete.transient_probability": lambda n: d.transient_probability(LATTICE, n, 1.0),
+    "discrete.transient_probability(nu=0)": lambda n: d.transient_probability(LATTICE_FREE, n, 1.0),
     "discrete.transient_distribution": lambda n: d.transient_distribution(LATTICE, 1.0, (n, 2)),
     "discrete.transient_distributions": lambda n: d.transient_distributions(LATTICE, [1.0], (n, 2)),
+    "scaling.steady_comparison": lambda n: s.steady_comparison(DIFFUSION, 0.5, [n]),
 }
 
-#: every public law of the diffusion that takes a level
+#: every public law that takes a level of the diffusion
 LEVELLED = {
     "diffusion.transient_density": lambda x: f.transient_density(DIFFUSION, x, 1.0),
+    "diffusion.transient_density(nu=0)": lambda x: f.transient_density(DIFFUSION_FREE, x, 1.0),
     "diffusion.transient_densities": lambda x: f.transient_densities(DIFFUSION, [0.5, x], 1.0),
     "diffusion.steady_density": lambda x: f.steady_density(DIFFUSION, x),
     "diffusion.laplace_density": lambda x: f.laplace_density(DIFFUSION, x, 1.0),
+    "scaling.laplace_convergence": lambda x: s.laplace_convergence(DIFFUSION, 1.0, x, [0.1]),
 }
 
 #: the raw-float laws of the failure cycle, each with valid arguments by name
