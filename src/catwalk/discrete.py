@@ -24,8 +24,8 @@ group of states shares a radius while each member's bound there is within a
 factor 10 of its least one.  The rule folds the states n +- M onto n, so M
 is sized by a Chernoff bound of the law tilted to that radius: the folded
 mass is below the rounding error.  The catastrophe-free law is the nu = 0
-case.  The default window is the smallest one whose Chernoff bound on the
-out-of-window mass is at most ``WINDOW_TAIL_TARGET``.  A grid of times is
+case.  Windows are sized, and their tails bounded, by the same Chernoff
+bounds of the law itself (``default_window``).  A grid of times is
 inverted together (``transient_distributions``): every time keeps its own
 radii, groups and FFT lengths, but each step runs once for all of them.
 
@@ -273,18 +273,19 @@ def _restart_integral(x, rate_t, scale, t):
     return t * (quotient[..., 0] - quotient[..., 1])
 
 
-def _scaled_gf(p: DiscreteParams, t, s, theta):
-    # (K, e^{-K} G(e^{s + i theta}, t)), broadcast over t, s and theta.  K is
-    # at least the real exponent a(e^s) t, which bounds Re(a) t on the
-    # circle, so nothing overflows; with catastrophes it is at least
-    # min(0, log c), so G(e^s) e^{-K} >= c e^{-K} (restart integral) does not
-    # underflow.
+def _scaled_gf(p: DiscreteParams, t, s, theta=None):
+    # (K, e^{-K} G(e^{s + i theta}, t)), broadcast over t, s and theta, or
+    # real on the real axis where theta is None.  K is at least the real
+    # exponent a(e^s) t, which bounds Re(a) t on the circle, so nothing
+    # overflows; with catastrophes it is at least min(0, log c), so
+    # G(e^s) e^{-K} >= c e^{-K} (restart integral) does not underflow.
     import numpy as np
     neg = -s
-    up, down = p.lam * np.exp(s), p.mu * np.exp(neg)
-    real = (p.lam * np.expm1(s) + p.mu * np.expm1(neg) - p.nu) * t
-    half = np.sin(0.5 * theta)
-    x = (real - 2.0 * t * (up + down) * half * half) + 1j * (t * (up - down) * np.sin(theta))
+    real = x = (p.lam * np.expm1(s) + p.mu * np.expm1(neg) - p.nu) * t
+    if theta is not None:
+        up, down = p.lam * np.exp(s), p.mu * np.exp(neg)
+        half = np.sin(0.5 * theta)
+        x = (real - 2.0 * t * (up + down) * half * half) + 1j * (t * (up - down) * np.sin(theta))
     if p.nu == 0.0:
         return real, np.exp(x - real)
     rate = p.eta + p.nu
@@ -352,8 +353,9 @@ def _radius_grid(p: DiscreteParams, times: np.ndarray, n_min: int, n_max: int) -
         nodes = nodes[:, np.lexsort(nodes[1::-1])]
 
 
-def _transient_window(p: DiscreteParams, times, n_min: int, n_max: int) -> np.ndarray:
-    # P_n(t) for n_min <= n <= n_max, one row per time, computed with
+def _transient_window(p: DiscreteParams, times, n_min: int, n_max: int):
+    # (P_n(t) for n_min <= n <= n_max, one row per time, and each time's
+    # bound on the operating mass outside the window), computed with
     # lam >= mu and reflected otherwise, so swapping the rates mirrors the
     # law bit for bit
     import numpy as np
@@ -367,22 +369,25 @@ def _transient_window(p: DiscreteParams, times, n_min: int, n_max: int) -> np.nd
                     else (p, np.arange(n_min, n_max + 1)))
     out = np.zeros((times.size, orders.size))
     out[:, orders == 0] = 1.0
+    tail = np.full(times.size, 0.0 if n_min <= 0 <= n_max else 1.0)
     live = np.flatnonzero(times > 0.0)
     # a time costs its window's states, but at least a few hundred nodes for
     # its radius grid and groups
     step = max(1, _BATCH_NODES // max(orders.size, 256))
     try:
         for batch in (live[i:i + step] for i in range(0, live.size, step)):
-            out[batch] = _invert(walk, times[batch], orders)
+            out[batch], tail[batch] = _invert(walk, times[batch], orders)
     except _OutOfReach as lost:
         raise ValueError(f"the lattice law at t = {lost.args[0]} over the window [{n_min}, "
                          f"{n_max}] is out of reach: its generating function rounds to 0 or "
                          "below at a radius the inversion needs") from None
-    return out[:, ::-1] if mirror else out
+    return (out[:, ::-1] if mirror else out), tail
 
 
-def _invert(p: DiscreteParams, times: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    # the window's states at each time t > 0, from a few FFTs per time
+def _invert(p: DiscreteParams, times: np.ndarray, orders: np.ndarray):
+    # the window's states at each time t > 0, from a few FFTs per time, and
+    # the tail bound read off the same radii: e^{L(s) - n s} bounds the mass
+    # at n and beyond for s >= 0, and at n and below for s <= 0
     import numpy as np
     nodes = _radius_grid(p, times, orders[0], orders[-1])
     row, s, log_g = nodes[0].astype(np.intp), nodes[1], nodes[2]
@@ -405,7 +410,11 @@ def _invert(p: DiscreteParams, times: np.ndarray, orders: np.ndarray) -> np.ndar
     # f_n(s) = L(s) - n s, the log Chernoff bound of state n, exceeds its
     # least value by L(s) - n s + L*(n)
     conjugate = orders * radius[rows, best] - level[rows, best]
-    return _fill(p, times, radius, level, orders, _radius_groups(radius, level, orders, conjugate))
+    beyond = np.where(radius >= 0.0, level - (orders[-1] + 1) * radius, np.inf).min(axis=1)
+    before = np.where(radius <= 0.0, level - (orders[0] - 1) * radius, np.inf).min(axis=1)
+    tail = np.minimum(1.0, np.exp(np.minimum(beyond, 0.0)) + np.exp(np.minimum(before, 0.0)))
+    groups = _radius_groups(radius, level, orders, conjugate)
+    return _fill(p, times, radius, level, orders, groups), tail
 
 
 def _radius_groups(radius, level, orders, conjugate):
@@ -512,21 +521,7 @@ def transient_probability(p: DiscreteParams, n: int, t: float) -> float:
     :func:`transient_distribution`.
     """
     n = check_state(n)
-    return float(_transient_window(p, [t], n, n)[0, 0])
-
-
-def _skellam_tail_chernoff(lam: float, mu: float, t: float, level: int) -> float:
-    # bound on P(walk >= level at ANY time u <= t), exponential in level
-    if level <= 0:
-        return 1.0
-    if t == 0.0:
-        return 0.0
-    root = (level + math.sqrt(level * level + 4.0 * t * t * lam * mu)) / (2.0 * t * lam)
-    if root <= 1.0:
-        return 1.0
-    theta = math.log(root)
-    growth = lam * (root - 1.0) + mu * (1.0 / root - 1.0)
-    return math.exp(-theta * level + max(0.0, t * growth))
+    return float(_transient_window(p, [t], n, n)[0][0, 0])
 
 
 #: out-of-window mass the default window leaves, at most, split evenly
@@ -534,40 +529,43 @@ def _skellam_tail_chernoff(lam: float, mu: float, t: float, level: int) -> float
 WINDOW_TAIL_TARGET = 1e-12
 
 
-def _chernoff_level(lam: float, mu: float, t: float, target: float) -> int:
-    # smallest level >= 1 whose uniform Chernoff tail bound is <= target; the
-    # bound does not increase with the level, so double, then bisect
-    low, high = 0, max(1, math.ceil((lam - mu) * t + math.sqrt((lam + mu) * t)))
-    while _skellam_tail_chernoff(lam, mu, t, high) > target:
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if _skellam_tail_chernoff(lam, mu, t, mid) > target:
-            low = mid
-        else:
-            high = mid
-    return high
-
-
 def default_window(p: DiscreteParams, t: float) -> tuple[int, int]:
-    """Smallest window (n_min, n_max) whose Chernoff bound on the mass outside
-    it is at most ``WINDOW_TAIL_TARGET``.
+    """Window (n_min, n_max) holding the origin whose Chernoff bound on the
+    mass outside it is at most ``WINDOW_TAIL_TARGET``, half on each side.
 
-    Each side is the inverse of the tail bound of :func:`transient_distribution`
-    at half the target, so the window follows the drift, |lam - mu| t, plus
-    O(sqrt((lam + mu) t)) on each side.
+    With L(s) = log G(e^s, t), e^{L(s) - N s} bounds P(X >= N, operating)
+    for s >= 0 and P(X <= N, operating) for s <= 0, so each side's level is
+    ceil(min_s (L(s) - log(target / 2)) / |s|), the minimum taken over |s|
+    from 2^-52 to 2^6 half an octave apart, then over 129 radii around the
+    least one (a few parts in 1e5 above the exact one).  Restarts hold the
+    law near the origin, so (lam, mu, nu, eta) = (2, 1, 0.1, 1) gives
+    (-38, 369) at every t >= 1e4.  A slice's bound, read off its inversion's
+    radii, can exceed the target a little: 0.24 % at (5e4, 5e4, 1, 1), t = 4.
     """
     _check_horizon(p, t)
-    half = 0.5 * WINDOW_TAIL_TARGET
-    return (
-        1 - _chernoff_level(p.mu, p.lam, t, half),
-        _chernoff_level(p.lam, p.mu, t, half) - 1,
-    )
+    import numpy as np
+    log_half = math.log(0.5 * WINDOW_TAIL_TARGET)
+
+    def levels(radii):
+        # each |s|'s level, right side above left; none where G rounds to <= 0
+        scale, g = _scaled_gf(p, np.array(t), np.array([[1.0], [-1.0]]) * radii)
+        return np.where(g > 0.0, (scale + np.log(g) - log_half) / radii, np.inf)
+
+    # L is convex, so the coarse grid's least radius and its neighbours bracket
+    # the least level (the level is quasiconvex in s)
+    with np.errstate(all="ignore"):
+        coarse = np.exp2(np.arange(-104.0, 13.0) / 2.0)
+        best = coarse[levels(coarse).argmin(axis=1), None]
+        least = levels(best * np.exp2(np.arange(-64.0, 65.0) / 128.0)).min(axis=1)
+    right, left = (max(1, math.ceil(check_finite(level, "the default window's level")))
+                   for level in least.tolist())
+    return 1 - left, right - 1
 
 
 @dataclass(frozen=True)
 class DistributionSlice:
-    """Transient distribution at a fixed time over an integer window."""
+    """Transient distribution at a fixed time over an integer window, with
+    the law's own bound on the operating mass outside it."""
 
     time: float
     window: tuple[int, int]
@@ -590,13 +588,13 @@ def transient_distribution(
     The window defaults to :func:`default_window`.  Every state is inverted
     from the generating function in a few FFTs (see the module notes).
 
-    The tail bound is a Chernoff bound on the catastrophe-free law, taken
-    uniformly over the elapsed time; it dominates the full model because each
-    restart contributes the same catastrophe-free tail with total weight at
-    most one.  The window's mass is checked against it: a
-    :class:`QuadratureError`, carrying the window's values, is raised when
-    |1 - sum P_n - q(t)| exceeds the tail bound plus the per-state allowance
-    sum (1e-10 P_n + 1e-14).
+    The tail bound is the law's own (see :func:`default_window`) at the
+    radii the inversion evaluated: the least e^{L(s) - (n_max + 1) s} over
+    s >= 0 plus the least e^{L(s) - (n_min - 1) s} over s <= 0, at most 1
+    (at t = 0, 0 if the window holds the origin, else 1).  The window's mass
+    is checked against it: a :class:`QuadratureError`, carrying the window's
+    values, is raised when |1 - sum P_n - q(t)| exceeds the tail bound plus
+    the per-state allowance sum (1e-10 P_n + 1e-14).
     """
     if window is None:
         window = default_window(p, t)
@@ -615,10 +613,8 @@ def transient_distributions(
     n_min, n_max = window = check_window(window)
     times = [float(t) for t in times]
     slices = []
-    for t, values in zip(times, _transient_window(p, times, n_min, n_max)):
-        right = _skellam_tail_chernoff(p.lam, p.mu, t, n_max + 1)
-        left = _skellam_tail_chernoff(p.mu, p.lam, t, 1 - n_min)
-        tail_bound = min(1.0, left + right)
+    laws, tails = _transient_window(p, times, n_min, n_max)
+    for t, values, tail_bound in zip(times, laws, tails.tolist()):
         failed = failure_probability(p, t)
         mass = math.fsum(values.tolist())
         defect = abs(1.0 - mass - failed)

@@ -137,37 +137,35 @@ def steady_failure_mass(nu: float, eta: float) -> float:
     return nu / (eta + nu)
 
 
-def _age_integral(k: int, a: float, t: float, damp: float = 0.0) -> float:
-    # e^{-damp t} * integral of e^{a s} s^k over [0, t] for k = 1, 2, with
-    # damp >= a so the growing exponential never materializes
-    at = a * t
-    if abs(at) < 0.25:
-        # sum_j a^j t^{j+k+1} / (j! (j+k+1)): the series avoids the 0/0 at a ~ 0
-        total, coeff = 0.0, t * t if k == 1 else t * t * t
-        for j in range(0, 26):
-            term = coeff / (j + k + 1)
-            total += term
-            if abs(term) <= 1e-18 * abs(total):
-                break
-            coeff *= a * t / (j + 1)
-        return math.exp(-damp * t) * total
-    # (e^{at} P_k(at) + C_k) / a^{k+1}
-    if k == 1:
-        poly, const, power = at - 1.0, 1.0, a * a
-    else:
-        poly, const, power = at * at - 2.0 * at + 2.0, -2.0, a * a * a
-    return (math.exp((a - damp) * t) * poly + const * math.exp(-damp * t)) / power
+def _age_powers(c: float) -> tuple[float, float, float]:
+    # J_k(c) = int_0^1 u^k e^{-c u} du, k = 0, 1, 2, for 0 <= c <= inf: the power series
+    # below c = 1 (each J_k > 0.1), else J_k = (k J_{k-1} - e^{-c}) / c, losing two bits at most
+    if c < 1.0:
+        term, j0, j1, j2 = 1.0, 1.0, 0.5, 1.0 / 3.0
+        for m in range(1, 20):
+            term *= -c / m
+            j0, j1, j2 = j0 + term / (m + 1), j1 + term / (m + 2), j2 + term / (m + 3)
+        return j0, j1, j2
+    decay, j0 = math.exp(-c), -math.expm1(-c) / c
+    j1 = (j0 - decay) / c
+    return j0, j1, (2.0 * j1 - decay) / c
 
 
-def _restarted_age_moments(nu: float, eta: float, t: float) -> tuple[float, float]:
-    # E[A^k 1{on, restarted}] for k = 1, 2: the age density
-    # eta q(t - a) e^{-nu a} = w e^{-nu a} (1 - e^{-r (t - a)}) integrated
-    # against a and a^2, with w = eta nu / r and r = eta + nu
-    rate = eta + nu
-    weight = eta * nu / rate
-    first = _age_integral(1, -nu, t) - _age_integral(1, eta, t, rate)
-    second = _age_integral(2, -nu, t) - _age_integral(2, eta, t, rate)
-    return weight * first, weight * second
+def _restart_powers(x: float, y: float) -> tuple[float, float, float]:
+    # J_0(x) and D_k = int_0^1 u^k e^{-xu} (1 - e^{-(x+y)(1-u)}) du, k = 1, 2: the restarted age
+    # law in u = A/t over x eta/(eta+nu), at x = nu t, y = eta t.  Past x + y = 1, J_k(x) minus
+    # e^{-x} int (1-v)^k e^{-yv} dv keeps a fair share of J_k(x); below, the series in u
+    j0, j1, j2 = _age_powers(x)
+    if x + y > 1.0:
+        k0, k1, k2 = _age_powers(y)
+        decay = math.exp(-x)
+        return j0, j1 - decay * (k0 - k1), j2 - decay * (k0 - 2.0 * k1 + k2)
+    up, down, lost = 1.0, math.exp(-x - y), -math.expm1(-x - y)
+    d1, d2 = lost / 2.0, lost / 3.0
+    for m in range(1, 20):
+        up, down = up * -x / m, down * y / m
+        d1, d2 = d1 + (up - down) / (m + 2), d2 + (up - down) / (m + 3)
+    return j0, d1, d2
 
 
 def truncated_moments(
@@ -175,28 +173,33 @@ def truncated_moments(
 ) -> tuple[float, float]:
     """(E[X(t) 1{on}], Var[X(t) 1{on}]) for a catastrophe-free motion with
     mean drift*s and variance spread*s: (drift m, spread m + drift^2 v) with
-    m = E[A 1{on}] and v = Var[A 1{on}] = E[A^2 1{on}] - m^2.
+    m = E[A 1{on}] and v = Var[A 1{on}], v from a mixture: with p = e^{-nu t}
+    the chance of no catastrophe, A 1{on} is t with chance p and otherwise
+    Y, the age since the last restart (0 while under repair), so
 
-    v is taken from a mixture: with p = e^{-nu t} the chance of no
-    catastrophe, A 1{on} is t with chance p and otherwise Y, the age since
-    the last restart (0 while under repair), so
+        v = (1 - p) t^2 [p (1 - E[Y / t])^2 + Var[Y / t]].
 
-        v = p (1 - p) (t - E[Y])^2 + (1 - p) Var[Y].
-
-    Neither part cancels as nu t -> 0, where m^2 and E[A^2 1{on}] agree to
-    ever more digits: Y spreads over [0, t], so Var[Y] is not small against
-    E[Y^2].
+    Neither part cancels as nu t -> 0: Y spreads over [0, t].  The factors
+    are taken in nu t, eta t and eta / (eta + nu), and each moment is one
+    product of them, so it holds wherever it is a float; past nu t = 64 the
+    moments are the long-run ones to rounding.  ``ValueError`` names a moment
+    float64 cannot hold, as :func:`asymptotic_moments` does.
     """
     _check_motion(nu, eta, drift, spread)
     check_time(t)
-    intact, lost = math.exp(-nu * t), -math.expm1(-nu * t)
-    if lost == 0.0:
-        return drift * t, spread * t
-    first, second = _restarted_age_moments(nu, eta, t)
-    mean_y = first / lost
-    m = intact * t + first
-    v = intact * lost * (t - mean_y) ** 2 + (second - first * mean_y)
-    return drift * m, spread * m + drift * drift * v
+    if (x := nu * t) > 64.0:
+        mean, variance = _long_run_moments(nu, eta, drift, spread)
+    else:
+        lost, first, second = _restart_powers(x, eta * t)  # lost = (1 - p) / x
+        share = 1.0 / (1.0 + nu / eta) / lost  # E[(Y / t)^k] over D_k
+        first, second, intact = share * first, share * second, math.exp(-x)
+        mean_age = intact + x * lost * first
+        spread_age = intact * (1.0 - first) ** 2 + (second - first * first)
+        mean = _quotient((drift, t, mean_age), ())
+        variance = (_quotient((spread, t, mean_age), ())
+                    + _quotient((drift, drift, t, t, t, nu, lost, spread_age), ()))
+    variance = check_finite(variance, "the truncated variance")
+    return check_finite(mean, "the truncated mean"), variance
 
 
 def _quotient(over: tuple, under: tuple) -> float:

@@ -78,9 +78,9 @@ def skellam_by_poisson(lam: float, mu: float, u: float, n_min: int, n_max: int) 
     law = np.convolve(up, down[::-1])
     offset = len(down) - 1
     out = np.zeros(n_max - n_min + 1)
-    for i, n in enumerate(range(n_min, n_max + 1)):
-        if 0 <= n + offset < len(law):
-            out[i] = law[n + offset]
+    lo, hi = max(n_min + offset, 0), min(n_max + offset + 1, len(law))
+    if lo < hi:
+        out[lo - n_min - offset:hi - n_min - offset] = law[lo:hi]
     return out
 
 
@@ -416,6 +416,51 @@ def truncated_moments_by_mpmath(
     """
     mean, spread_age = _age_moments_by_mpmath(nu, eta, t)
     return float(drift * mean), float(spread * mean + drift**2 * spread_age)
+
+
+def truncated_moments_by_closed_form_mpmath(
+    nu: float, eta: float, t: float, drift: float, spread: float, dps: int = 50,
+) -> tuple[float, float]:
+    """Truncated mean and variance of either model from the same age mixture
+    as ``truncated_moments_by_mpmath``, in ``dps`` digits and closed form, in
+    x = nu t and y = eta t: with J_k(c) = int_0^1 u^k e^{-c u} du (mpmath's
+    lower incomplete gamma below c = 1, where its closed form cancels), the
+    restarted system's age moments are x y / (x + y) times
+    J_k(x) - e^{-x} int_0^1 (1 - v)^k e^{-y v} dv, whose two terms cancel to
+    about x + y; that many digits more are carried.  A factor e^{-c} with c
+    past 4 ln 10 times the working digits is below them and taken as 0, and
+    mpmath's exponents do not overflow, so every rate and time of float64
+    is in reach."""
+    with mpmath.workdps(dps):
+        nu_, eta_, t_, drift_, spread_ = map(mpmath.mpf, (nu, eta, t, drift, spread))
+        x, y = nu_ * t_, eta_ * t_
+        if x == 0:
+            return float(drift_ * t_), float(spread_ * t_)
+        guard = max(0, int(-mpmath.log10(x + y))) + 10
+    with mpmath.workdps(dps + guard):
+        negligible = 4 * (dps + guard) * mpmath.log(10)
+
+        def decay(c):
+            return mpmath.exp(-c) if c < negligible else mpmath.mpf(0)
+
+        def power(k, c):
+            if c < 1:
+                return mpmath.gammainc(k + 1, 0, c) / c ** (k + 1)
+            head = sum(c**i / mpmath.factorial(i) for i in range(k + 1))
+            return mpmath.factorial(k) * (1 - decay(c) * head) / c ** (k + 1)
+
+        def reversed_power(k, c):
+            return sum(mpmath.binomial(k, j) * (-1) ** j * power(j, c) for j in range(k + 1))
+
+        intact = decay(x)
+        lost = -mpmath.expm1(-x) if x < 1 else 1 - intact
+        weight = x * y / (x + y)
+        first, second = (weight * (power(k, x) - intact * reversed_power(k, y)) for k in (1, 2))
+        mean_y = first / lost
+        var_y = second / lost - mean_y**2
+        mean = t_ * (intact + first)
+        variance = t_**2 * lost * (intact * (1 - mean_y) ** 2 + var_y)
+        return float(drift_ * mean), float(spread_ * mean + drift_**2 * variance)
 
 
 def asymptotic_moments_by_mpmath(nu: float, eta: float, drift: float, spread: float,

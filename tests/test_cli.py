@@ -966,15 +966,20 @@ _FUZZ_MESSAGES = [
     r"t = \S+ is too long for the lattice law: ",
     r"the lattice law at t = \S+ over the window \[-5, 5\] is out of reach: ",
     r"the lattice law at t = \S+ needs an FFT of \d+ nodes, ",
+    r"the truncated (mean|variance) is inf in float64 at these arguments$",
 ]
 
 
-def _fuzzed_command(rng: random.Random, command: str) -> list[str]:
+def _fuzzed_command(rng: random.Random, command: str, box=None) -> list[str]:
     """A random run of the command inside the declared box: rates log-uniform
     in [1e-12, 1e12] (nu = 0 one time in ten) and two times log-uniform in
     [1e-9, 1e9]; ``simulate`` draws 20 paths, with rates up to 1e2 and times
-    up to 10, so that no run draws more than about 1e5 uniforms."""
+    up to 10, so that no run draws more than about 1e5 uniforms.  A ``box``
+    (low, high) puts rates and times log-uniform in it instead."""
     rate_max, time_max = (1e2, 10.0) if command == "simulate" else (1e12, 1e9)
+    rate_min, time_min = 1e-12, 1e-9
+    if box is not None:
+        (rate_min, rate_max), (time_min, time_max) = box, box
 
     def log_uniform(lo, hi):
         return repr(math.exp(rng.uniform(math.log(lo), math.log(hi))))
@@ -987,9 +992,9 @@ def _fuzzed_command(rng: random.Random, command: str) -> list[str]:
     names = ["--lambda", "--mu"] if model == "discrete" else ["--lambda-hat", "--mu-hat", "--sigma2"]
     for name in names + ["--nu", "--eta"]:
         zero = name == "--nu" and rng.random() < 0.1
-        argv += [name, "0" if zero else log_uniform(1e-12, rate_max)]
+        argv += [name, "0" if zero else log_uniform(rate_min, rate_max)]
     if command in ("transient", "moments", "simulate"):
-        argv += ["--t-grid", f"{log_uniform(1e-9, time_max)},{log_uniform(1e-9, time_max)}"]
+        argv += ["--t-grid", f"{log_uniform(time_min, time_max)},{log_uniform(time_min, time_max)}"]
     if command == "simulate":
         argv += ["--seed", str(rng.randrange(2**32)), "--reps", "20"]
         for statistic in rng.sample(_STATISTICS, 2):
@@ -1009,20 +1014,22 @@ def _cells(text: str, fmt: str) -> list:
 
 
 class TestFuzz:
-    """Seeded random commands inside the declared box, under this suite's
-    RuntimeWarning-as-error filter: each exits 0 with finite numbers in every
-    numeric cell, or exits 2 with one validation record whose message is one
-    catwalk writes.  A failure found here is mended, never excluded."""
+    """Seeded random commands inside the declared box, and ``moments`` over
+    all of float64, under this suite's RuntimeWarning-as-error filter: each
+    exits 0 with finite numbers in every numeric cell, or exits 2 with one
+    validation record whose message is one catwalk writes.  A failure found
+    here is mended, never excluded."""
 
-    @pytest.mark.parametrize("seed,count,commands", [
-        (1, 600, tuple(cli._SUBCOMMANDS)),
-        (2, 300, ("simulate",)),
-    ], ids=["every-command", "simulate"])
-    def test_every_run_exits_cleanly(self, capsys, seed, count, commands):
+    @pytest.mark.parametrize("seed,count,commands,box", [
+        (1, 600, tuple(cli._SUBCOMMANDS), None),
+        (2, 300, ("simulate",), None),
+        (3, 300, ("moments",), (1e-300, 1e300)),
+    ], ids=["every-command", "simulate", "moments-over-float64"])
+    def test_every_run_exits_cleanly(self, capsys, seed, count, commands, box):
         rng = random.Random(seed)
         exits = []
         for _ in range(count):
-            argv = _fuzzed_command(rng, rng.choice(commands))
+            argv = _fuzzed_command(rng, rng.choice(commands), box)
             code = run(argv)
             captured = capsys.readouterr()
             exits.append(code)

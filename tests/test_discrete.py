@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from catwalk import discrete as d
 from catwalk.special import QuadratureError, integrate_adaptive
@@ -27,6 +29,8 @@ SYMMETRIC = d.DiscreteParams(lam=2.0, mu=2.0, nu=0.1, eta=1.0)
 # its catastrophe-free walk, whose law is the Skellam law
 SYMMETRIC_FREE = replace(SYMMETRIC, nu=0.0)
 DRIFTING = d.DiscreteParams(lam=2.0, mu=1.0, nu=1.0, eta=1.0)
+# drifts 1 a unit of time through operating periods of mean 1 / nu = 10
+DRIFTING_SLOWLY = d.DiscreteParams(lam=2.0, mu=1.0, nu=0.1, eta=1.0)
 
 rates = st.floats(min_value=0.05, max_value=50.0)
 
@@ -243,9 +247,9 @@ class TestTransientDistribution:
         mode = d.transient_probability(SYMMETRIC, 0, 1.0)
 
         def drop_the_mode(p, times, n_min, n_max):
-            values = inversion(p, times, n_min, n_max)
+            values, tails = inversion(p, times, n_min, n_max)
             values[np.arange(len(values)), np.argmax(values, axis=1)] = 0.0
-            return values
+            return values, tails
 
         monkeypatch.setattr(d, "_transient_window", drop_the_mode)
         window = d.default_window(SYMMETRIC, 1.0)
@@ -258,10 +262,12 @@ class TestTransientDistribution:
         assert err.error_bound == pytest.approx(mode, rel=1e-9)
 
     def test_a_window_without_the_origin_bounds_its_tail_by_one(self):
-        # every path starts at 0, outside the window: the Chernoff bound of
-        # the side that holds the origin is 1, and the mass check passes
+        # every path starts at 0, outside the window: no radius of the
+        # inversion lies on the side that holds the origin, so that side is
+        # bounded by 1, which holds the mass the window misses, and the mass
+        # check passes
         slice_ = d.transient_distribution(SYMMETRIC, 1.0, (3, 5))
-        assert slice_.tail_bound == 1.0
+        assert 1.0 - slice_.total_mass() <= slice_.tail_bound == 1.0
         for n in range(3, 6):
             assert slice_.probabilities[n] == pytest.approx(
                 d.transient_probability(SYMMETRIC, n, 1.0), rel=1e-10)
@@ -273,7 +279,7 @@ class TestTransientDistribution:
         assert sorted(slice_.probabilities) == list(range(-3, 8))
 
     def test_ordinary_windows_past_a_lowered_cap_raise(self, monkeypatch):
-        # the strong-drift default window has 1,253 states and FFTs of up to
+        # the strong-drift default window has 1,245 states and FFTs of up to
         # 2^11 nodes; under a cap of 2^10 both its window and, for a window
         # of one state, its FFT are refused before anything is allocated
         p = d.DiscreteParams(200.0, 1.0, 0.1, 1.0)
@@ -328,9 +334,9 @@ class TestBatchedTimes:
         inversion = d._transient_window
 
         def drop_the_last_mode(p, times, n_min, n_max):
-            values = inversion(p, times, n_min, n_max)
+            values, tails = inversion(p, times, n_min, n_max)
             values[-1, np.argmax(values[-1])] = 0.0
-            return values
+            return values, tails
 
         monkeypatch.setattr(d, "_transient_window", drop_the_last_mode)
         with pytest.raises(QuadratureError, match=r"at t=2\.0 misses its mass"):
@@ -354,13 +360,24 @@ class TestDefaultWindow:
             assert slice_.tail_bound <= d.WINDOW_TAIL_TARGET
 
     def test_smallest_such_window(self):
-        p = d.DiscreteParams(200.0, 1.0, 0.1, 1.0)
-        n_min, n_max = d.default_window(p, 5.0)
-        half = 0.5 * d.WINDOW_TAIL_TARGET
-        assert d._skellam_tail_chernoff(p.lam, p.mu, 5.0, n_max + 1) <= half
-        assert d._skellam_tail_chernoff(p.lam, p.mu, 5.0, n_max) > half
-        assert d._skellam_tail_chernoff(p.mu, p.lam, 5.0, 1 - n_min) <= half
-        assert d._skellam_tail_chernoff(p.mu, p.lam, 5.0, -n_min) > half
+        # each side is the least level whose best bound e^{L(s) - N s} is at
+        # most half the target, with L(s) = log G(e^s, t) summed from the
+        # convolution oracle's law; one state less and the best bound is not
+        rates, t = (200.0, 1.0, 0.1, 1.0), 5.0
+        n_min, n_max = d.default_window(d.DiscreteParams(*rates), t)
+        first = n_min - 300
+        law = lattice_law_by_convolution(*rates, t, first, n_max + 300)
+        states = np.arange(first, first + law.size)
+
+        def least_bound(level, side):
+            # log min over s of G(e^s) e^{-s level} on the side's half line
+            return minimize_scalar(lambda u: logsumexp(side * u * (states - level), b=law),
+                                   bounds=(0.0, 10.0), method="bounded",
+                                   options={"xatol": 1e-12}).fun
+
+        half = math.log(0.5 * d.WINDOW_TAIL_TARGET)
+        assert least_bound(n_max + 1, 1.0) <= half < least_bound(n_max, 1.0)
+        assert least_bound(n_min - 1, -1.0) <= half < least_bound(n_min, -1.0)
 
     def test_follows_the_drift(self):
         # drift 199 per unit time: the window sits to the right of the origin
@@ -370,10 +387,33 @@ class TestDefaultWindow:
         assert d.default_window(d.DiscreteParams(1.0, 200.0, 0.1, 1.0), 5.0) == (-n_max, -n_min)
 
     def test_grows_like_the_spread(self):
-        # symmetric walk: width ~ sqrt((lam + mu) t), not the old lam + mu times t
-        widths = [d.default_window(d.DiscreteParams(5e4, 5e4, 1.0, 1.0), t)[1] for t in (1.0, 4.0)]
-        assert widths[1] == pytest.approx(2.0 * widths[0], rel=0.05)
-        assert widths[0] < 12.0 * math.sqrt(1e5)
+        # symmetric walk: width ~ sqrt((lam + mu) t), not lam + mu times t.
+        # Where catastrophes are rare it doubles as t quadruples; restarts
+        # (nu t = 4 at the later time) hold it below that
+        def widths(nu):
+            return [d.default_window(d.DiscreteParams(5e4, 5e4, nu, 1.0), t)[1] for t in (1.0, 4.0)]
+
+        rare, restarted = widths(1e-3), widths(1.0)
+        assert rare[1] == pytest.approx(2.0 * rare[0], rel=0.05)
+        assert rare[0] < 12.0 * math.sqrt(1e5)
+        assert restarted[0] <= rare[0] and 1.5 * restarted[0] < restarted[1] < 2.0 * restarted[0]
+
+    def test_a_long_horizon_stops_at_the_stationary_reach(self):
+        # restarts hold the law near the origin: the window stops growing
+        # and the slice is the stationary law (it was 1e9 states wide when a
+        # catastrophe-free bound sized it)
+        law = d.transient_distribution(DRIFTING_SLOWLY, 1e9)
+        assert law.window == d.default_window(DRIFTING_SLOWLY, 1e4) == (-38, 369)
+        assert law.tail_bound <= d.WINDOW_TAIL_TARGET
+        assert max(abs(value - d.steady_state(DRIFTING_SLOWLY, n))
+                   for n, value in law.probabilities.items()) <= 1e-15
+        assert law.failure_mass == pytest.approx(d.steady_failure(DRIFTING_SLOWLY), abs=1e-15)
+
+    def test_the_tail_bound_is_the_laws_own(self):
+        # the catastrophe-free bound reported 1.0 for this window, where the
+        # mass outside it is below 1e-14
+        law = d.transient_distribution(DRIFTING_SLOWLY, 1e4, (-39, 370))
+        assert law.tail_bound < 1e-11
 
     def test_time_zero_is_the_origin(self):
         assert d.default_window(DRIFTING, 0.0) == (0, 0)

@@ -5,6 +5,7 @@ for every public law that takes one."""
 
 import math
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from oracles import (
     lattice_transform_by_mpmath,
     steady_density_by_mpmath,
     steady_state_by_mpmath,
+    truncated_moments_by_closed_form_mpmath,
     truncated_moments_by_mpmath,
 )
 
@@ -87,35 +89,41 @@ class TestTruncatedMoments:
         assert (d.mean_transient(p, t), d.variance_transient(p, t)) == (1.75 * t, 4.25 * t)
 
 
-def _closed_age_integral(k: int, a: float, t: float, damp: float) -> float:
-    # e^{-damp t} (e^{at}(at - 1) + 1) / a^2 for k = 1 and
-    # e^{-damp t} (e^{at}(a^2 t^2 - 2at + 2) - 2) / a^3 for k = 2, at 120
-    # digits, which leave more than a double's worth after the cancellation
-    # of |at| down to 1e-14
+def _closed_age_power(k: int, c) -> "mpmath.mpf":
+    # int_0^1 u^k e^{-c u} du = k! (1 - e^{-c} sum_{i <= k} c^i / i!) / c^{k+1}
+    # for any real c != 0, in the working precision
+    head = sum(c**i / mpmath.factorial(i) for i in range(k + 1))
+    return mpmath.factorial(k) * (1 - mpmath.exp(-c) * head) / c ** (k + 1)
+
+
+def _closed_restart_power(k: int, x: float, y: float) -> float:
+    # int_0^1 u^k e^{-x u} (1 - e^{-(x + y)(1 - u)}) du
+    # = J_k(x) - e^{-(x + y)} J_k(-y) in closed form at 120 digits, which
+    # leave more than a double's worth after the cancellations of x and y
+    # down to 1e-8
     with mpmath.workdps(120):
-        a, t, damp = mpmath.mpf(a), mpmath.mpf(t), mpmath.mpf(damp)
-        at = a * t
-        if k == 1:
-            value = (mpmath.exp(at) * (at - 1) + 1) / a**2
-        else:
-            value = (mpmath.exp(at) * (at * at - 2 * at + 2) - 2) / a**3
-        return float(mpmath.exp(-damp * t) * value)
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        return float(_closed_age_power(k, x) - mpmath.exp(-x - y) * _closed_age_power(k, -y))
 
 
 class TestAgeIntegral:
     @pytest.mark.parametrize("k", [1, 2])
     def test_against_the_closed_forms(self, k):
-        # the two calls truncated_moments makes, a = -nu undamped and a = eta
-        # damped by eta + nu, on both sides of the series' |at| < 0.25
+        # the age law's integrals in the scale-free x = nu t and y = eta t
+        # that truncated_moments takes, on both sides of each power series'
+        # switch at 1: c for the catastrophe's age law, x + y for the
+        # restarted system's
         misses = []
-        for nu in (1e-8, 1e-3, 0.1, 10.0, 1e3):
-            for eta in (1e-3, 1.0, 1e4):
-                for t in (1e-6, 1e-2, 1.0, 1e3):
-                    for a, damp in ((-nu, 0.0), (eta, eta + nu)):
-                        got = fc._age_integral(k, a, t, damp)
-                        want = _closed_age_integral(k, a, t, damp)
-                        if got != pytest.approx(want, rel=1e-12, abs=1e-300):
-                            misses.append((a, t, damp, got, want))
+        for c in (1e-8, 1e-3, 0.5, 0.999, 1.0, 1.5, 30.0, 64.0, 1e3):
+            with mpmath.workdps(120):
+                want = float(_closed_age_power(k, mpmath.mpf(c)))
+            if fc._age_powers(c)[k] != pytest.approx(want, rel=1e-14):
+                misses.append((c, fc._age_powers(c)[k], want))
+        for x in (1e-8, 1e-3, 0.3, 0.999, 2.0, 30.0, 64.0):
+            for y in (1e-8, 1e-3, 0.3, 0.999, 3.0, 1e3):
+                got, want = fc._restart_powers(x, y)[k], _closed_restart_power(k, x, y)
+                if got != pytest.approx(want, rel=1e-13):
+                    misses.append((x, y, got, want))
         assert misses == []
 
 
@@ -320,6 +328,30 @@ class TestFloat64Range:
                 (lambda k=k: fc.asymptotic_moments(nu, eta, drift, spread)[k],
                  lambda k=k: asymptotic_moments_by_mpmath(nu, eta, drift, spread)[k])
                 for k in (0, 1)], "the long-run truncated")
+
+    def test_truncated_moments_agree_with_mpmath_or_name_the_moment(self):
+        # 2,000 draws of (nu, eta, t, drift, spread), each log-uniform in
+        # [1e-300, 1e300]: the moments taken from age integrals in the time
+        # unit gave 987 NaN or inf results, 193 ZeroDivisionErrors and 47
+        # OverflowErrors here.  A moment refused is one that mpmath puts past
+        # float64
+        rng = random.Random(5)
+        low, high = math.log(1e-300), math.log(1e300)
+        refused = 0
+        for _ in range(2000):
+            args = tuple(math.exp(rng.uniform(low, high)) for _ in range(5))
+            want = truncated_moments_by_closed_form_mpmath(*args)
+            try:
+                got = fc.truncated_moments(*args)
+            except ValueError as exc:
+                assert re.match(r"the truncated (mean|variance) is", str(exc)), (args, exc)
+                assert not all(map(math.isfinite, want)), (args, want)
+                refused += 1
+                continue
+            for value, reference in zip(got, want):
+                assert abs(value - reference) <= 1e-12 * abs(reference) + sys.float_info.min, \
+                    (args, value, reference)
+        assert refused < 500
 
     @pytest.mark.parametrize("seed", range(4))
     def test_the_lattice_mean_holds_where_the_variance_leaves_float64(self, seed):

@@ -13,9 +13,13 @@ error on this grid is about 1.3e-13.  The windows are held to
 
 Contract.  Every default window over a grid of drifts closes its mass to
 1 - q(t) within its tail bound, and its mean and variance match the closed
-forms ``mean_transient`` and ``variance_transient``.
+forms ``mean_transient`` and ``variance_transient``.  Its tail bound holds
+the mass the convolution oracle puts outside it, is at most
+``WINDOW_TAIL_TARGET``, and the window lies inside the one that the
+catastrophe-free walk's Chernoff bound, uniform over elapsed time, gave.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -47,6 +51,18 @@ WINDOWS = {
     # tail state's saddle is wide, so the FFT must be longer than the window
     "restart-dominated": ((3.0, 1.0, 100.0, 100.0), 3.0),
 }
+
+#: states on each side of a default window that its reference law covers
+MARGIN = 60
+
+
+@functools.cache
+def _reference(rates: tuple, t: float) -> tuple[int, np.ndarray]:
+    # (first state, the convolution oracle's law over the default window
+    # widened by MARGIN states on each side), shared by the tests that read it
+    n_min, n_max = d.default_window(d.DiscreteParams(*rates), t)
+    return n_min - MARGIN, lattice_law_by_convolution(*rates, t, n_min - MARGIN, n_max + MARGIN)
+
 
 def _rtol(log_reference: float) -> float:
     return REPRESENTABLE_RTOL if log_reference >= math.log(IVE_FLOOR) else UNDERFLOW_RTOL
@@ -98,7 +114,7 @@ class TestWindowsAgainstConvolution:
         law = d.transient_distribution(p, t)
         n_min, n_max = law.window
         values = np.array([law.probabilities[n] for n in range(n_min, n_max + 1)])
-        reference = lattice_law_by_convolution(*rates, t, n_min, n_max)
+        reference = _reference(rates, t)[1][MARGIN:-MARGIN]
         assert np.all(np.abs(values - reference) <= 1e-10 * reference + 1e-14)
         assert np.all(values[reference >= 1e-300] > 0.0)
         assert law.tail_bound <= d.WINDOW_TAIL_TARGET
@@ -117,6 +133,24 @@ class TestWindowsAgainstConvolution:
 # (lam, t) with mu = 1, nu = 0.1, eta = 1: drift ratios up to 3000, where
 # the restart mixture puts most states in a flat plateau far below the mode
 DRIFTS = [(lam, t) for lam in (1.0, 10.0, 200.0, 1000.0, 3000.0) for t in (1.0, 5.0)]
+
+# the default windows of DRIFTS and REGIMES when the catastrophe-free walk's
+# Chernoff bound, taken uniformly over elapsed time, sized them
+FREE_WALK_WINDOWS = {
+    ((1.0, 1.0, 0.1, 1.0), 1.0): (-15, 15),
+    ((1.0, 1.0, 0.1, 1.0), 5.0): (-27, 27),
+    ((10.0, 1.0, 0.1, 1.0), 1.0): (-12, 41),
+    ((10.0, 1.0, 0.1, 1.0), 5.0): (-17, 108),
+    ((200.0, 1.0, 0.1, 1.0), 1.0): (-9, 314),
+    ((200.0, 1.0, 0.1, 1.0), 5.0): (-10, 1242),
+    ((1000.0, 1.0, 0.1, 1.0), 1.0): (-7, 1246),
+    ((1000.0, 1.0, 0.1, 1.0), 5.0): (-8, 5536),
+    ((3000.0, 1.0, 0.1, 1.0), 1.0): (-6, 3420),
+    ((3000.0, 1.0, 0.1, 1.0), 5.0): (-7, 15926),
+    ((2.0, 2.0, 0.1, 1.0), 5.0): (-36, 36),
+    ((2.0, 2.0, 0.1, 1.0), 50.0): (-107, 107),
+    ((460.0, 470.0, 1.0, 0.25), 1.0): (-240, 220),
+}
 
 
 class TestWindowContract:
@@ -137,12 +171,27 @@ class TestWindowContract:
         assert mean == pytest.approx(d.mean_transient(p, t), rel=1e-10, abs=1e-10)
         assert variance == pytest.approx(d.variance_transient(p, t), rel=1e-10)
 
+    @pytest.mark.parametrize("rates,t", sorted(FREE_WALK_WINDOWS),
+                             ids=lambda v: ",".join(map("{:g}".format, v)) if isinstance(v, tuple)
+                             else f"t={v:g}")
+    def test_tail_bound_holds_the_outside_mass(self, rates, t):
+        # the bound read off the inversion's radii holds what the oracle puts
+        # outside the window, and the window is no wider than the
+        # catastrophe-free bound made it
+        law = d.transient_distribution(d.DiscreteParams(*rates), t)
+        _, reference = _reference(rates, t)
+        outside = math.fsum(reference[:MARGIN]) + math.fsum(reference[-MARGIN:])
+        assert outside <= law.tail_bound <= d.WINDOW_TAIL_TARGET
+        n_min, n_max = law.window
+        free_min, free_max = FREE_WALK_WINDOWS[rates, t]
+        assert free_min <= n_min <= 0 <= n_max <= free_max
+
     def test_plateau_state_under_strong_drift(self):
         # the restart mixture's plateau: n = 211 is a state the shared-panel
         # quadrature returned as 3.5e-15 against a true 2.99667e-5, and
         # n = 470 one that the oracle on 32 panels missed by 1.85e-7
         rates, t = (3000.0, 1.0, 0.1, 1.0), 5.0
-        reference = lattice_law_by_convolution(*rates, t, 211, 470)
+        first, reference = _reference(rates, t)
         for n in (211, 470):
             value = d.transient_probability(d.DiscreteParams(*rates), n, t)
-            assert value == pytest.approx(reference[n - 211], rel=1e-10)
+            assert value == pytest.approx(reference[n - first], rel=1e-10)

@@ -75,12 +75,16 @@ def test_the_traced_benchmark_wraps_and_restores_its_hooks(monkeypatch):
     assert [getattr(module, name) for module, name in hooks] == originals
 
 
-def test_the_benchmark_monte_carlo_operations_pass_their_checks(monkeypatch, tmp_path):
-    # perfbench's monte-carlo round draws through list(simulate(...)), estimates
-    # on those lists and exports one; each operation's own check must hold
+@pytest.mark.parametrize("workload_name", ["LatticeTransient", "DiffusionDensity", "MonteCarlo"])
+def test_the_benchmark_operations_pass_their_checks(monkeypatch, tmp_path, workload_name):
+    # perfbench's lattice round inverts default windows and the CLI's lattice
+    # table, its diffusion round takes density slices, the CLI's density
+    # table and a small-variance point, and its monte-carlo round draws
+    # through list(simulate(...)), estimates on those lists and exports one;
+    # each operation's own check must hold, known defects included
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
-    workload = workloads.MonteCarlo(1, str(tmp_path), {})
+    workload = getattr(workloads, workload_name)(1, str(tmp_path), {})
     workload.prepare()
     for round_index in range(2):
         for op in workload.ops(round_index):
