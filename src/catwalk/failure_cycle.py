@@ -157,8 +157,7 @@ def _restart_powers(x: float, y: float) -> tuple[float, float, float]:
     # e^{-x} int (1-v)^k e^{-yv} dv keeps a fair share of J_k(x); below, the series in u
     j0, j1, j2 = _age_powers(x)
     if x + y > 1.0:
-        k0, k1, k2 = _age_powers(y)
-        decay = math.exp(-x)
+        (k0, k1, k2), decay = _age_powers(y), math.exp(-x)
         return j0, j1 - decay * (k0 - k1), j2 - decay * (k0 - 2.0 * k1 + k2)
     up, down, lost = 1.0, math.exp(-x - y), -math.expm1(-x - y)
     d1, d2 = lost / 2.0, lost / 3.0
@@ -173,31 +172,33 @@ def truncated_moments(
 ) -> tuple[float, float]:
     """(E[X(t) 1{on}], Var[X(t) 1{on}]) for a catastrophe-free motion with
     mean drift*s and variance spread*s: (drift m, spread m + drift^2 v) with
-    m = E[A 1{on}] and v = Var[A 1{on}], v from a mixture: with p = e^{-nu t}
-    the chance of no catastrophe, A 1{on} is t with chance p and otherwise
-    Y, the age since the last restart (0 while under repair), so
-
-        v = (1 - p) t^2 [p (1 - E[Y / t])^2 + Var[Y / t]].
-
-    Neither part cancels as nu t -> 0: Y spreads over [0, t].  The factors
-    are taken in nu t, eta t and eta / (eta + nu), and each moment is one
-    product of them, so it holds wherever it is a float; past nu t = 64 the
-    moments are the long-run ones to rounding.  ``ValueError`` names a moment
-    float64 cannot hold, as :func:`asymptotic_moments` does.
+    m = E[A 1{on}] and v = Var[A 1{on}].  With p = e^{-nu t}, A 1{on} is t
+    with chance p and otherwise Y, the age since the last restart (0 while
+    under repair), so v = (1 - p) t^2 [p (1 - E[Y / t])^2 + Var[Y / t]],
+    where neither part cancels as nu t -> 0.  Each term is one product of
+    factors in nu t, eta t and a = eta / (eta + nu), p as four factors
+    e^{-nu t / 4}, so a moment holds wherever it is a float, p past its
+    underflow included.  The terms in p are at most a few (nu t)^2 p / a of
+    the long-run moments, below 2^-800 past nu t = 2048 for any float64
+    rates, which are returned there.  ``ValueError`` names a moment float64
+    cannot hold, as :func:`asymptotic_moments` does.
     """
     _check_motion(nu, eta, drift, spread)
     check_time(t)
-    if (x := nu * t) > 64.0:
+    if (x := nu * t) > 2048.0:
         mean, variance = _long_run_moments(nu, eta, drift, spread)
     else:
-        lost, first, second = _restart_powers(x, eta * t)  # lost = (1 - p) / x
-        share = 1.0 / (1.0 + nu / eta) / lost  # E[(Y / t)^k] over D_k
-        first, second, intact = share * first, share * second, math.exp(-x)
-        mean_age = intact + x * lost * first
-        spread_age = intact * (1.0 - first) ** 2 + (second - first * first)
-        mean = _quotient((drift, t, mean_age), ())
-        variance = (_quotient((spread, t, mean_age), ())
-                    + _quotient((drift, drift, t, t, t, nu, lost, spread_age), ()))
+        lost, d1, d2 = _restart_powers(x, eta * t)  # lost = (1 - p) / x
+        big = max(nu, eta)
+        under = (lost, big, 1.0 + min(nu, eta) / big)  # lost (eta + nu)
+        mean_y = _quotient((eta, d1), under)  # E[Y / t | restarted] = a D_1 / lost
+        ratio = _quotient((eta, d1, d1), (d2, *under)) if d2 else 0.0  # mean_y^2 / second moment
+        head = (t, *(math.exp(-0.25 * x),) * 4)  # E[A 1{no catastrophe}] = t p
+        tail = (t, nu, t, lost, eta, d1)  # E[Y 1{restarted}] = t x a D_1, over under
+        mean, variance = (_quotient((w, *head), ()) + _quotient((w, *tail), under)
+                          for w in (drift, spread))
+        variance += (_quotient((drift, drift, t, nu, t, lost, (1.0 - mean_y) ** 2, *head), ())
+                     + _quotient((drift, drift, t, *tail[:-1], d2, 1.0 - ratio), under))
     variance = check_finite(variance, "the truncated variance")
     return check_finite(mean, "the truncated mean"), variance
 

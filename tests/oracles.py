@@ -427,10 +427,9 @@ def truncated_moments_by_closed_form_mpmath(
     lower incomplete gamma below c = 1, where its closed form cancels), the
     restarted system's age moments are x y / (x + y) times
     J_k(x) - e^{-x} int_0^1 (1 - v)^k e^{-y v} dv, whose two terms cancel to
-    about x + y; that many digits more are carried.  A factor e^{-c} with c
-    past 4 ln 10 times the working digits is below them and taken as 0, and
-    mpmath's exponents do not overflow, so every rate and time of float64
-    is in reach."""
+    about x + y; that many digits more are carried.  mpmath's exponents
+    neither overflow nor underflow, so every factor e^{-c} is kept, however
+    small against 1, and every rate and time of float64 is in reach."""
     with mpmath.workdps(dps):
         nu_, eta_, t_, drift_, spread_ = map(mpmath.mpf, (nu, eta, t, drift, spread))
         x, y = nu_ * t_, eta_ * t_
@@ -438,21 +437,16 @@ def truncated_moments_by_closed_form_mpmath(
             return float(drift_ * t_), float(spread_ * t_)
         guard = max(0, int(-mpmath.log10(x + y))) + 10
     with mpmath.workdps(dps + guard):
-        negligible = 4 * (dps + guard) * mpmath.log(10)
-
-        def decay(c):
-            return mpmath.exp(-c) if c < negligible else mpmath.mpf(0)
-
         def power(k, c):
             if c < 1:
                 return mpmath.gammainc(k + 1, 0, c) / c ** (k + 1)
             head = sum(c**i / mpmath.factorial(i) for i in range(k + 1))
-            return mpmath.factorial(k) * (1 - decay(c) * head) / c ** (k + 1)
+            return mpmath.factorial(k) * (1 - mpmath.exp(-c) * head) / c ** (k + 1)
 
         def reversed_power(k, c):
             return sum(mpmath.binomial(k, j) * (-1) ** j * power(j, c) for j in range(k + 1))
 
-        intact = decay(x)
+        intact = mpmath.exp(-x)
         lost = -mpmath.expm1(-x) if x < 1 else 1 - intact
         weight = x * y / (x + y)
         first, second = (weight * (power(k, x) - intact * reversed_power(k, y)) for k in (1, 2))

@@ -353,6 +353,28 @@ class TestFloat64Range:
                     (args, value, reference)
         assert refused < 500
 
+    @pytest.mark.parametrize("nu, eta, t, drift, spread", [
+        (1.0, 1e-30, 65.0, 1.0, 1.0),
+        (1e12, 1e-12, 6.5e-11, 1.0, 1.0),
+        (1.0, 1e-128, 300.0, 1.0, 1.0),
+        (1e3, 1e-299, 0.7, 1e200, 1e200),
+        (1e21, 1e-300, 7.45e-19, 1e300, 1e300),
+        (1e88, 1e-300, 9e-86, 1e300, 1e300),
+        (1e132, 1e-300, 1e-129, 1e300, 1e300),
+        (1e-3, 1e-300, 2e6, 1.0, 1.0),
+        (1.0, 1.0, 3000.0, 1.0, 1.0),
+    ])
+    def test_truncated_moments_keep_the_no_catastrophe_term(self, nu, eta, t, drift, spread):
+        # the no-catastrophe term t e^{-nu t} outweighs the restarted one,
+        # about eta / nu^2, where eta / nu is below nu t e^{-nu t}: the
+        # long-run moments, taken past nu t = 64, put the first case's mean
+        # at 1e-30 against 3.8e-27 and the second's 0.4 % low.  The rest
+        # reach nu t = 300, 700, 745, 900 and 1000, where e^{-nu t} is past
+        # float64 and the moments are not; the last two are past nu t = 2048
+        want = truncated_moments_by_closed_form_mpmath(nu, eta, t, drift, spread)
+        got = fc.truncated_moments(nu, eta, t, drift, spread)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_the_lattice_mean_holds_where_the_variance_leaves_float64(self, seed):
         rng = random.Random(300 + seed)

@@ -186,6 +186,16 @@ class TestWindowContract:
         free_min, free_max = FREE_WALK_WINDOWS[rates, t]
         assert free_min <= n_min <= 0 <= n_max <= free_max
 
+    def test_a_window_at_the_origin_reads_its_bound_below_it(self):
+        # the window (0, 1007521) reported 6.1e-11 while the inversion's
+        # radii stopped at tilted means n_min and n_max: the level n_min - 1
+        # needs a mean of -1, and the leftmost mean was 4.6e-19.  The
+        # catastrophe-free bound made the window (-4, 1007534)
+        law = d.transient_distribution(d.DiscreteParams(1e6, 1.0, 0.1, 1.0), 1.0)
+        n_min, n_max = law.window
+        assert -4 <= n_min <= 0 <= n_max <= 1007534
+        assert law.tail_bound <= d.WINDOW_TAIL_TARGET
+
     def test_plateau_state_under_strong_drift(self):
         # the restart mixture's plateau: n = 211 is a state the shared-panel
         # quadrature returned as 3.5e-15 against a true 2.99667e-5, and
