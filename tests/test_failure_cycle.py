@@ -119,7 +119,7 @@ class TestAgeIntegral:
                 want = float(_closed_age_power(k, mpmath.mpf(c)))
             if fc._age_powers(c)[k] != pytest.approx(want, rel=1e-14):
                 misses.append((c, fc._age_powers(c)[k], want))
-        for x in (1e-8, 1e-3, 0.3, 0.999, 2.0, 30.0, 64.0):
+        for x in (1e-8, 1e-3, 0.3, 0.999, 2.0, 30.0, 64.0, 700.0, 2048.0):
             for y in (1e-8, 1e-3, 0.3, 0.999, 3.0, 1e3):
                 got, want = fc._restart_powers(x, y)[k], _closed_restart_power(k, x, y)
                 if got != pytest.approx(want, rel=1e-13):
@@ -370,7 +370,8 @@ class TestFloat64Range:
         # long-run moments, taken past nu t = 64, put the first case's mean
         # at 1e-30 against 3.8e-27 and the second's 0.4 % low.  The rest
         # reach nu t = 300, 700, 745, 900 and 1000, where e^{-nu t} is past
-        # float64 and the moments are not; the last two are past nu t = 2048
+        # float64 and the moments are not; at the last two, nu t = 2000 and
+        # 3000, the moments are the long-run ones to rounding
         want = truncated_moments_by_closed_form_mpmath(nu, eta, t, drift, spread)
         got = fc.truncated_moments(nu, eta, t, drift, spread)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
